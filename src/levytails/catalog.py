@@ -476,6 +476,7 @@ def dimension_free_bound(profile: FunctionalProfile, model,
         return base.fn(d / c)
 
     return TailBound(name="dimension_free[lipschitz]", fn=fn,
+                     grid_fn=lambda ds: base.grid_fn(ds / c),
                      center="shifted_mean", valid_lo=0.0,
                      valid_hi=c * base.valid_hi,
                      meta={"h": h, "transform": "value", "x_scale": c,

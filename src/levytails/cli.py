@@ -90,6 +90,7 @@ from .verify import audit_bound, deviation_values, empirical_median, empirical_t
 _TASKS = ("bound", "simulate", "verify", "sweep")
 _TOP_KEYS = {"task", "model", "bound", "grid", "mc", "out", "run", "over"}
 _MAX_SWEEP_CELLS = 1000
+_MAX_BOUND_POINTS = 100_000
 _MISSING = object()
 
 
@@ -361,6 +362,10 @@ def _parse_grid(cfg: dict, audit: bool) -> np.ndarray:
     if audit and points > 20:
         raise ConfigError(
             f"grid.points: audit tasks are capped at 20 points, got {points}")
+    if points > _MAX_BOUND_POINTS:
+        raise ConfigError(
+            f"grid.points: bound tasks are capped at {_MAX_BOUND_POINTS} "
+            f"points, got {points}")
     return np.linspace(x_lo, x_hi, points)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,7 +45,7 @@ _QUAD_REL_TOL = 1e-11
 # floor of the brentq-computed integrand and the quadrature could never
 # converge.
 _QUAD_ABS_FLOOR = 1e-14
-_MAX_SUBDIVISIONS = 2 ** 20
+_MAX_EVALS = 2 ** 20
 _BRACKET_T0 = 1e-12
 # Bracket-memo size cap (see _InverseEvaluator): insort is O(n) per
 # insert, so an unbounded memo would degrade pathological quadratures
@@ -80,6 +81,9 @@ class TailBound:
     produced the value at x (constant label for single-regime bounds).
     meta carries auxiliary information for verification (e.g. the shift
     added to the center, or transform="abs" for norm-type bounds).
+    grid_fn, when set, evaluates an array of in-range points at once
+    (NaN where a point fails); engine-backed bounds use it to share one
+    entropy integral across the grid. Without it, fn runs point by point.
     """
 
     name: str
@@ -90,6 +94,7 @@ class TailBound:
     valid_hi: float = math.inf
     regime_fn: Callable[[float], str] | None = None
     meta: dict = field(default_factory=dict)
+    grid_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def regime(self, x: float) -> str:
         return self.regime_fn(x) if self.regime_fn is not None else self.name
@@ -101,96 +106,91 @@ class TailBound:
         """Evaluate on a grid, never raising for out-of-range points.
 
         Returns (bound, regime, valid) arrays/lists of the grid's length.
-        Out-of-range or failed points get the trivial value (1 for upper
-        bounds, 0 for lower bounds) and valid=False.
+        Points outside the range, points whose evaluation raises
+        OutOfRange, and points whose value is not a finite number in
+        [0, 1] get the trivial value (1 for upper bounds, 0 for lower
+        bounds), regime "out_of_range" and valid=False.
         """
-        trivial = 1.0 if self.direction == "upper" else 0.0
-        out = np.empty(len(xs), dtype=float)
-        regimes: list[str] = []
-        valid = np.zeros(len(xs), dtype=bool)
-        for i, x in enumerate(xs):
-            x = float(x)
-            if not (self.valid_lo < x < self.valid_hi):
-                out[i] = trivial
-                regimes.append("out_of_range")
-                continue
-            try:
-                out[i] = float(self.fn(x))
-                regimes.append(self.regime(x))
-                valid[i] = True
-            except OutOfRange:
-                out[i] = trivial
-                regimes.append("out_of_range")
+        xs = np.asarray(xs, dtype=float)
+        inside = (self.valid_lo < xs) & (xs < self.valid_hi)
+        out = np.full(xs.size, np.nan)
+        if self.grid_fn is not None:
+            out[inside] = self.grid_fn(xs[inside])
+        else:
+            for i in np.flatnonzero(inside):
+                with suppress(OutOfRange):
+                    out[i] = self.fn(float(xs[i]))
+        valid = inside & np.isfinite(out) & (out >= 0.0) & (out <= 1.0)
+        out[~valid] = 1.0 if self.direction == "upper" else 0.0
+        regimes = [self.regime(float(x)) if ok else "out_of_range"
+                   for x, ok in zip(xs, valid)]
         return out, regimes, valid
 
 
 # ----------------------------------------------------------------------
-# Adaptive Simpson quadrature (hand-rolled by design: failures must be
-# explicit, and the entropy integral must not share scipy code paths with
-# anything it is cross-checked against).
+# Adaptive Gauss-Kronrod quadrature (hand-rolled by design: failures must
+# be explicit, and the entropy integral must not share scipy code paths
+# with anything it is cross-checked against).
 # ----------------------------------------------------------------------
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float) -> float:
-    """Integrate f on [a, b] to absolute tolerance ~tol.
+# Kronrod 15-point rule on [-1, 1] (Kronrod 1965; QUADPACK qk15): nodes
+# +-_K15_X[j] with weights _K15_W[j]; the odd j are the 7-point Gauss
+# nodes, with weights _G7_W. Mirrored below into 15 ascending nodes.
+_K15_X = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+          0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+          0.207784955007898468, 0.0)
+_K15_W = (0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+          0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+          0.204432940075298892, 0.209482141084727828)
+_G7_W = (0.129484966168869693, 0.279705391489276668, 0.381830050505118945,
+         0.417959183673469388)
+_K15_X = tuple(-x for x in _K15_X[:7]) + _K15_X[::-1]
+_K15_W = _K15_W[:7] + _K15_W[::-1]
+_G7_W = _G7_W[:3] + _G7_W[::-1]
 
-    Classic recursion with Richardson correction, implemented iteratively
-    with an explicit stack. Raises QuadratureFailure once more than 2^20
-    subintervals have been created.
+
+def _gk15(f: Callable[[float], float], a: float, b: float):
+    """The Kronrod-15 and Gauss-7 estimates of int_a^b f (15 evaluations)."""
+    c = 0.5 * (a + b)
+    r = 0.5 * (b - a)
+    fv = [f(c + r * x) for x in _K15_X]
+    return (r * sum(w * v for w, v in zip(_K15_W, fv)),
+            r * sum(w * v for w, v in zip(_G7_W, fv[1::2])))
+
+
+def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate f on [a, b] to relative tolerance _QUAD_REL_TOL.
+
+    The first K15 estimate on [a, b] sets the absolute tolerance
+    _QUAD_REL_TOL * |estimate| + _QUAD_ABS_FLOOR. A panel is accepted when
+    its K15 and G7 estimates agree within its tolerance (or it is narrower
+    than 1e-15 (b - a)); otherwise it is bisected and each half gets half
+    the tolerance. Raises QuadratureFailure once more than 2^20 integrand
+    evaluations would be spent.
     """
     if b <= a:
         return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # stack entries: (a, m, b, fa, fm, fb, S, tol)
-    stack = [(a, m, b, fa, fm, fb, whole, tol)]
+    k15, g7 = _gk15(f, a, b)
+    min_width = 1e-15 * (b - a)
+    evals = 15
     total = 0.0
-    n_intervals = 1
+    # stack entries: (a, b, K15, G7, tol); the left half is popped first so
+    # that the integrand is swept left to right.
+    stack = [(a, b, k15, g7, _QUAD_REL_TOL * abs(k15) + _QUAD_ABS_FLOOR)]
     while stack:
-        a0, m0, b0, fa0, fm0, fb0, s0, tol0 = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm, frm = f(lm), f(rm)
-        s_left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        s_right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        delta = s_left + s_right - s0
-        if abs(delta) <= 15.0 * tol0 or (b0 - a0) <= 1e-15 * (b - a):
-            total += s_left + s_right + delta / 15.0
+        a0, b0, k0, g0, tol0 = stack.pop()
+        if abs(k0 - g0) <= tol0 or b0 - a0 <= min_width:
+            total += k0
             continue
-        n_intervals += 2
-        if n_intervals > _MAX_SUBDIVISIONS:
+        evals += 30
+        if evals > _MAX_EVALS:
             raise QuadratureFailure(
-                f"adaptive Simpson exceeded {_MAX_SUBDIVISIONS} subintervals "
-                f"on [{a!r}, {b!r}]")
-        half = 0.5 * tol0
-        stack.append((a0, lm, m0, fa0, flm, fm0, s_left, half))
-        stack.append((m0, rm, b0, fm0, frm, fb0, s_right, half))
+                f"adaptive Gauss-Kronrod exceeded {_MAX_EVALS} integrand "
+                f"evaluations on [{a!r}, {b!r}]")
+        m = 0.5 * (a0 + b0)
+        stack.append((m, b0, *_gk15(f, m, b0), 0.5 * tol0))
+        stack.append((a0, m, *_gk15(f, a0, m), 0.5 * tol0))
     return total
-
-
-def _simpson_rel(f: Callable[[float], float], a: float, b: float,
-                 rel_tol: float = _QUAD_REL_TOL) -> float:
-    """Adaptive Simpson targeting a relative tolerance.
-
-    A cheap pilot estimate sets the absolute tolerance; one refinement pass
-    re-runs with the tolerance rescaled to the first result when the pilot
-    was badly off.
-    """
-    if b <= a:
-        return 0.0
-    # Pilot: composite Simpson on 8 intervals.
-    ts = np.linspace(a, b, 9)
-    vals = np.array([f(float(t)) for t in ts])
-    pilot = (b - a) / 24.0 * (vals[0] + vals[-1]
-                              + 4.0 * vals[1::2].sum() + 2.0 * vals[2:-1:2].sum())
-    scale = max(abs(pilot), 1e-300)
-    result = _adaptive_simpson(f, a, b, rel_tol * scale + _QUAD_ABS_FLOOR)
-    if abs(result) > 10.0 * scale or abs(result) < 0.1 * scale:
-        result = _adaptive_simpson(
-            f, a, b, rel_tol * max(abs(result), 1e-300) + _QUAD_ABS_FLOOR)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -213,12 +213,9 @@ class _InverseEvaluator:
         self._t: dict[float, float] = {}
 
     def __call__(self, s: float) -> float:
-        s = float(s)
         if s <= 0.0:
             return 0.0
-        if not (s < self.h.h_sup):
-            raise OutOfRange(
-                f"s={s!r} is not below sup h = {self.h.h_sup!r}")
+        s = _level(self.h, s, "s")
         t = self._t.get(s)
         if t is not None:
             return t
@@ -227,11 +224,8 @@ class _InverseEvaluator:
             self._t.clear()
         i = bisect_left(self._s, s)
         lo = self._t[self._s[i - 1]] if i > 0 else 0.0
-        if i < len(self._s):
-            hi = self._t[self._s[i]]
-            t = _solve_inverse(self.h, s, lo, hi)
-        else:
-            t = _solve_inverse(self.h, s, lo, None)
+        hi = self._t[self._s[i]] if i < len(self._s) else None
+        t = _solve_inverse(self.h, s, lo, hi)
         insort(self._s, s)
         self._t[s] = t
         return t
@@ -285,18 +279,23 @@ def _solve_inverse(h: HFunction, s: float, lo: float,
                         xtol=_INVERT_XTOL, rtol=_INVERT_RTOL))
 
 
+def _level(h: HFunction, v: float, name: str) -> float:
+    """float(v), after checking 0 < v < h.h_sup (OutOfRange otherwise)."""
+    v = float(v)
+    if not (v > 0.0):
+        raise OutOfRange(f"{name} must be positive, got {v!r}")
+    if not (v < h.h_sup):
+        raise OutOfRange(f"{name}={v!r} is not below sup h = {h.h_sup!r}")
+    return v
+
+
 def invert_h(h: HFunction, s: float) -> float:
     """Left-continuous inverse h^{-1}(s) = inf{t > 0 : h(t) >= s}.
 
     Requires 0 < s < h.h_sup; raises OutOfRange otherwise, and NonMonotone
     if bracketing observes h decreasing by more than 1e-9.
     """
-    s = float(s)
-    if not (s > 0.0):
-        raise OutOfRange(f"s must be positive, got {s!r}")
-    if not (s < h.h_sup):
-        raise OutOfRange(f"s={s!r} is not below sup h = {h.h_sup!r}")
-    return _solve_inverse(h, s, 0.0, None)
+    return _solve_inverse(h, _level(h, s, "s"), 0.0, None)
 
 
 # ----------------------------------------------------------------------
@@ -305,19 +304,14 @@ def invert_h(h: HFunction, s: float) -> float:
 
 def entropy_integral(h: HFunction, x: float,
                      _inv: _InverseEvaluator | None = None) -> float:
-    """int_0^x h^{-1}(s) ds by adaptive Simpson on the pointwise inverse.
+    """int_0^x h^{-1}(s) ds by adaptive Gauss-Kronrod on the pointwise inverse.
 
     Requires 0 < x < h.h_sup. The integrand is evaluated through invert_h
     (with bracket memoization); the quadrature itself is the hand-rolled
-    adaptive Simpson with a 2^20-subinterval budget.
+    adaptive Gauss-Kronrod 7-15 with a budget of 2^20 evaluations.
     """
-    x = float(x)
-    if not (x > 0.0):
-        raise OutOfRange(f"x must be positive, got {x!r}")
-    if not (x < h.h_sup):
-        raise OutOfRange(f"x={x!r} is not below sup h = {h.h_sup!r}")
     inv = _inv if _inv is not None else _InverseEvaluator(h)
-    return _simpson_rel(inv, 0.0, x)
+    return _gauss_kronrod(inv, 0.0, _level(h, x, "x"))
 
 
 def chernoff_min(h: HFunction, x: float) -> float:
@@ -334,8 +328,7 @@ def chernoff_min(h: HFunction, x: float) -> float:
         raise OutOfRange(f"x must be positive, got {x!r}")
     if x < h.h_sup:
         t_star = invert_h(h, x)
-        area = _simpson_rel(lambda t: h(t), 0.0, t_star)
-        return min(area - t_star * x, 0.0)
+        return min(_gauss_kronrod(h, 0.0, t_star) - t_star * x, 0.0)
     if math.isinf(h.t_end):
         # h is bounded by h_sup <= x, so the objective decays at least
         # linearly with slope h_sup - x <= 0; the infimum is -inf whenever
@@ -346,7 +339,7 @@ def chernoff_min(h: HFunction, x: float) -> float:
             return -math.inf
         t, g_prev = 1.0, 0.0
         while t <= 1e9:
-            g = _simpson_rel(lambda u: h(u), 0.0, t) - t * x
+            g = _gauss_kronrod(h, 0.0, t) - t * x
             if g < -1e12:
                 return -math.inf
             if abs(g - g_prev) <= 1e-12 * (1.0 + abs(g)):
@@ -354,57 +347,63 @@ def chernoff_min(h: HFunction, x: float) -> float:
             g_prev, t = g, t * 4.0
         return -math.inf
     t_edge = h.t_end * (1.0 - 1e-12)
-    area = _simpson_rel(lambda t: h(t), 0.0, t_edge)
-    return min(area - t_edge * x, 0.0)
+    return min(_gauss_kronrod(h, 0.0, t_edge) - t_edge * x, 0.0)
+
+
+def _entropy_segments(inv: _InverseEvaluator, xs: np.ndarray) -> np.ndarray:
+    """int_0^x h^{-1} at every x of xs (any order, duplicates allowed).
+
+    Sums the integral segment by segment over the sorted points, each at
+    entropy_integral's relative tolerance; the segments are nonnegative,
+    so relative errors do not grow. The point whose segment raises
+    OutOfRange, and every point above it, get NaN.
+    """
+    totals = np.full(xs.size, np.nan)
+    acc = prev = 0.0
+    for i in np.argsort(xs, kind="stable"):
+        x = float(xs[i])
+        if x > prev:
+            try:
+                acc += _gauss_kronrod(inv, prev, x)
+            except OutOfRange:
+                break
+            prev = x
+        totals[i] = acc
+    return totals
 
 
 def tail_bound_from_h(h: HFunction) -> TailBound:
     """The deviation bound exp(-int_0^x h^{-1}) as a TailBound.
 
-    center="mean", direction="upper", validity (0, h_sup). Evaluation is
-    lazy; each scalar call runs its own entropy integral, while grid
-    evaluation through evaluate_entropy_grid shares work across points.
+    center="mean", direction="upper", validity (0, h_sup). A scalar call
+    integrates from 0; evaluate_grid sums the integral segment by segment
+    over the sorted grid. Both share one memoized inverse.
     """
     inv = _InverseEvaluator(h)
-
-    def fn(x: float) -> float:
-        return math.exp(-entropy_integral(h, x, _inv=inv))
-
     return TailBound(
         name=f"entropy[{h.name}]",
-        fn=fn,
+        fn=lambda x: math.exp(-entropy_integral(h, x, _inv=inv)),
         center="mean",
         direction="upper",
         valid_lo=0.0,
         valid_hi=h.h_sup,
         meta={"h_name": h.name},
+        grid_fn=lambda xs: np.exp(-_entropy_segments(inv, xs)),
     )
 
 
 def evaluate_entropy_grid(h: HFunction, xs: Sequence[float]) -> np.ndarray:
     """Entropy integrals int_0^{x_i} h^{-1} for a whole grid at once.
 
-    Sorts the grid, accumulates the integral piecewise between consecutive
-    points (sharing one memoized inverse evaluator), and maps back to the
-    input order. Exact reorganization of entropy_integral: every segment
-    runs the same adaptive Simpson at the same relative tolerance, and the
-    segments are nonnegative so relative errors do not cancel upward.
-    Raises OutOfRange if any point falls outside (0, h_sup).
+    The grid path of tail_bound_from_h: the integral is summed segment by
+    segment over the sorted points and mapped back to the input order.
+    Raises OutOfRange if any point falls outside (0, h_sup), or if h^{-1}
+    is undefined below a point.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.empty(0)
     if np.any(xs <= 0.0) or np.any(xs >= h.h_sup):
         raise OutOfRange("grid points must lie in (0, sup h)")
-    order = np.argsort(xs)
-    inv = _InverseEvaluator(h)
-    totals = np.empty(xs.size)
-    acc = 0.0
-    prev = 0.0
-    for idx in order:
-        x = float(xs[idx])
-        if x > prev:
-            acc += _simpson_rel(inv, prev, x)
-            prev = x
-        totals[idx] = acc
+    totals = _entropy_segments(_InverseEvaluator(h), xs)
+    if np.any(np.isnan(totals)):
+        raise OutOfRange("h stays below part of the grid up to t_end")
     return totals

@@ -32,7 +32,7 @@ from typing import Mapping, Union
 
 import numpy as np
 from scipy import integrate
-from scipy.special import exp1, gammainc, polygamma
+from scipy.special import exp1, gammainc, polygamma, psi, zeta
 
 from .errors import (
     Divergent,
@@ -390,6 +390,39 @@ def truncated_abs_moment(model: LevyModel, k: int, R: float = math.inf) -> float
 # Exponentially weighted moments
 # ----------------------------------------------------------------------
 
+# Taylor coefficients C(m+k-1, k-1) zeta(m+k, 1/2), m = 1..24, of
+# sum_n [(n + 1/2 - d)^{-k} - (n + 1/2)^{-k}] in d, for k = 1 and 3. The
+# series is used for d <= 0.05, where its ratio is about 2d <= 0.1, so the
+# 24th term is ~1e-21 of the first.
+_AREA_SERIES = {
+    k: np.array([math.comb(m + k - 1, k - 1) * float(zeta(m + k, 0.5))
+                 for m in range(1, 25)])
+    for k in (1, 3)
+}
+
+
+def _levy_area_exp_moment(k: int, t: float, c: float) -> float:
+    """int_0^inf y^{k-1} (e^{t y} - 1)/sinh(c y) dy, k in {1, 3}, 0 < t < c.
+
+    With 1/sinh(c y) = 2 sum_n e^{-(2n+1) c y} the integral is
+    2 (k-1)!/(2c)^k sum_n [(n + a)^{-k} - (n + 1/2)^{-k}], a = 1/2 - t/(2c):
+    (psi(1/2) - psi(a))/c for k = 1 and (zeta(3, a) - zeta(3, 1/2))/(2c^3)
+    for k = 3. For t/c <= 0.1 the difference cancels (4e-11 relative error
+    at t/c = 1e-6), so the all-positive Taylor series in t/(2c) is summed
+    instead.
+    """
+    scale = 1.0 / c if k == 1 else 0.5 / c ** 3
+    d = 0.5 * t / c
+    if d <= 0.05:
+        return scale * d * float(np.polynomial.polynomial.polyval(
+            d, _AREA_SERIES[k]))
+    # c - t is exact near the abscissa, which keeps a accurate as a -> 0.
+    a = 0.5 * (c - t) / c
+    if k == 1:
+        return scale * float(psi(0.5) - psi(a))
+    return scale * float(zeta(3, a) - zeta(3, 0.5))
+
+
 def exp_weighted_moment(model: LevyModel, k: int, t: float,
                         R: float = math.inf, *, side: str = "abs") -> float:
     """int_{|y| <= R} |y|^k (e^{t |y|} - 1) nu(dy), k in {1, 3}.
@@ -431,17 +464,16 @@ def exp_weighted_moment(model: LevyModel, k: int, t: float,
         return _quad(f, 0.0, R)
 
     if isinstance(model, LevyArea):
-        T = model.T
+        c = math.pi / model.T
         if math.isinf(R):
-            if t >= math.pi / T:
+            if t >= c:
                 raise Divergent(
                     f"t={t!r} at/beyond the exponential abscissa pi/T = "
-                    f"{math.pi / T!r}")
-            hi = max(50.0 * T, 60.0 / (math.pi / T - t))
+                    f"{c!r}")
+            val = _levy_area_exp_moment(k, t, c)
         else:
-            hi = R
-        val = _quad(lambda y: y ** (k - 1)
-                    * _expm1_over_sinh(t, math.pi / T, y), 0.0, hi)
+            val = _quad(lambda y: y ** (k - 1) * _expm1_over_sinh(t, c, y),
+                        0.0, R)
         return 0.5 * val if side == "pos" else val
 
     if isinstance(model, (Stable, LogKernel, GaussKernel)):

@@ -235,6 +235,12 @@ def test_dimension_free_lipschitz_rescales_deviation():
                                  mean_norm=1.0, lip_c=2.0)
     for d in (0.5, 1.0, 3.0):
         assert tb2(2.0 * d) == pytest.approx(tb1(d), rel=1e-12)
+    # The grid path runs the base bound's accumulated integral on d/c.
+    assert tb2.grid_fn is not None
+    vals, _, valid = tb2.evaluate_grid([6.0, 1.0, -1.0, 2.0])
+    assert valid.tolist() == [True, True, False, True]
+    for d, v in zip((3.0, 0.5, 1.0), vals[[0, 1, 3]]):
+        assert v == pytest.approx(tb1(d), rel=1e-9)
     assert tb2.valid_hi == pytest.approx(2.0 * tb1.valid_hi)
     assert tb2.meta["x_scale"] == 2.0
     assert tb2.meta["transform"] == "value"

@@ -108,6 +108,45 @@ def test_audit_grid_cap_enforced(tmp_path, capsys):
     assert "grid.points" in capsys.readouterr().err
 
 
+def test_bound_grid_cap_enforced(tmp_path, capsys, monkeypatch):
+    # Validation must reject the size before any grid is allocated.
+    def no_huge_grid(lo, hi, num, *args, **kwargs):
+        raise AssertionError(f"grid of {num} points allocated")
+
+    monkeypatch.setattr(np, "linspace", no_huge_grid)
+    cfg = {
+        "task": "bound",
+        "bound": {"name": "bennett", "K": 1.0, "alpha2": 1.0},
+        "grid": {"x_lo": 0.25, "x_hi": 5.0, "points": 10 ** 9},
+        "out": {"dir": str(tmp_path / "run")},
+    }
+    assert _run(tmp_path, cfg) == 1
+    err = capsys.readouterr().err
+    assert "grid.points" in err and len(err.strip().split("\n")) == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bound, model", [
+    ({"name": "bennett", "K": math.inf, "alpha2": 1.0}, None),
+    ({"name": "quad_wiener", "form": "log_form"},
+     {"variant": "quadratic", "eigs": [1e308, 1e308]}),
+])
+def test_bound_task_never_marks_nan_valid(tmp_path, bound, model):
+    cfg = {
+        "task": "bound",
+        "bound": bound,
+        "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4},
+        "out": {"dir": str(tmp_path / "run")},
+    }
+    if model is not None:
+        cfg["model"] = model
+    assert _run(tmp_path, cfg) == 0
+    _, rows = _read_csv(tmp_path / "run" / "bound_curve.csv")
+    for row in rows:
+        value, valid = float(row[1]), row[3]
+        assert valid == "0" or (math.isfinite(value) and 0.0 <= value <= 1.0)
+
+
 def test_execution_error_names_operation(tmp_path, capsys):
     # a centered spectrum truncated at N=1 drops far too much mass: the
     # sampler refuses, and the CLI surfaces the failing operation

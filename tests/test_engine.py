@@ -9,9 +9,12 @@ Oracles are closed forms computed independently of the engine:
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levytails import (
     HFunction,
@@ -21,7 +24,8 @@ from levytails import (
     invert_h,
     tail_bound_from_h,
 )
-from levytails.errors import NonMonotone, OutOfRange
+from levytails.engine import TailBound, _gauss_kronrod, _gk15
+from levytails.errors import NonMonotone, OutOfRange, QuadratureFailure
 
 
 def linear_h(lam):
@@ -37,6 +41,37 @@ def exp_h(K, a2):
 
 def exp_entropy(K, a2, x):
     return (x / K + a2 / K**2) * math.log1p(K * x / a2) - x / K
+
+
+# ----------------------------------------------------------------------
+# Gauss-Kronrod quadrature
+# ----------------------------------------------------------------------
+
+def test_k15_panel_exact_to_degree_22():
+    a, b = 0.2, 1.3
+    for d in range(23):
+        k15, g7 = _gk15(lambda x: x ** d, a, b)
+        want = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
+        assert k15 == pytest.approx(want, rel=1e-14), d
+        if d <= 13:
+            assert g7 == pytest.approx(want, rel=1e-14), d
+
+
+def test_quadrature_budget_raises_on_oscillation():
+    # Resolving the 6e-12 period over [0, 1] takes ~2^40 panels, far past
+    # the 2^20-evaluation budget (about a second of evaluations).
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return math.sin(1e12 * x)
+
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureFailure):
+        _gauss_kronrod(f, 0.0, 1.0)
+    assert calls <= 2 ** 20
+    assert time.perf_counter() - t0 < 10.0
 
 
 # ----------------------------------------------------------------------
@@ -202,3 +237,52 @@ def test_grid_evaluation_matches_pointwise():
     grid = evaluate_entropy_grid(h, xs)
     for x, g in zip(xs, grid):
         assert g == pytest.approx(entropy_integral(h, float(x)), rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(K=st.sampled_from([-1.5, -0.4, 0.6, 1.2]),
+       a2=st.floats(0.3, 3.0),
+       fractions=st.lists(st.floats(-0.3, 1.3), min_size=1, max_size=8),
+       repeats=st.integers(0, 3))
+def test_grid_path_matches_pointwise(K, a2, fractions, repeats):
+    h = exp_h(K, a2)
+    scale = h.h_sup if math.isfinite(h.h_sup) else 6.0
+    xs = [f * scale for f in fractions] + [0.0, scale]
+    xs = xs + xs[:repeats]          # duplicates, unsorted
+    tb = tail_bound_from_h(h)
+    vals, regimes, valid = tb.evaluate_grid(xs)
+    inside = [0.0 < x < h.h_sup for x in xs]
+    assert valid.tolist() == inside
+    assert np.all(np.isfinite(vals))
+    for x, v, ok, reg in zip(xs, vals, valid, regimes):
+        if ok:
+            want = math.exp(-entropy_integral(h, x))
+            assert v == pytest.approx(want, rel=1e-9)
+        else:
+            assert v == 1.0 and reg == "out_of_range"
+
+
+def test_grid_never_flags_bad_values_valid():
+    raw = {0.5: 0.3, 1.0: math.nan, 1.5: math.inf, 2.0: 1.5, 2.5: -0.1}
+    for grid_fn in (None, lambda xs: np.array([raw[x] for x in xs])):
+        tb = TailBound(name="t", fn=raw.__getitem__, grid_fn=grid_fn)
+        vals, regimes, valid = tb.evaluate_grid(list(raw))
+        assert valid.tolist() == [True, False, False, False, False]
+        assert vals.tolist() == [0.3, 1.0, 1.0, 1.0, 1.0]
+        assert regimes[1:] == ["out_of_range"] * 4
+
+
+def test_grid_invalidates_points_above_failed_segment():
+    # h_sup is declared infinite but h saturates at 1 before t_end = 5,
+    # so h^{-1} is undefined above h(5-) ~ 0.993: those points, and only
+    # those, fail.
+    h = HFunction(lambda t: -math.expm1(-t), t_end=5.0, name="saturating")
+    xs = [0.999, 0.5, 0.995, 0.2, 0.999]
+    vals, _, valid = tail_bound_from_h(h).evaluate_grid(xs)
+    assert valid.tolist() == [False, True, False, True, False]
+    for x, v, ok in zip(xs, vals, valid):
+        if ok:
+            assert v == pytest.approx(math.exp(-entropy_integral(h, x)),
+                                      rel=1e-9)
+    with pytest.raises(OutOfRange):
+        evaluate_entropy_grid(h, xs)

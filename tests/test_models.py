@@ -7,6 +7,7 @@ no code with the implementations they check.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -240,6 +241,39 @@ def test_levy_area_exp_moment_below_envelope():
         env = m.levy_area_exp_envelope(T, t)
         assert exact <= env
     assert m.levy_area_exp_envelope(T, 0.5) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_levy_area_exp_moment_matches_mpmath():
+    # Oracle in 40 digits: (psi(1/2) - psi(a))/c and
+    # (zeta(3, a) - zeta(3, 1/2))/(2 c^3), a = (c - t)/(2c), at the same
+    # double c = pi/T the model uses (near the abscissa the moments'
+    # condition number in c is ~1/a, so rounding c would dominate).
+    for T in (math.pi, 1.0, 2.7):
+        c = math.pi / T
+        for r in np.geomspace(1e-9, 0.9999, 25):
+            t = float(r) * c
+            with mpmath.workdps(40):
+                a = (mpmath.mpf(c) - t) / (2 * mpmath.mpf(c))
+                m1 = (mpmath.digamma(0.5) - mpmath.digamma(a)) / c
+                m3 = (mpmath.zeta(3, a) - mpmath.zeta(3, 0.5)) / (2 * c ** 3)
+            for k, want in ((1, m1), (3, m3)):
+                got = m.exp_weighted_moment(m.LevyArea(T), k, t)
+                assert got == pytest.approx(float(want), rel=1e-12), (T, r, k)
+                pos = m.exp_weighted_moment(m.LevyArea(T), k, t, side="pos")
+                assert pos == 0.5 * got
+
+
+def test_levy_area_exp_moment_near_abscissa():
+    # Direct quadrature of int (e^{ty} - 1)/sinh(y) dy at T = pi: the
+    # integrand decays like e^{-0.001 y}, which a truncated double
+    # quadrature overestimated as 2000.0.
+    with mpmath.workdps(20):
+        t = mpmath.mpf(0.999)
+        want = mpmath.quad(lambda y: mpmath.expm1(t * y) / mpmath.sinh(y),
+                           [0, 1, 10, 100, 1e3, 1e4, 1e5, mpmath.inf])
+    assert float(want) == pytest.approx(1998.6128834722239, rel=1e-15)
+    assert m.exp_weighted_moment(m.LevyArea(math.pi), 1, 0.999) == \
+        pytest.approx(float(want), rel=1e-12)
 
 
 def test_exp_moment_divergence_guards():
