@@ -316,10 +316,13 @@ def bennett_bound(K: float, alpha2: float) -> TailBound:
     For K > 0 the range is all of (0, inf); for K < 0 it is (0, -alpha2/K)
     (beyond which the formula's logarithm leaves its domain).
     """
-    if not (alpha2 > 0.0):
-        raise InvalidProfile(f"alpha2 must be > 0, got {alpha2!r}")
     K = float(K)
     alpha2 = float(alpha2)
+    if not (math.isfinite(K) and math.isfinite(alpha2)):
+        raise InvalidProfile(
+            f"K and alpha2 must be finite, got K={K!r}, alpha2={alpha2!r}")
+    if not (alpha2 > 0.0):
+        raise InvalidProfile(f"alpha2 must be > 0, got {alpha2!r}")
     if K == 0.0:
         fn = _guard(0.0, math.inf, "bennett",
                     lambda x: math.exp(-x * x / (2.0 * alpha2)))
@@ -532,7 +535,9 @@ def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
                      on [0, 1/(c a));  a -> a_+ and positive eigenvalues
                      only under target="sup".
     form="log_form"  exp(-x/(ac) + (2S/(a^2 c)) log(1 + a x/(2S))) with
-                     S = sum_i ||f_2^i||^2.
+                     S = sum_i ||f_2^i||^2, evaluated through the
+                     scale-free ratio r = S/a^2 = (1/4) sum (a_k^i/a)^2,
+                     so that eigenvalues near the float limit stay finite.
     form="min_form"  exp(-(1/c)(1 - log(3)/2) min(x/a, x^2/(4S))).
 
     Pointwise: exact_h <= log_form <= min_form on the common range.
@@ -578,10 +583,12 @@ def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
                        meta={**meta, "h": h})
 
     if form == "log_form":
+        r = 0.25 * sum((v / a) * (v / a) for comp in spec.eigs_per_component
+                       for v in comp)
+
         def raw(x: float) -> float:
             return math.exp(-x / (a * c)
-                            + (2.0 * S / (a * a * c))
-                            * math.log1p(a * x / (2.0 * S)))
+                            + (2.0 * r / c) * math.log1p(x / a / (2.0 * r)))
 
         fn = _guard(0.0, math.inf, "quad_wiener", raw)
         return TailBound(name=f"quad_wiener[log_form,{target}]", fn=fn,

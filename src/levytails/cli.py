@@ -50,6 +50,7 @@ import argparse
 import copy
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -121,14 +122,26 @@ def _check_keys(section: dict, allowed: set, path: str) -> None:
                               f"(allowed: {', '.join(sorted(allowed))})")
 
 
+def _is_finite_number(val) -> bool:
+    """JSON numbers only: no booleans, no Infinity or NaN literals, and no
+    integers beyond the float range."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _num(section: dict, key: str, path: str, default=_MISSING):
     if key not in section:
         if default is _MISSING:
             raise ConfigError(f"{_loc(path, key)}: required")
         return default
     val = section[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{_loc(path, key)}: must be a number, got {val!r}")
+    if not _is_finite_number(val):
+        raise ConfigError(
+            f"{_loc(path, key)}: must be a finite number, got {val!r}")
     return float(val)
 
 
@@ -223,9 +236,9 @@ def build_model(model_cfg: dict):
     if has_eigs:
         eigs = model_cfg["eigs"]
         if (not isinstance(eigs, list) or not eigs
-                or any(isinstance(a, bool) or not isinstance(a, (int, float))
-                       for a in eigs)):
-            raise ConfigError("model.eigs: must be a nonempty number list")
+                or not all(_is_finite_number(a) for a in eigs)):
+            raise ConfigError(
+                "model.eigs: must be a nonempty list of finite numbers")
         return QuadraticSpectral(tuple(float(a) for a in eigs))
     gen = model_cfg["generator"]
     if not isinstance(gen, dict):

@@ -41,18 +41,27 @@ documented rather than hidden).  ``sample_id_compound`` defaults to the
 unit-ball compensation  - int_{eps<|y|<=1} y nu(dy)  and can optionally
 center at the mean or not at all.
 
-Antithetic normals are available behind a flag (default off).  For the
-*even* functionals here (chaos, quadratic Brownian functionals, area) the
-mirrored half reproduces the plain half exactly, so the flag buys nothing
-for them; it is honest variance reduction only for odd statistics of
-``sample_stable``.  No other variance reduction is attempted.
+Stream layout
+-------------
+A sampler resolves its parent stream (``RngContract.stream(stream_id)``,
+or the Generator it was given), cuts the batch into fixed blocks of
+``_BLOCK`` draws (Brownian paths: ``2**20 // steps`` per block; compound
+draws: at most ``2**22 // ceil(rate)``) and fills block b from child b of
+``parent.spawn(n_blocks)``, each into its own slice of one output array.
+The blocks run on a pool of threads, one per CPU this process may use;
+numpy releases the GIL inside its fills and ufuncs.  The layout is fixed,
+so a batch's values do not depend on the number of workers.  No variance
+reduction is attempted: every draw is i.i.d., as the auditor assumes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gamma as _gamma_fn
 from math import pi
@@ -266,23 +275,35 @@ def save_batch(batch: SampleBatch, path: str) -> None:
 
 
 def load_batch(path: str) -> SampleBatch:
-    """Read a batch written by :func:`save_batch`."""
-    if str(path).endswith(".csv"):
-        with open(path, "r", encoding="utf-8") as fh:
-            line1 = fh.readline()
-            if not line1.startswith("# levytails-batch"):
-                raise InvalidProfile(f"{path}: not a levytails batch CSV")
-            header = json.loads(fh.readline().lstrip("# ").strip())
-            values = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
-    else:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_BIN_MAGIC))
-            if magic != _BIN_MAGIC:
-                raise InvalidProfile(f"{path}: bad magic, not a levytails batch")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            values = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    shape = tuple(header.get("shape", [header["count"]]))
+    """Read a batch written by :func:`save_batch`.
+
+    A truncated or corrupt file raises :class:`InvalidProfile` with the
+    expected and the found size of its float64 data.
+    """
+    try:
+        if str(path).endswith(".csv"):
+            with open(path, "r", encoding="utf-8") as fh:
+                if not fh.readline().startswith("# levytails-batch"):
+                    raise InvalidProfile(f"{path}: not a levytails batch CSV")
+                header = json.loads(fh.readline().lstrip("# ").strip())
+                data = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                  dtype="<f8").tobytes()
+        else:
+            with open(path, "rb") as fh:
+                if fh.read(len(_BIN_MAGIC)) != _BIN_MAGIC:
+                    raise InvalidProfile(
+                        f"{path}: bad magic, not a levytails batch")
+                (hlen,) = struct.unpack("<I", fh.read(4))
+                header = json.loads(fh.read(hlen).decode("utf-8"))
+                data = fh.read()
+        shape = tuple(header.get("shape", [header["count"]]))
+    except (ValueError, KeyError, struct.error) as exc:
+        raise InvalidProfile(f"{path}: corrupt batch file ({exc})") from None
+    if len(data) != 8 * math.prod(shape):
+        raise InvalidProfile(
+            f"{path}: shape {list(shape)} needs {8 * math.prod(shape)} bytes "
+            f"of float64 data, found {len(data)}")
+    values = np.frombuffer(data, dtype="<f8").astype(np.float64)
     values = values.reshape(shape)
     meta = {"sampler": header.get("sampler", "unknown")}
     meta.update(header.get("params", {}))
@@ -307,21 +328,44 @@ def _check_count(count) -> int:
     return count
 
 
-def _fill_normals(gen, out: np.ndarray, antithetic: bool) -> None:
-    """Fill ``out`` (1-D or 2-D, draws on the first axis) with N(0,1).
+# Draws per block.  The block layout is part of the stream contract (see the
+# module docstring), so it is a constant, not an option.
+_BLOCK = 16384
 
-    With ``antithetic=True`` the second half of the draws is the negated
-    first half; the draw count must then be even.
+
+# Worker threads: the CPUs this process may use.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="levytails-sim")
+
+
+# A forked child inherits the pool object but not its threads.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+def _fill_blocks(gen, count: int, block: int, fill) -> None:
+    """Call ``fill(child, rows)`` for every block of ``range(count)``.
+
+    Block b covers ``rows = slice(b * block, min((b + 1) * block, count))``
+    and draws from ``child = gen.spawn(n_blocks)[b]``; ``fill`` writes into
+    those rows of its preallocated output.  Blocks run on the worker pool,
+    or inline for a single block or a single worker.  Exceptions propagate
+    to the caller.
     """
-    if not antithetic:
-        gen.standard_normal(out=out)
+    n_blocks = -(-count // block)
+    jobs = [(child, slice(b * block, min((b + 1) * block, count)))
+            for b, child in enumerate(gen.spawn(n_blocks))]
+    if n_blocks == 1 or _WORKERS == 1:
+        for child, rows in jobs:
+            fill(child, rows)
         return
-    m = out.shape[0]
-    if m % 2:
-        raise PreconditionViolated("antithetic sampling requires an even count")
-    h = m // 2
-    gen.standard_normal(out=out[:h])
-    np.negative(out[:h], out=out[h:])
+    for _ in _executor(_WORKERS).map(lambda job: fill(*job), jobs):
+        pass
 
 
 def _interior_uniform(gen, size) -> np.ndarray:
@@ -340,8 +384,7 @@ def _interior_uniform(gen, size) -> np.ndarray:
 
 
 def sample_chaos2(eigs, count, rng, *, N: int | None = None, stream_id: int = 0,
-                  remainder_tol: float = 1e-6,
-                  antithetic: bool = False) -> SampleBatch:
+                  remainder_tol: float = 1e-6) -> SampleBatch:
     """Draw the truncated second-chaos series (1/2) sum_{k<=N} a_k (Z_k^2 - 1).
 
     ``eigs`` is either a plain sequence of eigenvalues or a
@@ -376,22 +419,27 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None, stream_id: int = 0,
             f"remainder_tol={remainder_tol:.3e}"
         )
     gen, seed = _resolve_rng(rng, stream_id)
+    half_a = 0.5 * a[a != 0.0]
 
-    vals = np.zeros(count, dtype=np.float64)
-    z = np.empty(count, dtype=np.float64)
-    for a_k in a:
-        if a_k == 0.0:
-            continue
-        _fill_normals(gen, z, antithetic)
-        np.square(z, out=z)
-        z -= 1.0
-        vals += (0.5 * a_k) * z
+    vals = np.empty(count, dtype=np.float64)
+
+    def fill(g, rows):
+        out = vals[rows]
+        out[:] = 0.0
+        z = np.empty(out.size, dtype=np.float64)
+        for h in half_a:
+            g.standard_normal(out=z)
+            np.square(z, out=z)
+            z -= 1.0
+            z *= h
+            out += z
+
+    _fill_blocks(gen, count, _BLOCK, fill)
 
     meta = {
         "sampler": "chaos2",
         "n_eigs": int(a.size),
         "remainder_sq": remainder,
-        "antithetic": antithetic,
         "centering": "mean",
         "replicate": 0,
     }
@@ -406,8 +454,7 @@ _BROWNIAN_KINDS = ("square_norm", "sample_variance")
 
 
 def sample_brownian_quadratic(kind: str, T: float, steps: int, count, rng, *,
-                              stream_id: int = 0, chunk: int = 4096,
-                              antithetic: bool = False) -> SampleBatch:
+                              stream_id: int = 0) -> SampleBatch:
     """Discretize a centered quadratic Brownian functional on [0, T].
 
     ``kind="square_norm"`` gives  int_0^T B_t^2 dt - T^2/2  and
@@ -427,42 +474,32 @@ def sample_brownian_quadratic(kind: str, T: float, steps: int, count, rng, *,
     if steps < 100:
         raise PreconditionViolated("steps must be >= 100")
     count = _check_count(count)
-    if antithetic and count % 2:
-        raise PreconditionViolated("antithetic sampling requires an even count")
     gen, seed = _resolve_rng(rng, stream_id)
-
     dt = T / steps
-    # Trapezoid weights over grid points 1..steps (B_0 = 0 drops out).
-    w = np.ones(steps)
-    w[-1] = 0.5
-
     vals = np.empty(count, dtype=np.float64)
-    # With antithetic on, generate the first half and mirror increments.
-    gen_count = count // 2 if antithetic else count
-    lo = 0
-    while lo < gen_count:
-        hi = min(lo + chunk, gen_count)
-        z = gen.standard_normal((hi - lo, steps))
-        c = np.cumsum(z, axis=1, out=z)          # unit-variance partial sums
-        sq = dt * dt * (np.square(c) @ w)        # trapezoid of B^2
+
+    def fill(g, rows):
+        # Unit-variance partial sums at grid points 1..steps; B_0 = 0 drops
+        # out of the trapezoid, whose weights are 1 except 1/2 at the end.
+        c = g.standard_normal((rows.stop - rows.start, steps))
+        np.cumsum(c, axis=1, out=c)
+        if kind == "sample_variance":
+            bbar_t = dt ** 1.5 * (c.sum(axis=1) - 0.5 * c[:, -1])  # T * Bbar
+        np.square(c, out=c)
+        sq = dt * dt * (c.sum(axis=1) - 0.5 * c[:, -1])   # trapezoid of B^2
         if kind == "square_norm":
-            vals[lo:hi] = sq - 0.5 * T * T
+            vals[rows] = sq - 0.5 * T * T
         else:
-            bbar_t = dt ** 1.5 * (c @ w)         # T * Bbar
-            vals[lo:hi] = sq - bbar_t * bbar_t / T - T * T / 6.0
-        lo = hi
-    if antithetic:
-        # Mirrored increments give B -> -B; both functionals are even, so
-        # the second half equals the first exactly.  Kept for contract
-        # uniformity and documented as useless variance reduction here.
-        vals[gen_count:] = vals[:gen_count]
+            vals[rows] = sq - bbar_t * bbar_t / T - T * T / 6.0
+
+    # Blocks of about 2^20 variates keep each block's path array at 8 MB.
+    _fill_blocks(gen, count, max(1, 2 ** 20 // steps), fill)
 
     meta = {
         "sampler": "brownian_quadratic",
         "kind": kind,
         "T": float(T),
         "steps": steps,
-        "antithetic": antithetic,
         "centering": "mean",
         "replicate": 0,
     }
@@ -474,9 +511,8 @@ def sample_brownian_quadratic(kind: str, T: float, steps: int, count, rng, *,
 # ---------------------------------------------------------------------------
 
 
-def _area_direct(gen, T: float, steps: int, count: int, chunk: int,
-                 antithetic: bool) -> np.ndarray:
-    """Step-by-step midpoint sums (1/2) sum (B^1 dB^2 - B^2 dB^1).
+def _area_direct(gen, T: float, steps: int, out: np.ndarray) -> None:
+    """Step-by-step midpoint sums (1/2) sum (B^1 dB^2 - B^2 dB^1) into ``out``.
 
     For this antisymmetric integrand the midpoint and left-point sums agree
     exactly: ((B_k + B_{k+1}) dB' - (B'_k + B'_{k+1}) dB)/2 =
@@ -484,36 +520,24 @@ def _area_direct(gen, T: float, steps: int, count: int, chunk: int,
     therefore accumulates left-point products in unit scale and applies the
     (1/2) dt factor once at the end.
     """
-    dt = T / steps
-    vals = np.empty(count, dtype=np.float64)
-    gen_count = count // 2 if antithetic else count
-    lo = 0
-    while lo < gen_count:
-        hi = min(lo + chunk, gen_count)
-        m = hi - lo
-        b1 = np.zeros(m)
-        b2 = np.zeros(m)
-        s = np.zeros(m)
-        db = np.empty((2, m))
-        tmp = np.empty(m)
-        for _ in range(steps):
-            gen.standard_normal(out=db)
-            np.multiply(b1, db[1], out=tmp)
-            s += tmp
-            np.multiply(b2, db[0], out=tmp)
-            s -= tmp
-            b1 += db[0]
-            b2 += db[1]
-        vals[lo:hi] = (0.5 * dt) * s
-        lo = hi
-    if antithetic:
-        # (B^1, B^2) -> (-B^1, -B^2) leaves the area invariant (bilinear);
-        # mirrored draws duplicate the plain ones.  See module docstring.
-        vals[gen_count:] = vals[:gen_count]
-    return vals
+    m = out.size
+    b1 = np.zeros(m)
+    b2 = np.zeros(m)
+    s = np.zeros(m)
+    db = np.empty((2, m))
+    tmp = np.empty(m)
+    for _ in range(steps):
+        gen.standard_normal(out=db)
+        np.multiply(b1, db[1], out=tmp)
+        s += tmp
+        np.multiply(b2, db[0], out=tmp)
+        s -= tmp
+        b1 += db[0]
+        b2 += db[1]
+    np.multiply(s, 0.5 * (T / steps), out=out)
 
 
-def _area_recursive(gen, T: float, steps: int, count: int) -> np.ndarray:
+def _area_recursive(gen, T: float, steps: int, out: np.ndarray) -> None:
     """Exact-in-law dyadic refinement of the midpoint area, O(log steps).
 
     Split every step pair (xi_{2i}, xi_{2i+1}) into the orthogonal rotation
@@ -536,6 +560,7 @@ def _area_recursive(gen, T: float, steps: int, count: int) -> np.ndarray:
     law exactly -- e.g. both have variance (T^2/4)(1 - 1/steps).
     """
     L = steps.bit_length() - 1
+    count = out.size
     z = gen.standard_normal((2, count))
     q = T * (z[0] ** 2 + z[1] ** 2)     # sum of squared increments, 1 step
     s = np.zeros(count, dtype=np.float64)
@@ -553,12 +578,11 @@ def _area_recursive(gen, T: float, steps: int, count: int) -> np.ndarray:
         x += np.square(zeta)
         q *= 0.5
         q += dt_fine * x
-    return 0.5 * s
+    np.multiply(s, 0.5, out=out)
 
 
 def sample_levy_area(T: float, steps: int, count, rng, *, stream_id: int = 0,
-                     method: str = "auto", chunk: int = 250_000,
-                     antithetic: bool = False) -> SampleBatch:
+                     method: str = "auto") -> SampleBatch:
     """Sample the discretized Levy stochastic area on [0, T].
 
     Two independent Brownian grids with ``steps`` increments each feed the
@@ -567,7 +591,7 @@ def sample_levy_area(T: float, steps: int, count, rng, *, stream_id: int = 0,
     ``steps`` only) draws from the exact same law through the dyadic
     refinement described in :func:`_area_recursive`, hundreds of times
     faster at large step counts.  ``method="auto"`` picks the recursive
-    route when ``steps`` is a power of two and antithetic mirroring is off.
+    route when ``steps`` is a power of two.
     The two methods consume the stream differently, so they produce
     different (equally distributed) values for the same seed; the method
     actually used is recorded in ``meta``.
@@ -581,30 +605,22 @@ def sample_levy_area(T: float, steps: int, count, rng, *, stream_id: int = 0,
     if method not in ("auto", "direct", "recursive"):
         raise PreconditionViolated(f"unknown method {method!r}")
     is_pow2 = steps & (steps - 1) == 0
-    if method == "recursive":
-        if not is_pow2:
-            raise PreconditionViolated("recursive method needs steps = 2^L")
-        if antithetic:
-            raise PreconditionViolated(
-                "antithetic mirroring is defined for the direct method only"
-            )
+    if method == "recursive" and not is_pow2:
+        raise PreconditionViolated("recursive method needs steps = 2^L")
     if method == "auto":
-        method = "recursive" if (is_pow2 and not antithetic) else "direct"
-    if antithetic and count % 2:
-        raise PreconditionViolated("antithetic sampling requires an even count")
+        method = "recursive" if is_pow2 else "direct"
     gen, seed = _resolve_rng(rng, stream_id)
 
-    if method == "direct":
-        vals = _area_direct(gen, T, steps, count, chunk, antithetic)
-    else:
-        vals = _area_recursive(gen, T, steps, count)
+    area = _area_direct if method == "direct" else _area_recursive
+    vals = np.empty(count, dtype=np.float64)
+    _fill_blocks(gen, count, _BLOCK,
+                 lambda g, rows: area(g, T, steps, vals[rows]))
 
     meta = {
         "sampler": "levy_area",
         "T": float(T),
         "steps": steps,
         "method": method,
-        "antithetic": antithetic,
         "centering": "mean",
         "replicate": 0,
     }
@@ -631,35 +647,21 @@ def _levy_amplitude_const(alpha: float) -> float:
     return pi / (2.0 * _gamma_fn(1.0 + alpha) * math.sin(pi * alpha / 2.0))
 
 
-def _stable_standard(gen, alpha: float, beta: float, count: int,
-                     allow_log_corrected: bool,
-                     antithetic: bool = False) -> np.ndarray:
+def _stable_standard(gen, alpha: float, beta: float, count: int) -> np.ndarray:
     """Standard stable draws S(alpha, beta; 1) by the CMS/Weron transform.
 
     Uniform angle Theta on (-pi/2, pi/2) and unit exponential W; both are
     drawn strictly inside their ranges.  ``beta=0`` at alpha=1 reduces to
     the exact Cauchy ``tan Theta``; skewed alpha=1 uses the log-corrected
     branch, which is exact in law but numerically delicate (documented to
-    roughly 1e-3 near the boundary), and is refused when
-    ``allow_log_corrected`` is False.
+    roughly 1e-3 near the boundary).
     """
-    u = _interior_uniform(gen, count)
-    if antithetic:
-        h = count // 2
-        u[h:] = 1.0 - u[:h]            # mirrored angle
-    theta = (u - 0.5) * pi
+    theta = (_interior_uniform(gen, count) - 0.5) * pi
     w = gen.standard_exponential(count)
-    if antithetic:
-        w[count // 2:] = w[:count // 2]
 
     if abs(alpha - 1.0) < _ALPHA_ONE_TOL:
         if beta == 0.0:
             return np.tan(theta)
-        if not allow_log_corrected:
-            raise UnsupportedAlpha(
-                "alpha = 1 with skew requires the log-corrected branch "
-                "(allow_log_corrected=False)"
-            )
         half_pi = 0.5 * pi
         a = half_pi + beta * theta
         x = a * np.tan(theta) - beta * np.log(
@@ -680,16 +682,6 @@ def _stable_standard(gen, alpha: float, beta: float, count: int,
     return x
 
 
-def _subordinator_half(gen, alpha_half: float, count: int) -> np.ndarray:
-    """Totally skewed positive stable with Laplace transform e^{-u^alpha_half}.
-
-    The required scale is sigma = (cos(pi alpha_half / 2))^{1/alpha_half} in
-    the 1-parameterization; alpha_half < 1 so no log branch is involved.
-    """
-    sigma = math.cos(pi * alpha_half / 2.0) ** (1.0 / alpha_half)
-    return sigma * _stable_standard(gen, alpha_half, 1.0, count, True)
-
-
 def _uniform_sphere_moment(alpha: float, n: int) -> float:
     """E |<e, Theta>|^alpha for Theta uniform on S^{n-1}."""
     return (_gamma_fn(n / 2.0) * _gamma_fn((alpha + 1.0) / 2.0)
@@ -698,8 +690,8 @@ def _uniform_sphere_moment(alpha: float, n: int) -> float:
 
 def sample_stable(alpha: float, n: int, spherical, count, rng, *,
                   stream_id: int = 0, sigma_total: float | None = None,
-                  atoms=None, allow_log_corrected: bool = True,
-                  antithetic: bool = False) -> SampleBatch:
+                  atoms=None,
+                  allow_log_corrected: bool = True) -> SampleBatch:
     """Sample an alpha-stable vector whose Levy measure is
     sigma(d theta) r^{-1-alpha} dr with the requested spherical part.
 
@@ -736,8 +728,6 @@ def sample_stable(alpha: float, n: int, spherical, count, rng, *,
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
     count = _check_count(count)
-    if antithetic and count % 2:
-        raise PreconditionViolated("antithetic sampling requires an even count")
     if spherical not in ("uniform", "axes", "custom"):
         raise PreconditionViolated(
             f"spherical must be 'uniform', 'axes' or 'custom', got {spherical!r}"
@@ -769,6 +759,11 @@ def sample_stable(alpha: float, n: int, spherical, count, rng, *,
                 f"sigma_total={sigma_total} != sum of atom weights {total}"
             )
         sigma_total = total
+        if abs(alpha - 1.0) < _ALPHA_ONE_TOL and not allow_log_corrected:
+            raise UnsupportedAlpha(
+                "alpha = 1 with skew requires the log-corrected branch "
+                "(allow_log_corrected=False)"
+            )
     else:
         if atoms is not None:
             raise InvalidProfile("atoms are only used with spherical='custom'")
@@ -779,35 +774,40 @@ def sample_stable(alpha: float, n: int, spherical, count, rng, *,
     gen, seed = _resolve_rng(rng, stream_id)
 
     if spherical == "uniform" and n >= 2:
-        # Sub-Gaussian route: X = sqrt(Lambda) * s * Z.
-        sigma_x = (sigma_total * _uniform_sphere_moment(alpha, n)
-                   * k_alpha) ** (1.0 / alpha)
-        lam = _subordinator_half(gen, alpha / 2.0, count)
-        z = np.empty((count, n))
-        _fill_normals(gen, z, antithetic)
-        vals = (math.sqrt(2.0) * sigma_x) * np.sqrt(lam)[:, None] * z
-    elif spherical == "axes" and n >= 2:
-        sigma_coord = (sigma_total / n * k_alpha) ** (1.0 / alpha)
-        cols = [
-            sigma_coord * _stable_standard(gen, alpha, 0.0, count,
-                                           allow_log_corrected, antithetic)
-            for _ in range(n)
-        ]
-        vals = np.stack(cols, axis=1)
+        # Sub-Gaussian route: X = sqrt(Lambda) * s * Z.  Lambda is totally
+        # skewed alpha/2-stable with Laplace transform e^{-u^(alpha/2)}, i.e.
+        # scale cos(pi alpha / 4)^(2 / alpha) (alpha/2 < 1: no log branch).
+        sub_scale = math.cos(pi * alpha / 4.0) ** (2.0 / alpha)
+        scale = math.sqrt(2.0) * (sigma_total * k_alpha
+                                  * _uniform_sphere_moment(alpha, n)) ** (
+                                      1.0 / alpha)
+
+        def fill_rows(g, out):
+            lam = sub_scale * _stable_standard(g, alpha / 2.0, 1.0,
+                                               out.shape[0])
+            out[:] = scale * np.sqrt(lam)[:, None] * g.standard_normal(
+                out.shape)
     elif spherical == "custom":
-        vals = np.zeros((count, n))
-        for xi_vec, wgt in zip(dirs, weights):
-            sigma_j = (wgt * k_alpha) ** (1.0 / alpha)
-            y = sigma_j * _stable_standard(gen, alpha, 1.0, count,
-                                           allow_log_corrected, antithetic)
-            vals += y[:, None] * xi_vec[None, :]
-        if n == 1:
-            vals = vals[:, 0]
+        sigmas = [(wgt * k_alpha) ** (1.0 / alpha) for wgt in weights]
+
+        def fill_rows(g, out):
+            out[:] = 0.0
+            for xi_vec, sigma_j in zip(dirs, sigmas):
+                y = sigma_j * _stable_standard(g, alpha, 1.0, out.shape[0])
+                out += y[:, None] * xi_vec[None, :]
     else:
-        # n = 1, uniform or axes: symmetric scalar with c_+ + c_- = sigma_total.
-        sigma_1 = (sigma_total * k_alpha) ** (1.0 / alpha)
-        vals = sigma_1 * _stable_standard(gen, alpha, 0.0, count,
-                                          allow_log_corrected, antithetic)
+        # "axes", and n = 1 "uniform": n independent symmetric coordinates,
+        # each with c_+ + c_- = sigma_total / n.
+        sigma_coord = (sigma_total / n * k_alpha) ** (1.0 / alpha)
+
+        def fill_rows(g, out):
+            for col in range(n):
+                out[:, col] = sigma_coord * _stable_standard(
+                    g, alpha, 0.0, out.shape[0])
+
+    vals = np.empty(count if n == 1 else (count, n), dtype=np.float64)
+    _fill_blocks(gen, count, _BLOCK, lambda g, rows: fill_rows(
+        g, vals[rows].reshape(rows.stop - rows.start, n)))
 
     if spherical == "custom":
         if abs(alpha - 1.0) < _ALPHA_ONE_TOL:
@@ -829,7 +829,6 @@ def sample_stable(alpha: float, n: int, spherical, count, rng, *,
             (np.atleast_1d(xi).tolist(), float(wgt)) for xi, wgt in atoms
         ],
         "centering": centering,
-        "antithetic": antithetic,
         "replicate": 0,
     }
     return SampleBatch(vals, count, seed, stream_id, meta)
@@ -843,7 +842,8 @@ _TABLE_NODES = 4096
 _TABLE_TAIL_FRACTION = 1e-18
 
 
-def _radial_inverse_table(tail_fn, eps: float, lam: float):
+def _radial_inverse_table(tail_fn, eps: float, lam: float, *,
+                          vectorized: bool = False):
     """Monotone inverse of a radial tail-mass function on (eps, infinity).
 
     Returns log-spaced radii and the log of their tail masses, for use with
@@ -853,7 +853,8 @@ def _radial_inverse_table(tail_fn, eps: float, lam: float):
     1e-18 per jump.  Plateaus where the tail mass saturates in double
     precision (e.g. the Gaussian-kernel model below radius ~0.12, whose
     density is ~e^{-200}) collapse to their left edge; the affected mass is
-    below 1e-15 of the rate.
+    below 1e-15 of the rate.  With ``vectorized=True`` the node grid is
+    evaluated in one ``tail_fn`` call on the whole array.
     """
     y_hi = max(2.0 * eps, 1.0)
     for _ in range(4000):
@@ -863,7 +864,10 @@ def _radial_inverse_table(tail_fn, eps: float, lam: float):
     else:
         raise Divergent("tail mass decays too slowly to tabulate")
     y = np.geomspace(eps, y_hi, _TABLE_NODES)
-    masses = np.array([tail_fn(v) for v in y], dtype=np.float64)
+    if vectorized:
+        masses = np.array(tail_fn(y), dtype=np.float64)
+    else:
+        masses = np.array([tail_fn(v) for v in y], dtype=np.float64)
     masses[0] = lam
     # Guard against flat spots from underflow at the far end.
     positive = masses > 0.0
@@ -929,7 +933,7 @@ def _mean_compensation(model, eps: float) -> float:
 
 def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
                        gauss_smalljump: bool = False, center: str = "unit",
-                       budget: float = 1e7, chunk_jumps: int = 20_000_000,
+                       budget: float = 1e7,
                        keep_counts: bool = False) -> SampleBatch:
     """Compound-Poisson approximation of the ID law with Levy measure ``model``.
 
@@ -980,80 +984,74 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
         drift = 0.0
 
     # --- prepare the amplitude inverse ------------------------------------
-    if isinstance(model, Stable):
-        alpha = model.alpha
-
-        def draw_amplitudes(g, total):
-            u = _interior_uniform(g, total)
-            amps = eps * u ** (-1.0 / alpha)
-            signs = np.where(g.random(total) < 0.5, 1.0, -1.0)
-            return amps * signs
-
-    elif isinstance(model, QuadraticSpectral):
+    if isinstance(model, QuadraticSpectral):
         a = np.asarray(model.eigs, dtype=np.float64)
         a = a[a != 0.0]
-        a_abs = np.abs(a)
-        weights = 0.5 * _sp.exp1(eps / a_abs)
+        weights = 0.5 * _sp.exp1(eps / np.abs(a))
+        a = a[weights > 0.0]            # eigenvalues with no mass beyond eps
+        weights = weights[weights > 0.0]
         cum_w = np.cumsum(weights)
-        tables = {}
-
-        def _table_for(k):
-            if k not in tables:
-                ak = a_abs[k]
-                tables[k] = _radial_inverse_table(
-                    lambda r, ak=ak: 0.5 * _sp.exp1(r / ak), eps, weights[k]
-                )
-            return tables[k]
+        tables = [
+            _radial_inverse_table(lambda r, ak=ak: 0.5 * _sp.exp1(r / ak),
+                                  eps, w_k, vectorized=True)
+            for ak, w_k in zip(np.abs(a), weights)
+        ]
 
         def draw_amplitudes(g, total):
             sel = np.searchsorted(cum_w, g.random(total) * cum_w[-1])
-            sel = np.minimum(sel, len(a_abs) - 1)
+            sel = np.minimum(sel, len(a) - 1)
             u = _interior_uniform(g, total)
             amps = np.empty(total, dtype=np.float64)
             for k in np.unique(sel):
                 mask = sel == k
-                log_y, log_m = _table_for(int(k))
+                log_y, log_m = tables[k]
                 amps[mask] = _invert_radial(log_y, log_m,
                                             u[mask] * weights[k])
             return amps * np.sign(a)[sel]
 
     else:
-        log_y, log_m = _radial_inverse_table(
-            lambda r: float(_models.tail_mass(model, r)), eps, lam
-        )
+        if isinstance(model, Stable):
+            def radii(u):
+                return eps * u ** (-1.0 / model.alpha)
+        else:
+            log_y, log_m = _radial_inverse_table(
+                lambda r: float(_models.tail_mass(model, r)), eps, lam
+            )
+
+            def radii(u):
+                return _invert_radial(log_y, log_m, u * lam)
 
         def draw_amplitudes(g, total):
-            u = _interior_uniform(g, total)
-            amps = _invert_radial(log_y, log_m, u * lam)
-            signs = np.where(g.random(total) < 0.5, 1.0, -1.0)
-            return amps * signs
+            amps = radii(_interior_uniform(g, total))
+            return amps * np.where(g.random(total) < 0.5, 1.0, -1.0)
 
-    # --- assemble draws in chunks ------------------------------------------
+    small_var = (float(_models.truncated_abs_moment(model, 2, eps))
+                 if gauss_smalljump else 0.0)
+
+    # --- assemble draws block by block -------------------------------------
     vals = np.empty(count, dtype=np.float64)
     all_counts = np.empty(count, dtype=np.int64) if keep_counts else None
-    draws_per_chunk = max(1, min(count, int(chunk_jumps / max(lam, 1.0))))
-    lo = 0
-    while lo < count:
-        hi = min(lo + draws_per_chunk, count)
-        m = hi - lo
-        counts = gen.poisson(lam, size=m)
+
+    def fill(g, rows):
+        m = rows.stop - rows.start
+        counts = g.poisson(lam, size=m)
         if keep_counts:
-            all_counts[lo:hi] = counts
+            all_counts[rows] = counts
         total = int(counts.sum())
         if total:
-            amps = draw_amplitudes(gen, total)
+            amps = draw_amplitudes(g, total)
             owners = np.repeat(np.arange(m), counts)
             sums = np.bincount(owners, weights=amps, minlength=m)
         else:
             sums = np.zeros(m)
-        vals[lo:hi] = sums + drift
-        lo = hi
-
-    small_var = 0.0
-    if gauss_smalljump:
-        small_var = float(_models.truncated_abs_moment(model, 2, eps))
+        sums += drift
         if small_var > 0.0:
-            vals += math.sqrt(small_var) * gen.standard_normal(count)
+            sums += math.sqrt(small_var) * g.standard_normal(m)
+        vals[rows] = sums
+
+    # A block holds at most about 2^22 jumps on average.
+    block = min(_BLOCK, max(1, 2 ** 22 // max(1, math.ceil(lam))))
+    _fill_blocks(gen, count, block, fill)
 
     meta = {
         "sampler": "id_compound",

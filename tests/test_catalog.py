@@ -68,6 +68,13 @@ def test_bennett_rejects_bad_alpha2():
         c.bennett_bound(1.0, 0.0)
 
 
+def test_bennett_rejects_nonfinite_constants():
+    for K, alpha2 in ((math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0),
+                      (1.0, math.inf)):
+        with pytest.raises(InvalidProfile):
+            c.bennett_bound(K, alpha2)
+
+
 def test_bennett_is_exact_chernoff_transform():
     """exp(-int h^{-1}) for h = alpha2 (e^{tK}-1)/K equals Bennett."""
     rng = np.random.default_rng(20240817)
@@ -314,6 +321,22 @@ def test_quad_log_form_is_exact_chernoff_of_envelope():
     eng = tail_bound_from_h(h)
     for x in np.linspace(0.5, 6.0, 12):
         assert tb(float(x)) == pytest.approx(eng(float(x)), rel=1e-10)
+
+
+def test_quad_log_form_scale_free_at_float_limit():
+    # The bound depends on the spectrum only through x/a and S/a^2, so
+    # scaling eigenvalues and x together leaves it unchanged, up to the
+    # float limit where S itself overflows.
+    base = c.quad_wiener_bound(c.QuadraticSpec(((1.0, 0.5),)), form="log_form")
+    big = c.quad_wiener_bound(c.QuadraticSpec(((1e308, 5e307),)),
+                              form="log_form")
+    for x in (0.3, 1.0, 1.7):
+        assert big(1e308 * x) == pytest.approx(base(x), rel=1e-12)
+    top = c.quad_wiener_bound(c.QuadraticSpec(((1e308, 1e308),)),
+                              form="log_form")
+    values, _, valid = top.evaluate_grid(np.linspace(0.1, 2.0, 5))
+    assert valid.all()
+    assert np.allclose(values, 1.0, rtol=1e-12)
 
 
 def test_quad_forms_are_ordered():

@@ -140,11 +140,59 @@ def test_bound_task_never_marks_nan_valid(tmp_path, bound, model):
     }
     if model is not None:
         cfg["model"] = model
+    if not all(math.isfinite(v) for v in bound.values()
+               if isinstance(v, float)):
+        # A non-finite config number is refused before any row is written.
+        assert _run(tmp_path, cfg) == 1
+        assert not (tmp_path / "run").exists()
+        return
     assert _run(tmp_path, cfg) == 0
     _, rows = _read_csv(tmp_path / "run" / "bound_curve.csv")
     for row in rows:
         value, valid = float(row[1]), row[3]
         assert valid == "0" or (math.isfinite(value) and 0.0 <= value <= 1.0)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("bound", "K", math.inf),
+    ("bound", "alpha2", math.nan),
+    ("grid", "x_hi", -math.inf),
+    ("model", "eigs", [1.0, math.inf]),
+    ("model", "eigs", [1.0, math.nan]),
+    ("bound", "K", 10 ** 400),
+])
+def test_nonfinite_config_number_rejected(tmp_path, capsys, section, key,
+                                          value):
+    # json.dumps writes Infinity / NaN literals, which json.loads accepts.
+    cfg = {
+        "task": "bound",
+        "model": {"variant": "quadratic", "eigs": [1.0, 0.5]},
+        "bound": {"name": "bennett", "K": 1.0, "alpha2": 1.0},
+        "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4},
+        "out": {"dir": str(tmp_path / "run")},
+    }
+    if section == "model":
+        cfg["bound"] = {"name": "quad_wiener", "form": "log_form"}
+    cfg[section][key] = value
+    assert _run(tmp_path, cfg) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and f"{section}.{key}" in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_log_form_finite_at_float_limit_eigenvalues(tmp_path):
+    cfg = {
+        "task": "bound",
+        "model": {"variant": "quadratic", "eigs": [1e308, 1e308]},
+        "bound": {"name": "quad_wiener", "form": "log_form"},
+        "grid": {"x_lo": 0.1, "x_hi": 2.0, "points": 5},
+        "out": {"dir": str(tmp_path / "run")},
+    }
+    assert _run(tmp_path, cfg) == 0
+    _, rows = _read_csv(tmp_path / "run" / "bound_curve.csv")
+    assert len(rows) == 5
+    for row in rows:
+        assert row[3] == "1" and float(row[1]) == pytest.approx(1.0)
 
 
 def test_execution_error_names_operation(tmp_path, capsys):

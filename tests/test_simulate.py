@@ -19,7 +19,9 @@ Each sampler is checked against an independent analytic oracle:
 
 import math
 import os
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -127,6 +129,156 @@ def test_load_rejects_foreign_files():
         os.unlink(path)
 
 
+def test_load_truncated_or_corrupt_batch(tmp_path):
+    batch = sim.sample_chaos2([2.0, -1.0], 100, sim.RngContract(11))
+    path = str(tmp_path / "batch.bin")
+    sim.save_batch(batch, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    for cut in (8, 3):
+        with open(path, "wb") as fh:
+            fh.write(blob[:-cut])
+        with pytest.raises(InvalidProfile) as err:
+            sim.load_batch(path)
+        msg = str(err.value)
+        assert path in msg and "800" in msg and str(800 - cut) in msg
+    with open(path, "wb") as fh:
+        fh.write(blob[:20])              # cut inside the JSON header
+    with pytest.raises(InvalidProfile, match="corrupt"):
+        sim.load_batch(path)
+    csv = str(tmp_path / "batch.csv")
+    sim.save_batch(batch, csv)
+    with open(csv) as fh:
+        lines = fh.readlines()
+    with open(csv, "w") as fh:
+        fh.writelines(lines[:-1])
+    with pytest.raises(InvalidProfile, match="found 792"):
+        sim.load_batch(csv)
+
+
+# ---------------------------------------------------------------------------
+# Block layout: a batch's values depend on its seed and parameters only
+# ---------------------------------------------------------------------------
+
+LAYOUT_RC = sim.RngContract(20261018)
+BROWNIAN_BLOCK = 2 ** 20 // 128          # paths per block at 128 steps
+
+LAYOUT_SAMPLERS = {
+    "chaos2": lambda n: sim.sample_chaos2([2.0, -1.0, 0.5], n, LAYOUT_RC,
+                                          stream_id=50),
+    "brownian": lambda n: sim.sample_brownian_quadratic(
+        "sample_variance", 1.0, 128, n, LAYOUT_RC, stream_id=51),
+    "levy_area": lambda n: sim.sample_levy_area(math.pi, 1024, n, LAYOUT_RC,
+                                                stream_id=52),
+    "stable": lambda n: sim.sample_stable(1.3, 2, "uniform", n, LAYOUT_RC,
+                                          stream_id=53),
+    "id_compound": lambda n: sim.sample_id_compound(
+        m.QuadraticSpectral(eigs=(2.0, -0.7)), 1e-2, n, LAYOUT_RC,
+        stream_id=54, keep_counts=True),
+}
+
+# First and last three entries of values.ravel() for three full blocks
+# plus 100 draws.  Compared at rel 1e-12, not bitwise: numpy's SIMD
+# transcendentals may differ by an ulp between CPUs.
+FROZEN = {
+    "brownian": (
+        [-0.10676618615426949, 0.06332610230089306, -0.06652907817503687],
+        [-0.13638999299179727, -0.06235556789855631, 0.006520733568841808]),
+    "chaos2": (
+        [-1.1295235439452607, -0.831620658790102, -0.6910314221933088],
+        [-0.07536845112105647, -0.43912456962074037, 2.2963717551054654]),
+    "id_compound": (
+        [3.7385274077459982, 4.924946980379704, 0.5947427487997874],
+        [-0.14444145824459706, 0.7451289886956374, 1.3137478613221445]),
+    "levy_area": (
+        [-3.415278498592648, -2.211324796589573, 0.5751326746735981],
+        [-1.3056480660267065, -0.6581978714212489, -0.9362018544704593]),
+    "stable": (
+        [-1.391951158704415, -1.2610615615410048, 2.3539873348338736],
+        [0.3128991107740848, -1.2624600837630566, -0.005739030748650321]),
+}
+
+
+def _at_workers(monkeypatch, workers, draw):
+    monkeypatch.setattr(sim, "_WORKERS", workers)
+    return draw()
+
+
+def _same_batch(b1, b2):
+    assert b1.values.tobytes() == b2.values.tobytes()
+    if "jump_counts" in b1.meta:
+        assert np.array_equal(b1.meta["jump_counts"], b2.meta["jump_counts"])
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SAMPLERS))
+def test_block_layout_independent_of_workers(monkeypatch, name):
+    sample = LAYOUT_SAMPLERS[name]
+    block = BROWNIAN_BLOCK if name == "brownian" else sim._BLOCK
+    count = 3 * block + 100
+    one = _at_workers(monkeypatch, 1, lambda: sample(count))
+    two = _at_workers(monkeypatch, 2, lambda: sample(count))
+    _same_batch(one, two)
+    flat = one.values.ravel()
+    first, last = FROZEN[name]
+    assert flat[:3] == pytest.approx(first, rel=1e-12, abs=0.0)
+    assert flat[-3:] == pytest.approx(last, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SAMPLERS) + ["area_direct"])
+def test_block_boundary_counts(monkeypatch, name):
+    # Block b always draws from child b of the parent stream, so a batch of
+    # _BLOCK + 1 starts with the batch of _BLOCK, whatever the workers.
+    sample = LAYOUT_SAMPLERS.get(name) or (
+        lambda n: sim.sample_levy_area(math.pi, 1000, n, LAYOUT_RC,
+                                       stream_id=55, method="direct"))
+    full = _at_workers(monkeypatch, 1, lambda: sample(sim._BLOCK))
+    one = _at_workers(monkeypatch, 1, lambda: sample(sim._BLOCK + 1))
+    two = _at_workers(monkeypatch, 2, lambda: sample(sim._BLOCK + 1))
+    _same_batch(one, two)
+    assert one.count == sim._BLOCK + 1
+    assert one.values[:-1].tobytes() == full.values.tobytes()
+    assert np.all(np.isfinite(one.values))
+
+
+def test_blocks_survive_thread_stress(monkeypatch):
+    # More workers than cores and a tiny switch interval: a lost or
+    # misplaced block write would change the bytes.
+    def draw():
+        return LAYOUT_SAMPLERS["id_compound"](5 * sim._BLOCK + 7)
+
+    ref = _at_workers(monkeypatch, 1, draw)
+    monkeypatch.setattr(sim, "_WORKERS", 8)
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: out.append(draw()))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(out) == 1
+    _same_batch(ref, out[0])
+
+
+def test_brownian_blocks_match_matrix_trapezoid():
+    # Reference: block b draws its (paths, steps) normals from child b of
+    # the parent stream, and the trapezoid is the weighted matrix product.
+    T, steps, count = 2.0, 128, BROWNIAN_BLOCK + 10
+    batch = sim.sample_brownian_quadratic("square_norm", T, steps, count,
+                                          LAYOUT_RC, stream_id=56)
+    w = np.ones(steps)
+    w[-1] = 0.5
+    dt = T / steps
+    children = LAYOUT_RC.stream(56).spawn(2)
+    ref = np.concatenate([
+        dt * dt * (np.square(np.cumsum(child.standard_normal((m, steps)),
+                                       axis=1)) @ w) - 0.5 * T * T
+        for child, m in zip(children, (BROWNIAN_BLOCK, 10))
+    ])
+    np.testing.assert_allclose(batch.values, ref, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Second chaos
 # ---------------------------------------------------------------------------
@@ -180,16 +332,10 @@ def test_chaos2_n_truncation():
     assert batch.meta["n_eigs"] == 2
 
 
-def test_chaos2_deterministic_and_antithetic():
+def test_chaos2_deterministic():
     b1 = sim.sample_chaos2([2.0, -1.0], 4000, sim.RngContract(5), stream_id=9)
     b2 = sim.sample_chaos2([2.0, -1.0], 4000, sim.RngContract(5), stream_id=9)
     assert np.array_equal(b1.values, b2.values)
-    anti = sim.sample_chaos2([2.0, -1.0], 4000, sim.RngContract(5),
-                             stream_id=9, antithetic=True)
-    # The functional is even in Z, so the mirrored half duplicates the first.
-    assert np.array_equal(anti.values[:2000], anti.values[2000:])
-    with pytest.raises(PreconditionViolated):
-        sim.sample_chaos2([1.0], 5, RC, antithetic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +406,6 @@ def test_area_preconditions():
         sim.sample_levy_area(0.0, 1024, 10, RC)
     with pytest.raises(PreconditionViolated):
         sim.sample_levy_area(1.0, 1000, 10, RC, method="recursive")
-    with pytest.raises(PreconditionViolated):
-        sim.sample_levy_area(1.0, 1024, 10, RC, method="recursive",
-                             antithetic=True)
     with pytest.raises(PreconditionViolated):
         sim.sample_levy_area(1.0, 1024, 10, RC, method="diagonal")
 
@@ -430,13 +573,6 @@ def test_stable_alpha_one_skew_branch():
     sym = sim.sample_stable(1.0, 1, "uniform", 100, RC, stream_id=37,
                             allow_log_corrected=False)
     assert np.all(np.isfinite(sym.values))
-
-
-def test_stable_antithetic_mirrors_symmetric_draws():
-    batch = sim.sample_stable(1.4, 1, "uniform", 2000, RC, stream_id=38,
-                              antithetic=True)
-    h = 1000
-    assert np.allclose(batch.values[h:], -batch.values[:h], rtol=1e-12)
 
 
 def test_stable_custom_two_sided_matches_uniform():
