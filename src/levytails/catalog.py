@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import models
 from .engine import HFunction, TailBound, tail_bound_from_h
@@ -208,9 +206,13 @@ class StableSpec:
 # ----------------------------------------------------------------------
 
 def _bennett_exponent(K: float, alpha2: float, x: float) -> float:
-    """log of exp(x/K) (1 + xK/alpha2)^(-x/K - alpha2/K^2)."""
+    """log of exp(x/K) (1 + xK/alpha2)^(-x/K - alpha2/K^2); where xK/alpha2
+    overflows (so K > 0), the log is log(K) + log(x/alpha2 + 1/K)."""
     u = x / K
-    return u - (u + alpha2 / (K * K)) * math.log1p(x * K / alpha2)
+    z = x * K / alpha2
+    log_term = (math.log1p(z) if math.isfinite(z)
+                else math.log(K) + math.log(x / alpha2 + 1.0 / K))
+    return u - (u + alpha2 / (K * K)) * log_term
 
 
 def _guard(lo: float, hi: float, name: str, fn):
@@ -240,62 +242,11 @@ def _clamped(raw_fn, label: str):
     return fn, regime
 
 
-def _exp_abscissa(model, side: str = "abs") -> float:
-    """sup{t : int |y| e^{t|y|} nu(dy) < inf} for an untruncated model."""
-    if isinstance(model, models.QuadraticSpectral):
-        eigs = np.asarray(model.eigs, dtype=float)
-        if side == "pos":
-            eigs = eigs[eigs > 0.0]
-        amax = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-        return math.inf if amax == 0.0 else 1.0 / amax
-    if isinstance(model, models.LevyArea):
-        return math.pi / model.T
-    if isinstance(model, (models.Stable, models.LogKernel,
-                          models.GaussKernel)):
-        # Power/log-tailed radial densities defeat every exponential.
-        return 0.0
-    return math.inf
-
-
-def _invert_nondecreasing(fn, target: float, name: str) -> float:
-    """Smallest positive root of fn(R) = target for nondecreasing fn."""
-    lo, hi = 1e-12, 1.0
-    flo = fn(lo)
-    if flo >= target:
-        return lo
-    for _ in range(200):
-        if fn(hi) >= target:
-            return float(brentq(lambda r: fn(r) - target, lo, hi,
-                                xtol=1e-15, rtol=1e-12))
-        lo, hi = hi, hi * 2.0
-    raise OutOfRange(f"{name}: could not bracket level {target!r}")
-
-
-def _invert_tail_mass(model, target: float) -> float:
-    """R with nu(|y| > R) = target (tail mass is nonincreasing in R)."""
-    if not (target > 0.0):
-        raise OutOfRange(f"target mass must be > 0, got {target!r}")
-    lo, hi = 1e-9, 1.0
-    for _ in range(200):
-        if models.tail_mass(model, lo) >= target:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if models.tail_mass(model, hi) <= target:
-            break
-        hi *= 2.0
-    return float(brentq(lambda r: models.tail_mass(model, r) - target,
-                        lo, hi, xtol=1e-15, rtol=1e-12))
-
-
 def _spectral_radii(spec) -> tuple:
     """(a_max, a_plus) from a QuadraticSpec, a model, or raw eigenvalues."""
     if isinstance(spec, QuadraticSpec):
         return spec.a_max, spec.a_plus
-    if isinstance(spec, models.QuadraticSpectral):
-        eigs = spec.eigs
-    else:
-        eigs = tuple(float(a) for a in spec)
+    eigs = tuple(float(a) for a in getattr(spec, "eigs", spec))
     if not eigs:
         raise EmptySpectrum("no eigenvalues")
     amax = max(abs(a) for a in eigs)
@@ -371,7 +322,7 @@ def product_h(profile: FunctionalProfile, model, mode: str,
         if not (beta > 0.0 and profile.alpha2 > 0.0):
             raise InvalidProfile("shared_beta needs beta > 0 and alpha2 > 0")
         m0 = mods[0]
-        t_end = math.inf if trunc_finite else _exp_abscissa(m0) / beta
+        t_end = math.inf if trunc_finite else m0.exp_abscissa() / beta
 
         def ev(t: float) -> float:
             if t <= 0.0:
@@ -384,7 +335,7 @@ def product_h(profile: FunctionalProfile, model, mode: str,
         if trunc_finite:
             t_end = math.inf
         else:
-            t_end = min((_exp_abscissa(m) / b
+            t_end = min((m.exp_abscissa() / b
                          for m, b in zip(mods, betas) if b > 0.0),
                         default=math.inf)
 
@@ -399,7 +350,7 @@ def product_h(profile: FunctionalProfile, model, mode: str,
         if trunc_finite:
             t_end = math.inf
         else:
-            t_end = min(_exp_abscissa(m, side="pos") for m in mods)
+            t_end = min(m.exp_abscissa("pos") for m in mods)
 
         def ev(t: float) -> float:
             if t <= 0.0:
@@ -450,7 +401,7 @@ def dimension_free_bound(profile: FunctionalProfile, model,
     if math.isfinite(truncation):
         t_end = math.inf
     else:
-        t_end = min(_exp_abscissa(m) / b for m, b in active)
+        t_end = min(m.exp_abscissa() / b for m, b in active)
     coef3 = 2.0 * n / (mean_norm * mean_norm)
 
     def ev(t: float) -> float:
@@ -659,11 +610,9 @@ def quad_wiener_lower(spec: QuadraticSpec | None = None, b: float = 0.5,
         raise OutOfRange(f"unknown target {target!r}")
 
     # The expression decreases strictly on (0, inf): solve raw(x) = 1/4.
-    hi = scale
-    while raw(hi) > 0.25:
-        hi *= 2.0
-    threshold = float(brentq(lambda x: raw(x) - 0.25, 1e-12 * scale, hi,
-                             xtol=1e-15, rtol=1e-12))
+    threshold = models._bracket_root(
+        lambda x: 0.25 - raw(x), 1e-12 * scale, scale, xtol=1e-15,
+        rtol=1e-12, failure=OutOfRange("quad_lower: never falls to 1/4"))
     fn = _guard(0.0, math.inf, "quad_lower", raw)
     return TailBound(name=f"quad_lower[{target}]", fn=fn, center="mean",
                      direction="lower", valid_lo=threshold,
@@ -850,7 +799,10 @@ def median_bound_general(model, beta_fn, C: float,
         raise InvalidProfile(f"C must be > 0, got {C!r}")
     one_plus = 1.0 + C * _E
     inv = beta_inv if beta_inv is not None else (
-        lambda u: _invert_nondecreasing(beta_fn, u, "median_bound_general"))
+        lambda u: models._bracket_root(
+            lambda r: beta_fn(r) - u, 1e-12, 1.0, xtol=1e-15, rtol=1e-12,
+            failure=OutOfRange(
+                f"median_bound_general: could not bracket level {u!r}")))
     r0 = models.inverse_gamma(model, 1.0 / (2.0 * one_plus))
     valid_lo = 2.0 * beta_fn(r0)
 
@@ -879,8 +831,14 @@ def median_bound_linear(model, C: float, C_prime: float) -> TailBound:
     def gamma_exact(R: float) -> float:
         return -math.expm1(-models.tail_mass(model, R))
 
+    # Generalized inverse: R with nu(|y| > R) = -log(1 - q), or the low end
+    # of the search when the total mass stays below that level.
     q = 1.0 / (2.0 * one_plus)
-    r0 = _invert_tail_mass(model, -math.log1p(-q))
+    target = -math.log1p(-q)
+    r0 = models._bracket_root(
+        lambda r: target - models.tail_mass(model, r), 1e-9, 1.0,
+        xtol=1e-15, rtol=1e-12, halvings=200,
+        failure=OutOfRange(f"median_linear: tail mass stays above {target!r}"))
     valid_lo = 2.0 * C_prime * r0
 
     def raw(x: float) -> float:
@@ -959,7 +917,11 @@ def two_regime_bound(K: float, alpha2: float, alpha3: float | None = None,
             return math.expm1(s * K) / (s * K) - rhs
 
         denom = alpha2 - alpha3 / K
-        s0 = _positive_root(g, K)
+        # s0 is g's positive root (g < 0 near 0 and increasing); should g
+        # be >= 0 down to the search's low end, s0 is taken as that end.
+        s0 = models._bracket_root(
+            g, 1e-8 / K, 1.0 / K, xtol=1e-15, rtol=1e-13, halvings=80,
+            failure=PreconditionViolated("crossover equation has no root"))
         return _two_regime(K, denom, 2.0 * s0 * denom, 4.0,
                            2.0 * alpha3 / K, variant, s0)
 
@@ -986,24 +948,11 @@ def two_regime_bound(K: float, alpha2: float, alpha3: float | None = None,
     def g(s: float) -> float:
         return (alpha4 / K ** 3) * math.expm1(s * K) - s * denom
 
-    s0 = _positive_root(g, K)
+    s0 = models._bracket_root(
+        g, 1e-8 / K, 1.0 / K, xtol=1e-15, rtol=1e-13, halvings=80,
+        failure=PreconditionViolated("crossover equation has no root"))
     return _two_regime(K, denom, 3.0 * s0 * denom, 6.0,
                        3.0 * alpha4 / (K * K), variant, s0)
-
-
-def _positive_root(g, K: float) -> float:
-    """Unique positive root of g (negative near 0, eventually positive)."""
-    lo = 1e-8 / K
-    for _ in range(80):
-        if g(lo) < 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise PreconditionViolated("crossover equation has no proper root")
-    hi = 1.0 / K
-    while g(hi) <= 0.0:
-        hi *= 2.0
-    return float(brentq(g, lo, hi, xtol=1e-15, rtol=1e-13))
 
 
 # ----------------------------------------------------------------------
@@ -1031,7 +980,7 @@ def stable_median_bound(spec: StableSpec, variant: str = "general",
                          an empty range is reported in meta, not thrown.
     variant="near2_log"  a single-point evaluation at
                          x* = 4 b c sigma log(1/(2-alpha))/(2-alpha),
-                         b > 3.
+                         b > 3, alpha > 1.
 
     All curves evaluate (clamped at 1, regime "vacuous") at any x > 0;
     validity endpoints live in valid_lo/valid_hi.
@@ -1112,6 +1061,9 @@ def stable_median_bound(spec: StableSpec, variant: str = "general",
     if b is None or not (b > 3.0):
         raise PreconditionViolated(
             f"variant 'near2_log' needs b > 3, got {b!r}")
+    if not (alpha > 1.0):   # x* > 0 needs log(1/(2 - alpha)) > 0
+        raise PreconditionViolated(
+            f"variant 'near2_log' needs alpha > 1, got {alpha!r}")
     if epsilon is None or not (epsilon > 0.0):
         raise OutOfRange(
             f"variant 'near2_log' needs epsilon > 0, got {epsilon!r}")

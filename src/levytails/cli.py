@@ -40,7 +40,8 @@ Artifacts (under out.dir):
     sweep     sweep_summary.json + one cell_NNN/ directory per cell
 
 Exit codes: 0 = ran clean (all verdicts PASS/INCONCLUSIVE), 2 = some
-audit returned VIOLATION, 1 = configuration or execution error.  Reruns
+audit returned VIOLATION, 1 = configuration or execution error
+(including arithmetic overflow or division by zero).  Reruns
 with the same config and seed produce byte-identical CSV payloads.
 """
 
@@ -52,6 +53,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -608,7 +610,13 @@ def main(argv=None) -> int:
                         help="override mc.count")
     parser.add_argument("--out", default=None, help="override out.dir")
     args = parser.parse_args(argv)
+    # Numeric warnings would add lines to the one-line error report.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return _main(args)
 
+
+def _main(args) -> int:
     phase = {"op": "config"}
     try:
         try:
@@ -640,7 +648,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except LevytailsError as exc:
+    except (LevytailsError, ArithmeticError) as exc:
         print(f"error [{phase['op']}] {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1

@@ -375,9 +375,11 @@ def _entropy_segments(inv: _InverseEvaluator, xs: np.ndarray) -> np.ndarray:
 def tail_bound_from_h(h: HFunction) -> TailBound:
     """The deviation bound exp(-int_0^x h^{-1}) as a TailBound.
 
-    center="mean", direction="upper", validity (0, h_sup). A scalar call
-    integrates from 0; evaluate_grid sums the integral segment by segment
-    over the sorted grid. Both share one memoized inverse.
+    center="mean", direction="upper", validity (0, h_sup), regime
+    "entropy" (a label free of commas, unlike the names callers give the
+    bound). A scalar call integrates from 0; evaluate_grid sums the
+    integral segment by segment over the sorted grid. Both share one
+    memoized inverse.
     """
     inv = _InverseEvaluator(h)
     return TailBound(
@@ -387,6 +389,7 @@ def tail_bound_from_h(h: HFunction) -> TailBound:
         direction="upper",
         valid_lo=0.0,
         valid_hi=h.h_sup,
+        regime_fn=lambda x: "entropy",
         meta={"h_name": h.name},
         grid_fn=lambda xs: np.exp(-_entropy_segments(inv, xs)),
     )

@@ -19,6 +19,27 @@ Six variants, all immutable:
 Radial models carry only the total spherical mass: every bound downstream
 uses nothing else. Direction information lives in the simulators.
 
+Each variant is one class holding all that the bounds and samplers use
+of its measure nu; the module functions below check arguments and call:
+
+  tail_mass(R)                 nu(|y| > R)
+  gamma_envelope(R)            envelope >= 1 - e^{-nu(|y|>R)} for median
+                               bounds (default: that probability)
+  truncated_abs_moment(k, R)   int_{|y|<=R} |y|^k nu(dy), k in {1,2,3,4},
+                               or Divergent with the reason
+  exp_weighted_moment(k, t, R, side)
+                               int_{|y|<=R} |y|^k (e^{t|y|} - 1) nu(dy),
+                               k in {1, 3}; side="pos" keeps y > 0
+  exp_abscissa(side)           sup{t : int |y| e^{t|y|} nu(dy) < inf}
+  tail_first_abs_moment()      int_{|y|>1} |y| nu(dy), inf if divergent
+  compensation(eps, R)         -int_{eps<|y|<=R} y nu(dy), R = 1 or inf
+                               (default 0: symmetric, if convergent)
+  amplitude_sampler(eps, lam)  draw(g, n): n jumps of nu on |y| > eps, of
+                               mass lam (default: symmetric, tabulated)
+
+A new Levy model is one subclass of _LevyMeasure that implements the
+five methods without a default and overrides the defaults that misfit.
+
 Divergent integrals are detected analytically per variant (comparing the
 moment order against the tail/origin exponents), never by letting a
 quadrature blow up.
@@ -32,6 +53,7 @@ from typing import Mapping, Union
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.special import exp1, gammainc, polygamma, psi, zeta
 
 from .errors import (
@@ -50,18 +72,65 @@ _QUAD_EPS = 1e-9
 # Variants
 # ----------------------------------------------------------------------
 
-def _check_small_ball(radial_density, label: str) -> None:
-    """Numeric sanity check of int_{r<=1} r^2 rho(r) dr at construction."""
-    val, err = integrate.quad(lambda r: r * r * radial_density(r),
-                              0.0, 1.0, epsabs=1e-12, epsrel=1e-8, limit=200)
-    if not math.isfinite(val) or err > 1e-6 * (1.0 + abs(val)):
-        raise PreconditionViolated(
-            f"{label}: small-ball second moment not finite to 1e-6 "
-            f"(value={val!r}, err={err!r})")
+class _LevyMeasure:
+    """Defaults of the method contract: the exact gamma envelope, and the
+    compensation and jump sampler of a symmetric measure."""
+
+    def gamma_envelope(self, R: float) -> float:
+        return -math.expm1(-self.tail_mass(R))
+
+    def compensation(self, eps: float, R: float) -> float:
+        if math.isinf(R) and not math.isfinite(self.tail_first_abs_moment()):
+            raise Divergent("int_{|y|>1} |y| nu(dy) diverges")
+        return 0.0
+
+    def amplitude_sampler(self, eps: float, lam: float):
+        log_y, log_m = _radial_inverse_table(
+            lambda r: float(self.tail_mass(r)), eps, lam)
+        return _symmetric_sampler(
+            lambda u: _invert_radial(log_y, log_m, u * lam))
+
+
+class _Radial(_LevyMeasure):
+    """Radial variants: density sigma_total * radial_density(r) in the
+    radius, symmetric, and without any exponential moment."""
+
+    def __post_init__(self):
+        if not (self.sigma_total > 0.0):
+            raise PreconditionViolated("sigma_total must be > 0")
+        # Numeric sanity check of int_{r<=1} r^2 rho(r) dr.
+        rho = self.radial_density
+        val, err = integrate.quad(lambda r: r * r * rho(r), 0.0, 1.0,
+                                  epsabs=1e-12, epsrel=1e-8, limit=200)
+        if not math.isfinite(val) or err > 1e-6 * (1.0 + abs(val)):
+            raise PreconditionViolated(
+                f"{type(self).__name__}: small-ball second moment not "
+                f"finite to 1e-6 (value={val!r}, err={err!r})")
+
+    def exp_weighted_moment(self, k: int, t: float, R: float, side: str):
+        if math.isinf(R):
+            raise Divergent(
+                "radial models need a finite truncation radius: e^{tr} "
+                "dominates every radial density at infinity")
+        # Unlike the plain moments, k <= alpha (and the log-kernel k=1
+        # case) stay integrable here: e^{tr}-1 ~ tr adds a power of r at 0.
+        # expm1 is clamped so that probing h at huge t saturates instead of
+        # overflowing; saturated values sit far above any inverted level.
+        rho = self.radial_density
+        val = self.sigma_total * _quad(
+            lambda r: r ** k * math.expm1(min(t * r, 690.0)) * rho(r),
+            0.0, R)
+        return 0.5 * val if side == "pos" else val
+
+    def exp_abscissa(self, side: str = "abs") -> float:
+        return 0.0      # power/log tails defeat every exponential
+
+    def tail_first_abs_moment(self) -> float:
+        return math.inf
 
 
 @dataclass(frozen=True)
-class Stable:
+class Stable(_Radial):
     """Radial stable-type measure: density r^{-1-alpha}, spherical mass
     sigma_total; alpha in (0, 2)."""
 
@@ -71,52 +140,96 @@ class Stable:
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
             raise PreconditionViolated(f"alpha must be in (0,2), got {self.alpha!r}")
-        if not (self.sigma_total > 0.0):
-            raise PreconditionViolated("sigma_total must be > 0")
-        _check_small_ball(lambda r: r ** (-1.0 - self.alpha), "Stable")
+        super().__post_init__()
 
     def radial_density(self, r: float) -> float:
         return r ** (-1.0 - self.alpha)
 
+    def tail_mass(self, R: float) -> float:
+        return self.sigma_total * R ** (-self.alpha) / self.alpha
+
+    # The analytic envelope sigma/(alpha R^alpha) is the tail mass itself.
+    gamma_envelope = tail_mass
+
+    def truncated_abs_moment(self, k: int, R: float) -> float:
+        if k <= self.alpha:
+            raise Divergent(
+                f"k={k} <= alpha={self.alpha}: divergence at the origin")
+        if math.isinf(R):
+            raise Divergent(f"k={k} > alpha: divergence at infinity")
+        return self.sigma_total * R ** (k - self.alpha) / (k - self.alpha)
+
+    def tail_first_abs_moment(self) -> float:
+        if self.alpha <= 1.0:
+            return math.inf
+        return self.sigma_total / (self.alpha - 1.0)
+
+    def amplitude_sampler(self, eps: float, lam: float):
+        return _symmetric_sampler(lambda u: eps * u ** (-1.0 / self.alpha))
+
 
 @dataclass(frozen=True)
-class LogKernel:
+class LogKernel(_Radial):
     """Radial density |log r|/r^2: finite small-ball energy but no finite
     variance of the induced vector."""
 
     sigma_total: float
 
-    def __post_init__(self):
-        if not (self.sigma_total > 0.0):
-            raise PreconditionViolated("sigma_total must be > 0")
-        _check_small_ball(lambda r: abs(math.log(r)) / (r * r), "LogKernel")
-
     def radial_density(self, r: float) -> float:
         return abs(math.log(r)) / (r * r)
 
+    def tail_mass(self, R: float) -> float:
+        # antiderivative of log(r)/r^2 is -(1 + log r)/r
+        if R >= 1.0:
+            return self.sigma_total * (1.0 + math.log(R)) / R
+        return self.sigma_total * (2.0 - (1.0 + math.log(R)) / R)
+
+    def gamma_envelope(self, R: float) -> float:
+        # 2 sigma log(R)/R, flattened at its maximum R = e so it stays
+        # nonincreasing, and never below the exact probability.
+        r_eff = max(R, math.e)
+        return max(2.0 * self.sigma_total * math.log(r_eff) / r_eff,
+                   super().gamma_envelope(R))
+
+    def truncated_abs_moment(self, k: int, R: float) -> float:
+        if k == 1:
+            raise Divergent("k=1: |log r|/r not integrable at the origin")
+        if math.isinf(R):
+            raise Divergent(
+                f"k={k}: r^{k - 2} log r not integrable at infinity")
+        return self.sigma_total * _quad(
+            lambda r: r ** (k - 2) * abs(math.log(r)), 0.0, R)
+
 
 @dataclass(frozen=True)
-class GaussKernel:
+class GaussKernel(_Radial):
     """Radial density e^{-1/(2 r^2)}/(r^2 sqrt(2 pi)); tail mass has the
     closed form sigma * (Phi(1/R) - 1/2)."""
 
     sigma_total: float
-
-    def __post_init__(self):
-        if not (self.sigma_total > 0.0):
-            raise PreconditionViolated("sigma_total must be > 0")
-        _check_small_ball(
-            lambda r: math.exp(-0.5 / (r * r)) / (r * r * math.sqrt(2.0 * math.pi)),
-            "GaussKernel")
 
     def radial_density(self, r: float) -> float:
         if r < 1e-150:      # e^{-1/(2r^2)} underflows long before r^2 does
             return 0.0
         return math.exp(-0.5 / (r * r)) / (r * r * math.sqrt(2.0 * math.pi))
 
+    def tail_mass(self, R: float) -> float:
+        # substitution u = 1/r maps the tail onto a Gaussian increment
+        return self.sigma_total * 0.5 * math.erf(1.0 / (R * math.sqrt(2.0)))
+
+    def gamma_envelope(self, R: float) -> float:
+        return self.sigma_total / (math.sqrt(2.0 * math.pi) * R)
+
+    def truncated_abs_moment(self, k: int, R: float) -> float:
+        if math.isinf(R):
+            raise Divergent(f"k={k}: r^{k - 2} not integrable at infinity")
+        return self.sigma_total * _quad(
+            lambda r: (r ** (k - 2) * math.exp(-0.5 / (r * r))
+                       / math.sqrt(2.0 * math.pi)), 0.0, R)
+
 
 @dataclass(frozen=True)
-class QuadraticSpectral:
+class QuadraticSpectral(_LevyMeasure):
     """Levy measure of a centered Gaussian quadratic form
     (1/2) sum_k a_k (Z_k^2 - 1): each eigenvalue a_k contributes density
     e^{-|y|/|a_k|}/(2|y|) on the half-line of sign(a_k).
@@ -139,10 +252,6 @@ class QuadraticSpectral:
         if self.remainder_sq < 0.0:
             raise PreconditionViolated("remainder_sq must be >= 0")
 
-    @property
-    def truncation(self) -> int:
-        return len(self.eigs)
-
     def abs_eigs(self) -> np.ndarray:
         return np.abs(np.asarray(self.eigs, dtype=float))
 
@@ -154,9 +263,95 @@ class QuadraticSpectral:
             raise EmptySpectrum("no positive eigenvalues")
         return QuadraticSpectral(pos)
 
+    def tail_mass(self, R: float) -> float:
+        a = self.abs_eigs()
+        a = a[a > 0.0]
+        return float(0.5 * exp1(R / a).sum())
+
+    def truncated_abs_moment(self, k: int, R: float) -> float:
+        # (1/2) int_0^R y^{k-1} e^{-y/a} dy = (1/2) a^k (k-1)! P(k, R/a)
+        a = self.abs_eigs()
+        a = a[a > 0.0]
+        reg = gammainc(k, R / a) if math.isfinite(R) else 1.0
+        return float(0.5 * math.factorial(k - 1) * np.sum(a ** k * reg))
+
+    def exp_weighted_moment(self, k: int, t: float, R: float, side: str):
+        eigs = np.asarray(self.eigs, dtype=float)
+        if side == "pos":
+            eigs = eigs[eigs > 0.0]
+        a = np.abs(eigs)
+        a = a[a > 0.0]
+        if a.size == 0:
+            return 0.0
+        amax = float(a.max())
+        if math.isinf(R):
+            if t * amax >= 1.0:
+                raise Divergent(
+                    f"t={t!r} at/beyond the exponential abscissa 1/max|a| "
+                    f"= {1.0 / amax!r}")
+            # One-sided eigenvalue terms in closed form: the tilted rate is
+            # b = a/(1 - t a), and int_0^inf y^{k-1}(e^{ty}-1) e^{-y/a} dy
+            # = (k-1)! (b^k - a^k).
+            b = a / (1.0 - t * a)
+            return float(0.5 * math.factorial(k - 1) * np.sum(b ** k - a ** k))
+        # Finite truncation: always convergent, any t.
+        def f(y: float) -> float:
+            return (0.5 * y ** (k - 1) * math.expm1(min(t * y, 690.0))
+                    * np.exp(-y / a).sum())
+        return _quad(f, 0.0, R)
+
+    def exp_abscissa(self, side: str = "abs") -> float:
+        eigs = np.asarray(self.eigs, dtype=float)
+        if side == "pos":
+            eigs = eigs[eigs > 0.0]
+        amax = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+        return math.inf if amax == 0.0 else 1.0 / amax
+
+    def tail_first_abs_moment(self) -> float:
+        a = self.abs_eigs()
+        return float(0.5 * np.sum(a * np.exp(-1.0 / a)))
+
+    def compensation(self, eps: float, R: float) -> float:
+        if eps >= R:
+            return 0.0
+        a = np.asarray(self.eigs, dtype=np.float64)
+        a_abs = np.abs(a)
+        parts = 0.5 * np.sign(a) * a_abs * (
+            np.exp(-eps / a_abs) - np.exp(-R / a_abs))
+        return -float(np.sum(parts))
+
+    def amplitude_sampler(self, eps: float, lam: float):
+        # Pick an eigenvalue by its mass beyond eps, then invert its own
+        # tail; the jump carries the eigenvalue's sign.
+        a = np.asarray(self.eigs, dtype=np.float64)
+        a = a[a != 0.0]
+        weights = 0.5 * exp1(eps / np.abs(a))
+        a = a[weights > 0.0]            # eigenvalues with no mass beyond eps
+        weights = weights[weights > 0.0]
+        cum_w = np.cumsum(weights)
+        tables = [
+            _radial_inverse_table(lambda r, ak=ak: 0.5 * exp1(r / ak),
+                                  eps, w_k, vectorized=True)
+            for ak, w_k in zip(np.abs(a), weights)
+        ]
+
+        def draw(g, total):
+            sel = np.searchsorted(cum_w, g.random(total) * cum_w[-1])
+            sel = np.minimum(sel, len(a) - 1)
+            u = _interior_uniform(g, total)
+            amps = np.empty(total, dtype=np.float64)
+            for k in np.unique(sel):
+                mask = sel == k
+                log_y, log_m = tables[k]
+                amps[mask] = _invert_radial(log_y, log_m,
+                                            u[mask] * weights[k])
+            return amps * np.sign(a)[sel]
+
+        return draw
+
 
 @dataclass(frozen=True)
-class LevyArea:
+class LevyArea(_LevyMeasure):
     """Levy measure 1/(2|y| sinh(pi |y|/T)) of the Brownian stochastic
     area on [0, T]; symmetric, all polynomial moments of order >= 2 finite."""
 
@@ -166,16 +361,48 @@ class LevyArea:
         if not (self.T > 0.0):
             raise PreconditionViolated("T must be > 0")
 
-    def density(self, y: float) -> float:
-        ay = abs(y)
-        z = math.pi * ay / self.T
-        if z > 700.0:       # sinh overflows; density is ~ e^{-z}/ay
-            return math.exp(-z) / ay
-        return 1.0 / (2.0 * ay * math.sinh(z))
+    def tail_mass(self, R: float) -> float:
+        # int_R^inf dy/(y sinh(pi y/T)) through y = R/u onto (0, 1]
+        T = self.T
+        return _quad(lambda u: (_inv_sinh(math.pi * (R / u) / T) / (R / u)
+                                * R / (u * u)), 0.0, 1.0)
+
+    def truncated_abs_moment(self, k: int, R: float) -> float:
+        if k == 1:
+            raise Divergent("k=1: 1/sinh(pi y/T) not integrable at the origin")
+        T = self.T
+        if math.isinf(R):
+            if k == 2:
+                # int_0^inf y/sinh(pi y/T) dy = T^2/4
+                return T * T / 4.0
+            R = 50.0 * T    # integrand is < 1e-60 of its peak beyond this
+        return _quad(lambda y: y ** (k - 1) * _inv_sinh(math.pi * y / T),
+                     0.0, R)
+
+    def exp_weighted_moment(self, k: int, t: float, R: float, side: str):
+        c = math.pi / self.T
+        if math.isinf(R):
+            if t >= c:
+                raise Divergent(
+                    f"t={t!r} at/beyond the exponential abscissa pi/T = "
+                    f"{c!r}")
+            val = _levy_area_exp_moment(k, t, c)
+        else:
+            val = _quad(lambda y: y ** (k - 1) * _expm1_over_sinh(t, c, y),
+                        0.0, R)
+        return 0.5 * val if side == "pos" else val
+
+    def exp_abscissa(self, side: str = "abs") -> float:
+        return math.pi / self.T
+
+    def tail_first_abs_moment(self) -> float:
+        # int_1^inf dy / (2 sinh(pi y / T)) = (T / 2 pi) log coth(pi/(2T))
+        z = math.pi / (2.0 * self.T)
+        return self.T / (2.0 * math.pi) * math.log(1.0 / math.tanh(z))
 
 
 @dataclass(frozen=True)
-class BoundedSupport:
+class BoundedSupport(_LevyMeasure):
     """A measure known only through its support radius and the absolute
     moments int |y|^k nu(dy), k in {1,2,3,4} (not all need be present)."""
 
@@ -198,13 +425,45 @@ class BoundedSupport:
         except KeyError:
             raise MissingEstimate(f"abs moment k={k} not supplied") from None
 
+    def tail_mass(self, R: float) -> float:
+        if R >= self.R_support:
+            return 0.0
+        raise MissingEstimate(
+            "tail mass below the support radius is not determined by moments")
+
+    def truncated_abs_moment(self, k: int, R: float) -> float:
+        if R >= self.R_support:
+            return self.moment(k)
+        raise MissingEstimate(
+            "truncated moments below the support radius are not determined")
+
+    def exp_weighted_moment(self, k: int, t: float, R: float, side: str):
+        raise MissingEstimate(
+            "exponentially weighted moments are not determined by the "
+            "stored moments")
+
+    def exp_abscissa(self, side: str = "abs") -> float:
+        return math.inf
+
+    def tail_first_abs_moment(self) -> float:
+        raise MissingEstimate("no first-moment formula for BoundedSupport")
+
+    def compensation(self, eps: float, R: float) -> float:
+        raise MissingEstimate(_MOMENTS_ONLY)
+
+    def amplitude_sampler(self, eps: float, lam: float):
+        raise MissingEstimate(_MOMENTS_ONLY)
+
+
+_MOMENTS_ONLY = ("BoundedSupport carries moments only, not a density; "
+                 "it cannot drive a jump sampler")
 
 LevyModel = Union[Stable, LogKernel, GaussKernel, QuadraticSpectral,
                   LevyArea, BoundedSupport]
 
 
 # ----------------------------------------------------------------------
-# Quadrature helpers
+# Quadrature, root and sampling helpers
 # ----------------------------------------------------------------------
 
 def _inv_sinh(z: float) -> float:
@@ -233,114 +492,139 @@ def _quad(f, a, b, **kw) -> float:
     return val
 
 
-def _tail_quad(f, R: float) -> float:
-    """int_R^inf f(y) dy via the substitution y = R/u onto (0, 1]."""
-    return _quad(lambda u: f(R / u) * R / (u * u), 0.0, 1.0)
+def _bracket_root(g, lo: float, hi: float, *, xtol: float, rtol: float,
+                  failure: Exception, halvings: int = 0,
+                  doublings: int = 200) -> float:
+    """Smallest root of a nondecreasing g, the one bracketing solver.
+
+    lo is halved (at most `halvings` times) while the level is passed
+    there, g(lo) >= 0; if it still is, lo is returned (the generalized
+    inverse, cut at the search range). Else hi is doubled (at most
+    `doublings` times, the low end following) until g(hi) >= 0 and brentq
+    solves g = 0 at the caller's xtol and rtol. Raises `failure` if no
+    bracket is found or g raises an ArithmeticError (e.g. overflow).
+    """
+    try:
+        below = g(lo)
+        for _ in range(halvings):
+            if not below >= 0.0:
+                break
+            lo *= 0.5
+            below = g(lo)
+        if below >= 0.0:
+            return lo
+        for _ in range(doublings):
+            above = g(hi)
+            if above >= 0.0 and below < 0.0:
+                return float(brentq(g, lo, hi, xtol=xtol, rtol=rtol))
+            lo, below, hi = hi, above, 2.0 * hi
+    except ArithmeticError as exc:
+        raise failure from exc
+    raise failure
+
+
+# Jump tables of amplitude_sampler.
+_TABLE_NODES = 4096
+_TABLE_TAIL_FRACTION = 1e-18
+
+
+def _interior_uniform(gen, size) -> np.ndarray:
+    """Uniforms strictly inside (0, 1): both endpoints excluded.
+
+    Built from 53-bit integers so neither 0 nor 1 can occur (numpy's
+    ``random()`` can return exactly 0, which would put the CMS angle on the
+    boundary where cos vanishes).
+    """
+    return gen.integers(1, 2 ** 53, size=size).astype(np.float64) * 2.0 ** -53
+
+
+def _symmetric_sampler(radii):
+    """Jumps of a symmetric measure: radius radii(u) of an interior uniform
+    u, then a fair sign."""
+
+    def draw(g, total):
+        amps = radii(_interior_uniform(g, total))
+        return amps * np.where(g.random(total) < 0.5, 1.0, -1.0)
+
+    return draw
+
+
+def _radial_inverse_table(tail_fn, eps: float, lam: float, *,
+                          vectorized: bool = False):
+    """Monotone inverse of a radial tail-mass function on (eps, infinity).
+
+    Returns log-spaced radii and the log of their tail masses, for use with
+    ``np.interp`` in (log mass -> log radius) direction.  The grid extends
+    until the tail mass drops below ``lam * 1e-18``; the probability that a
+    draw falls beyond the grid (and is clamped to its last node) is below
+    1e-18 per jump.  Plateaus where the tail mass saturates in double
+    precision (e.g. the Gaussian-kernel model below radius ~0.12, whose
+    density is ~e^{-200}) collapse to their left edge; the affected mass is
+    below 1e-15 of the rate.  With ``vectorized=True`` the node grid is
+    evaluated in one ``tail_fn`` call on the whole array.
+    """
+    y_hi = max(2.0 * eps, 1.0)
+    for _ in range(4000):
+        if tail_fn(y_hi) < lam * _TABLE_TAIL_FRACTION:
+            break
+        y_hi *= 2.0
+    else:
+        raise Divergent("tail mass decays too slowly to tabulate")
+    y = np.geomspace(eps, y_hi, _TABLE_NODES)
+    if vectorized:
+        masses = np.array(tail_fn(y), dtype=np.float64)
+    else:
+        masses = np.array([tail_fn(v) for v in y], dtype=np.float64)
+    masses[0] = lam
+    # Guard against flat spots from underflow at the far end.
+    positive = masses > 0.0
+    y, masses = y[positive], masses[positive]
+    log_m = np.log(masses)
+    keep = np.ones(len(y), dtype=bool)
+    keep[1:] = np.diff(log_m) < 0.0
+    return np.log(y[keep]), log_m[keep]
+
+
+def _invert_radial(log_y, log_m, targets: np.ndarray) -> np.ndarray:
+    """Map tail-mass targets to radii through the tabulated inverse."""
+    # np.interp needs increasing x: negate the (decreasing) log masses.
+    log_t = np.log(targets)
+    out = np.interp(-log_t, -log_m, log_y)
+    return np.exp(out)
 
 
 # ----------------------------------------------------------------------
-# tail_mass / gamma_envelope / inverse_gamma
+# Module functions: argument checks, then the variant's method
 # ----------------------------------------------------------------------
 
 def tail_mass(model: LevyModel, R: float) -> float:
     """nu({ |y| > R }). Closed form where exact, quadrature otherwise."""
     if not (R > 0.0):
         raise OutOfRange(f"R must be > 0, got {R!r}")
-    if isinstance(model, Stable):
-        return model.sigma_total * R ** (-model.alpha) / model.alpha
-    if isinstance(model, LogKernel):
-        # antiderivative of log(r)/r^2 is -(1 + log r)/r
-        if R >= 1.0:
-            return model.sigma_total * (1.0 + math.log(R)) / R
-        return model.sigma_total * (2.0 - (1.0 + math.log(R)) / R)
-    if isinstance(model, GaussKernel):
-        # substitution u = 1/r maps the tail onto a Gaussian increment
-        return model.sigma_total * 0.5 * math.erf(1.0 / (R * math.sqrt(2.0)))
-    if isinstance(model, QuadraticSpectral):
-        a = model.abs_eigs()
-        a = a[a > 0.0]
-        return float(0.5 * exp1(R / a).sum())
-    if isinstance(model, LevyArea):
-        T = model.T
-        return _tail_quad(lambda y: _inv_sinh(math.pi * y / T) / y, R)
-    if isinstance(model, BoundedSupport):
-        if R >= model.R_support:
-            return 0.0
-        raise MissingEstimate(
-            "tail mass below the support radius is not determined by moments")
-    raise TypeError(f"unknown model {model!r}")
+    return model.tail_mass(R)
 
 
 def gamma_envelope(model: LevyModel, R: float) -> float:
     """The envelope gamma(R) >= 1 - e^{-nu(|y|>R)} used by median-type
-    bounds.
-
-    Stable uses the analytic choice sigma/(alpha R^alpha); the log kernel
-    uses 2 sigma log(R)/R (flattened at its maximum R=e so it stays
-    nonincreasing, and never below the exact probability); the Gaussian
-    kernel uses sigma/(sqrt(2 pi) R); all other variants return the exact
-    1 - e^{-tail_mass}.
-    """
+    bounds: analytic for the radial variants, exact for the others."""
     if not (R > 0.0):
         raise OutOfRange(f"R must be > 0, got {R!r}")
-    exact = -math.expm1(-tail_mass(model, R)) if not isinstance(model, Stable) \
-        else None
-    if isinstance(model, Stable):
-        return model.sigma_total * R ** (-model.alpha) / model.alpha
-    if isinstance(model, LogKernel):
-        r_eff = max(R, math.e)
-        analytic = 2.0 * model.sigma_total * math.log(r_eff) / r_eff
-        return max(analytic, exact)
-    if isinstance(model, GaussKernel):
-        return model.sigma_total / (math.sqrt(2.0 * math.pi) * R)
-    return exact
+    return model.gamma_envelope(R)
 
 
 def inverse_gamma(model: LevyModel, p: float) -> float:
-    """Smallest R with gamma_envelope(model, R) <= p (bisection, rel 1e-10).
+    """Smallest R with gamma_envelope(model, R) <= p (rel 1e-10).
 
-    Raises OutOfRange if the envelope stays above p all the way to R=1e12.
+    Returns 1e-12 if the envelope is already below p there; raises
+    OutOfRange if it stays above p all the way to R=1e12.
     """
     if not (0.0 < p < 1.0):
         raise OutOfRange(f"p must be in (0,1), got {p!r}")
-    lo = 1e-12
-    if gamma_envelope(model, lo) <= p:
-        return lo
-    hi = 1.0
-    while gamma_envelope(model, hi) > p:
-        hi *= 2.0
-        if hi > 1e12:
-            raise OutOfRange(f"gamma never falls below p={p!r} up to R=1e12")
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if gamma_envelope(model, mid) <= p:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-# ----------------------------------------------------------------------
-# Truncated absolute moments
-# ----------------------------------------------------------------------
-
-def _radial_moment_divergent(model, k: int, R: float) -> str | None:
-    """Reason string if int_{|y|<=R} |y|^k nu(dy) diverges, else None."""
-    if isinstance(model, Stable):
-        if k <= model.alpha:
-            return f"k={k} <= alpha={model.alpha}: divergence at the origin"
-        if math.isinf(R):
-            return f"k={k} > alpha: divergence at infinity"
-    if isinstance(model, LogKernel):
-        if k == 1:
-            return "k=1: |log r|/r not integrable at the origin"
-        if math.isinf(R):
-            return f"k={k}: r^{k - 2} log r not integrable at infinity"
-    if isinstance(model, GaussKernel) and math.isinf(R):
-        return f"k={k}: r^{k - 2} not integrable at infinity"
-    if isinstance(model, LevyArea) and k == 1:
-        return "k=1: 1/sinh(pi y/T) not integrable at the origin"
-    return None
+    # xtol is 1e-10 of the smallest answer, so the tolerance is relative.
+    return _bracket_root(
+        lambda R: p - model.gamma_envelope(R), 1e-12, 1.0,
+        xtol=1e-22, rtol=1e-10, doublings=40,
+        failure=OutOfRange(f"gamma never falls below p={p!r} up to R=1e12"))
 
 
 def truncated_abs_moment(model: LevyModel, k: int, R: float = math.inf) -> float:
@@ -349,41 +633,7 @@ def truncated_abs_moment(model: LevyModel, k: int, R: float = math.inf) -> float
         raise OutOfRange(f"k must be in {{1,2,3,4}}, got {k!r}")
     if not (R > 0.0):
         raise OutOfRange(f"R must be > 0, got {R!r}")
-    reason = _radial_moment_divergent(model, k, R)
-    if reason is not None:
-        raise Divergent(reason)
-
-    if isinstance(model, Stable):
-        return model.sigma_total * R ** (k - model.alpha) / (k - model.alpha)
-    if isinstance(model, LogKernel):
-        s = model.sigma_total
-        return s * _quad(lambda r: r ** (k - 2) * abs(math.log(r)), 0.0, R)
-    if isinstance(model, GaussKernel):
-        s = model.sigma_total
-        f = (lambda r: r ** (k - 2) * math.exp(-0.5 / (r * r))
-             / math.sqrt(2.0 * math.pi))
-        return s * _quad(f, 0.0, R)
-    if isinstance(model, QuadraticSpectral):
-        # (1/2) int_0^R y^{k-1} e^{-y/a} dy = (1/2) a^k (k-1)! P(k, R/a)
-        a = model.abs_eigs()
-        a = a[a > 0.0]
-        reg = gammainc(k, R / a) if math.isfinite(R) else 1.0
-        return float(0.5 * math.factorial(k - 1) * np.sum(a ** k * reg))
-    if isinstance(model, LevyArea):
-        T = model.T
-        if math.isinf(R):
-            if k == 2:
-                # int_0^inf y/sinh(pi y/T) dy = T^2/4
-                return T * T / 4.0
-            R = 50.0 * T    # integrand is < 1e-60 of its peak beyond this
-        return _quad(lambda y: y ** (k - 1) * _inv_sinh(math.pi * y / T),
-                     0.0, R)
-    if isinstance(model, BoundedSupport):
-        if R >= model.R_support:
-            return model.moment(k)
-        raise MissingEstimate(
-            "truncated moments below the support radius are not determined")
-    raise TypeError(f"unknown model {model!r}")
+    return model.truncated_abs_moment(k, R)
 
 
 # ----------------------------------------------------------------------
@@ -437,65 +687,7 @@ def exp_weighted_moment(model: LevyModel, k: int, t: float,
         raise OutOfRange(f"t must be > 0, got {t!r}")
     if side not in ("abs", "pos"):
         raise OutOfRange(f"side must be 'abs' or 'pos', got {side!r}")
-
-    if isinstance(model, QuadraticSpectral):
-        eigs = np.asarray(model.eigs, dtype=float)
-        if side == "pos":
-            eigs = eigs[eigs > 0.0]
-        a = np.abs(eigs)
-        a = a[a > 0.0]
-        if a.size == 0:
-            return 0.0
-        amax = float(a.max())
-        if math.isinf(R):
-            if t * amax >= 1.0:
-                raise Divergent(
-                    f"t={t!r} at/beyond the exponential abscissa 1/max|a| "
-                    f"= {1.0 / amax!r}")
-            # One-sided eigenvalue terms in closed form: the tilted rate is
-            # b = a/(1 - t a), and int_0^inf y^{k-1}(e^{ty}-1) e^{-y/a} dy
-            # = (k-1)! (b^k - a^k).
-            b = a / (1.0 - t * a)
-            return float(0.5 * math.factorial(k - 1) * np.sum(b ** k - a ** k))
-        # Finite truncation: always convergent, any t.
-        def f(y: float) -> float:
-            return (0.5 * y ** (k - 1) * math.expm1(min(t * y, 690.0))
-                    * np.exp(-y / a).sum())
-        return _quad(f, 0.0, R)
-
-    if isinstance(model, LevyArea):
-        c = math.pi / model.T
-        if math.isinf(R):
-            if t >= c:
-                raise Divergent(
-                    f"t={t!r} at/beyond the exponential abscissa pi/T = "
-                    f"{c!r}")
-            val = _levy_area_exp_moment(k, t, c)
-        else:
-            val = _quad(lambda y: y ** (k - 1) * _expm1_over_sinh(t, c, y),
-                        0.0, R)
-        return 0.5 * val if side == "pos" else val
-
-    if isinstance(model, (Stable, LogKernel, GaussKernel)):
-        if math.isinf(R):
-            raise Divergent(
-                "radial models need a finite truncation radius: e^{tr} "
-                "dominates every radial density at infinity")
-        # Unlike the plain moments, k <= alpha (and the log-kernel k=1
-        # case) stay integrable here: e^{tr}-1 ~ tr adds a power of r at 0.
-        # expm1 is clamped so that probing h at huge t saturates instead of
-        # overflowing; saturated values sit far above any inverted level.
-        s = model.sigma_total
-        rho = model.radial_density
-        val = s * _quad(lambda r: r ** k * math.expm1(min(t * r, 690.0))
-                        * rho(r), 0.0, R)
-        return 0.5 * val if side == "pos" else val
-
-    if isinstance(model, BoundedSupport):
-        raise MissingEstimate(
-            "exponentially weighted moments are not determined by the "
-            "stored moments")
-    raise TypeError(f"unknown model {model!r}")
+    return model.exp_weighted_moment(k, t, R, side)
 
 
 def levy_area_exp_envelope(T: float, t: float) -> float:

@@ -67,27 +67,17 @@ from math import gamma as _gamma_fn
 from math import pi
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import (
     BudgetExceeded,
-    Divergent,
     EmptyBatch,
     InvalidProfile,
-    MissingEstimate,
     PreconditionViolated,
     TruncationTooCoarse,
     UnsupportedAlpha,
 )
 from . import models as _models
-from .models import (
-    BoundedSupport,
-    GaussKernel,
-    LevyArea,
-    LogKernel,
-    QuadraticSpectral,
-    Stable,
-)
+from .models import _interior_uniform
 
 __all__ = [
     "RngContract",
@@ -368,16 +358,6 @@ def _fill_blocks(gen, count: int, block: int, fill) -> None:
         pass
 
 
-def _interior_uniform(gen, size) -> np.ndarray:
-    """Uniforms strictly inside (0, 1): both endpoints excluded.
-
-    Built from 53-bit integers so neither 0 nor 1 can occur (numpy's
-    ``random()`` can return exactly 0, which would put the CMS angle on the
-    boundary where cos vanishes).
-    """
-    return gen.integers(1, 2 ** 53, size=size).astype(np.float64) * 2.0 ** -53
-
-
 # ---------------------------------------------------------------------------
 # Second chaos: F = (1/2) sum a_k (Z_k^2 - 1)
 # ---------------------------------------------------------------------------
@@ -395,14 +375,11 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None, stream_id: int = 0,
     exactly zero and consume no random variates.
     """
     count = _check_count(count)
-    if isinstance(eigs, QuadraticSpectral):
-        a = np.asarray(eigs.eigs, dtype=np.float64)
-        remainder = float(eigs.remainder_sq)
-        guarded = True
-    else:
-        a = np.asarray(list(eigs), dtype=np.float64)
-        remainder = 0.0
-        guarded = False
+    # A QuadraticSpectral guards its stored tail energy; a sequence has none.
+    remainder = getattr(eigs, "remainder_sq", None)
+    guarded = remainder is not None
+    a = np.asarray(list(getattr(eigs, "eigs", eigs)), dtype=np.float64)
+    remainder = float(remainder or 0.0)
     if N is not None:
         N = int(N)
         if N < 1:
@@ -838,99 +815,6 @@ def sample_stable(alpha: float, n: int, spherical, count, rng, *,
 # Compound-Poisson approximation of an ID law
 # ---------------------------------------------------------------------------
 
-_TABLE_NODES = 4096
-_TABLE_TAIL_FRACTION = 1e-18
-
-
-def _radial_inverse_table(tail_fn, eps: float, lam: float, *,
-                          vectorized: bool = False):
-    """Monotone inverse of a radial tail-mass function on (eps, infinity).
-
-    Returns log-spaced radii and the log of their tail masses, for use with
-    ``np.interp`` in (log mass -> log radius) direction.  The grid extends
-    until the tail mass drops below ``lam * 1e-18``; the probability that a
-    draw falls beyond the grid (and is clamped to its last node) is below
-    1e-18 per jump.  Plateaus where the tail mass saturates in double
-    precision (e.g. the Gaussian-kernel model below radius ~0.12, whose
-    density is ~e^{-200}) collapse to their left edge; the affected mass is
-    below 1e-15 of the rate.  With ``vectorized=True`` the node grid is
-    evaluated in one ``tail_fn`` call on the whole array.
-    """
-    y_hi = max(2.0 * eps, 1.0)
-    for _ in range(4000):
-        if tail_fn(y_hi) < lam * _TABLE_TAIL_FRACTION:
-            break
-        y_hi *= 2.0
-    else:
-        raise Divergent("tail mass decays too slowly to tabulate")
-    y = np.geomspace(eps, y_hi, _TABLE_NODES)
-    if vectorized:
-        masses = np.array(tail_fn(y), dtype=np.float64)
-    else:
-        masses = np.array([tail_fn(v) for v in y], dtype=np.float64)
-    masses[0] = lam
-    # Guard against flat spots from underflow at the far end.
-    positive = masses > 0.0
-    y, masses = y[positive], masses[positive]
-    log_m = np.log(masses)
-    keep = np.ones(len(y), dtype=bool)
-    keep[1:] = np.diff(log_m) < 0.0
-    return np.log(y[keep]), log_m[keep]
-
-
-def _invert_radial(log_y, log_m, targets: np.ndarray) -> np.ndarray:
-    """Map tail-mass targets to radii through the tabulated inverse."""
-    # np.interp needs increasing x: negate the (decreasing) log masses.
-    log_t = np.log(targets)
-    out = np.interp(-log_t, -log_m, log_y)
-    return np.exp(out)
-
-
-def _tail_first_abs_moment(model) -> float:
-    """int_{|y|>1} |y| nu(dy), or +inf when it diverges."""
-    if isinstance(model, QuadraticSpectral):
-        a = model.abs_eigs()
-        return float(0.5 * np.sum(a * np.exp(-1.0 / a)))
-    if isinstance(model, Stable):
-        if model.alpha <= 1.0:
-            return math.inf
-        return model.sigma_total / (model.alpha - 1.0)
-    if isinstance(model, LevyArea):
-        # int_1^inf dy / (2 sinh(pi y / T)) = (T / 2 pi) log coth(pi/(2T))
-        z = pi / (2.0 * model.T)
-        return model.T / (2.0 * pi) * math.log(1.0 / math.tanh(z))
-    if isinstance(model, (LogKernel, GaussKernel)):
-        return math.inf
-    raise MissingEstimate(f"no first-moment formula for {type(model).__name__}")
-
-
-def _unit_compensation(model, eps: float) -> float:
-    """- int_{eps<|y|<=1} y nu(dy) drift, signed; zero for symmetric models."""
-    if isinstance(model, QuadraticSpectral):
-        if eps >= 1.0:
-            return 0.0
-        a = np.asarray(model.eigs, dtype=np.float64)
-        a_abs = np.abs(a)
-        parts = 0.5 * np.sign(a) * a_abs * (
-            np.exp(-eps / a_abs) - np.exp(-1.0 / a_abs)
-        )
-        return -float(np.sum(parts))
-    return 0.0  # the radial models here are all symmetric
-
-
-def _mean_compensation(model, eps: float) -> float:
-    """- int_{|y|>eps} y nu(dy); requires a finite absolute first moment."""
-    if not math.isfinite(_tail_first_abs_moment(model)):
-        raise Divergent(
-            "mean centering requested but int_{|y|>1} |y| nu(dy) diverges"
-        )
-    if isinstance(model, QuadraticSpectral):
-        a = np.asarray(model.eigs, dtype=np.float64)
-        a_abs = np.abs(a)
-        return -float(np.sum(0.5 * np.sign(a) * a_abs * np.exp(-eps / a_abs)))
-    return 0.0
-
-
 def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
                        gauss_smalljump: bool = False, center: str = "unit",
                        budget: float = 1e7,
@@ -957,11 +841,6 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
     tail-mass function otherwise (interpolation error around 1e-4 relative
     in the radius, far inside Monte-Carlo resolution).
     """
-    if isinstance(model, BoundedSupport):
-        raise MissingEstimate(
-            "BoundedSupport carries moments only, not a density; "
-            "it cannot drive a jump sampler"
-        )
     if not (eps > 0.0):
         raise PreconditionViolated("eps must be > 0")
     if center not in ("unit", "mean", "none"):
@@ -976,55 +855,9 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
         )
     gen, seed = _resolve_rng(rng, stream_id)
 
-    if center == "unit":
-        drift = _unit_compensation(model, eps)
-    elif center == "mean":
-        drift = _mean_compensation(model, eps)
-    else:
-        drift = 0.0
-
-    # --- prepare the amplitude inverse ------------------------------------
-    if isinstance(model, QuadraticSpectral):
-        a = np.asarray(model.eigs, dtype=np.float64)
-        a = a[a != 0.0]
-        weights = 0.5 * _sp.exp1(eps / np.abs(a))
-        a = a[weights > 0.0]            # eigenvalues with no mass beyond eps
-        weights = weights[weights > 0.0]
-        cum_w = np.cumsum(weights)
-        tables = [
-            _radial_inverse_table(lambda r, ak=ak: 0.5 * _sp.exp1(r / ak),
-                                  eps, w_k, vectorized=True)
-            for ak, w_k in zip(np.abs(a), weights)
-        ]
-
-        def draw_amplitudes(g, total):
-            sel = np.searchsorted(cum_w, g.random(total) * cum_w[-1])
-            sel = np.minimum(sel, len(a) - 1)
-            u = _interior_uniform(g, total)
-            amps = np.empty(total, dtype=np.float64)
-            for k in np.unique(sel):
-                mask = sel == k
-                log_y, log_m = tables[k]
-                amps[mask] = _invert_radial(log_y, log_m,
-                                            u[mask] * weights[k])
-            return amps * np.sign(a)[sel]
-
-    else:
-        if isinstance(model, Stable):
-            def radii(u):
-                return eps * u ** (-1.0 / model.alpha)
-        else:
-            log_y, log_m = _radial_inverse_table(
-                lambda r: float(_models.tail_mass(model, r)), eps, lam
-            )
-
-            def radii(u):
-                return _invert_radial(log_y, log_m, u * lam)
-
-        def draw_amplitudes(g, total):
-            amps = radii(_interior_uniform(g, total))
-            return amps * np.where(g.random(total) < 0.5, 1.0, -1.0)
-
+    drift = 0.0 if center == "none" else model.compensation(
+        eps, 1.0 if center == "unit" else math.inf)
+    draw_amplitudes = model.amplitude_sampler(eps, lam)
     small_var = (float(_models.truncated_abs_moment(model, 2, eps))
                  if gauss_smalljump else 0.0)
 

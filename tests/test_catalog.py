@@ -63,6 +63,15 @@ def test_bennett_negative_k_range():
         tb(2.0)  # the interval is open
 
 
+def test_bennett_huge_k_stays_near_one():
+    # x K/alpha2 overflows at K = 1e308; the bound is 1 - O(1e-305) there,
+    # so no valid value may fall below 1 (an upper bound of 0 is false).
+    xs = np.linspace(0.5, 5.0, 10)
+    values, _, valid = c.bennett_bound(1e308, 1.0).evaluate_grid(xs)
+    assert valid.all()
+    assert np.all(values >= 1.0 - 1e-12)
+
+
 def test_bennett_rejects_bad_alpha2():
     with pytest.raises(InvalidProfile):
         c.bennett_bound(1.0, 0.0)
@@ -620,6 +629,13 @@ def test_two_regime_crossover_root_frozen():
     assert s0 == pytest.approx(oracle, rel=1e-12)
     assert s0 == pytest.approx(1.9038136944403835, abs=1e-10)
     assert tb.meta["x0"] == pytest.approx(6.0 * s0, rel=1e-14)
+
+
+def test_two_regime_overflow_is_a_precondition_error():
+    # rhs = K alpha2/alpha3 - 1 is infinite, so bracketing the crossover
+    # root runs e^{sK} into overflow: a library error, not OverflowError.
+    with pytest.raises(PreconditionViolated, match="crossover"):
+        c.two_regime_bound(1e308, 1.0, alpha3=1e-300)
 
 
 def test_two_regime_gaussian_branch_is_literal():

@@ -1,13 +1,19 @@
 """Tests for the command-line driver: tasks, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from levytails import load_batch
-from levytails.cli import main
+from levytails.cli import _BOUND_KEYS, _MODEL_VARIANTS, main
 
 
 def _run(tmp_path, cfg, *flags, name="config.json"):
@@ -193,6 +199,144 @@ def test_log_form_finite_at_float_limit_eigenvalues(tmp_path):
     assert len(rows) == 5
     for row in rows:
         assert row[3] == "1" and float(row[1]) == pytest.approx(1.0)
+
+
+def test_median_linear_on_finite_mass_model(tmp_path):
+    # Total mass 0.5 stays below the target level -log(1 - q) = 0.667, so
+    # the overshoot radius is the generalized inverse: the search's low end.
+    cfg = {
+        "task": "bound",
+        "model": {"variant": "gauss_kernel", "sigma_total": 1},
+        "bound": {"name": "median_linear", "C": 1, "C_prime": 10},
+        "grid": {"x_lo": 0.5, "x_hi": 20.0, "points": 6},
+        "out": {"dir": str(tmp_path / "run")},
+    }
+    assert _run(tmp_path, cfg) == 0
+    _, rows = _read_csv(tmp_path / "run" / "bound_curve.csv")
+    assert [r[3] for r in rows] == ["1"] * 6
+    assert all(0.0 < float(r[1]) < 1.0 for r in rows)
+
+
+def test_exact_h_bound_rows_have_four_fields(tmp_path):
+    # The regime column of an engine-backed bound must not split the row.
+    cfg = {
+        "task": "bound",
+        "model": {"variant": "quadratic", "eigs": [0.5, 0.4, -0.3]},
+        "bound": {"name": "quad_wiener", "form": "exact_h"},
+        "grid": {"x_lo": 0.05, "x_hi": 4.0, "points": 5},
+        "out": {"dir": str(tmp_path / "run")},
+    }
+    assert _run(tmp_path, cfg) == 0
+    header, rows = _read_csv(tmp_path / "run" / "bound_curve.csv")
+    assert len(header.split(",")) == 4
+    assert len(rows) == 5 and all(len(r) == 4 for r in rows)
+    assert all(r[2] == "entropy" and r[3] == "1" for r in rows)
+
+
+# Config-wide property: any bound config ends in exit 0, 1 or 2, a failure
+# prints exactly one stderr line, and every valid row is a number in [0, 1].
+_EDGE = [0, 1, -1, 0.5, 2, 3.5, 10, 1e308, -1e308, 1e-300, 5e-324]
+# One draw in four is an edge value, the others are moderate.
+_NUMBER = st.integers(0, 3).flatmap(
+    lambda i: st.sampled_from(_EDGE) if i == 0 else st.floats(0.05, 5.0))
+_CHOICES = {
+    ("quad_wiener", "form"): ["exact_h", "log_form", "min_form"],
+    ("quad_wiener", "target"): ["lipschitz", "sup"],
+    ("quad_wiener_lower", "target"): ["inf_norm", "sup", "area"],
+    ("levy_area", "variant"): ["lipschitz", "euclid"],
+    ("stable_median", "variant"): ["general", "uniform", "sharp",
+                                   "near2_exp", "near2_log"],
+    ("two_regime", "variant"): ["third_moment", "fourth_moment"],
+}
+_MODEL_KEYS = {"stable": ["alpha", "sigma_total"],
+               "log_kernel": ["sigma_total"], "gauss_kernel": ["sigma_total"],
+               "levy_area": ["T"], "brownian_square_norm": ["T"],
+               "brownian_sample_variance": ["T"]}
+# The model variants each bound reads; configs mostly pair them.
+_ANY_MEASURE = ["stable", "log_kernel", "gauss_kernel", "levy_area",
+                "quadratic"]
+_PARTNERS = {"quad_wiener": ["quadratic"], "quad_wiener_lower": ["quadratic"],
+             "quad_euclid": ["quadratic"], "levy_area": ["levy_area"],
+             "stable_median": ["stable"], "id_lower": _ANY_MEASURE,
+             "median_linear": _ANY_MEASURE}
+
+
+@st.composite
+def _bound_config(draw):
+    name = draw(st.sampled_from(sorted(_BOUND_KEYS)))
+    bound = {"name": name}
+    for key in sorted(_BOUND_KEYS[name]):
+        if draw(st.integers(0, 3)):
+            choices = _CHOICES.get((name, key))
+            bound[key] = (draw(st.sampled_from(choices + ["other"]))
+                          if choices else draw(st.integers(1, 3))
+                          if key == "n" else draw(_NUMBER))
+    x_lo = draw(_NUMBER)
+    cfg = {"task": "bound", "bound": bound,
+           "grid": {"x_lo": x_lo, "x_hi": x_lo + draw(_NUMBER),
+                    "points": draw(st.integers(2, 5))}}
+    partners = _PARTNERS.get(name, [])
+    variant = draw(st.sampled_from(partners * 8 + ["none", *_MODEL_VARIANTS]))
+    if variant == "quadratic":
+        cfg["model"] = {"variant": variant,
+                        "eigs": draw(st.lists(_NUMBER | st.floats(-5.0, -0.01),
+                                              min_size=1, max_size=4))}
+    elif variant != "none":
+        cfg["model"] = {"variant": variant,
+                        **{k: draw(_NUMBER) for k in _MODEL_KEYS[variant]}}
+        if variant == "stable" and draw(st.integers(0, 3)):
+            cfg["model"]["alpha"] = draw(st.floats(0.1, 1.9))
+    return cfg
+
+
+def _probe(name, model=None, **params):
+    cfg = {"task": "bound", "bound": {"name": name, **params},
+           "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4}}
+    if model is not None:
+        cfg["model"] = model
+    return cfg
+
+
+_QUAD = {"variant": "quadratic", "eigs": [1.0, 0.5]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_bound_config())
+@example(cfg=_probe("two_regime", K=1e308, alpha2=1, alpha3=1e-300))
+@example(cfg=_probe("quad_wiener", _QUAD, lip_c=5e-324))
+@example(cfg=_probe("levy_area", {"variant": "levy_area", "T": 1e-300}))
+@example(cfg=_probe("quad_euclid", _QUAD, b=5e-324, mean_abs=1))
+@example(cfg=_probe("bennett", K=1e-300, alpha2=5e-324))
+@example(cfg=_probe("median_linear", {"variant": "stable", "alpha": 1.2,
+                                      "sigma_total": 1}, C=1, C_prime=5e-324))
+@example(cfg=_probe("median_linear", {"variant": "gauss_kernel",
+                                      "sigma_total": 1}, C=1, C_prime=10))
+@example(cfg=_probe("bennett", K=1e308, alpha2=1))
+@example(cfg=_probe("stable_median", {"variant": "stable", "alpha": 1.0,
+                                      "sigma_total": 1},
+                    variant="near2_log", b=3.5, epsilon=1))
+def test_any_bound_config_exits_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        cfg = {**cfg, "out": {"dir": str(run)}}
+        (Path(tmp) / "config.json").write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([str(Path(tmp) / "config.json")])
+        assert code in (0, 1, 2)
+        if code != 0:
+            lines = err.getvalue().strip().split("\n")
+            assert len(lines) == 1 and lines[0], err.getvalue()
+            return
+        _, rows = _read_csv(run / "bound_curve.csv")
+        assert len(rows) == cfg["grid"]["points"]
+        for row in rows:
+            assert len(row) == 4
+            value = float(row[1])
+            assert row[3] == "0" or (math.isfinite(value)
+                                     and 0.0 <= value <= 1.0)
 
 
 def test_execution_error_names_operation(tmp_path, capsys):

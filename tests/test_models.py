@@ -137,6 +137,24 @@ def test_inverse_gamma_out_of_range():
         m.inverse_gamma(m.Stable(1.0, 1.0), 1.5)
 
 
+def test_bracket_root_rules():
+    def solve(g, **kw):
+        return m._bracket_root(g, 1e-9, 1.0, xtol=1e-15, rtol=1e-12,
+                               failure=OutOfRange("no bracket"), **kw)
+
+    # Doubling brackets a root above 1, halving one below the start.
+    assert solve(lambda x: x - 3.0) == pytest.approx(3.0, rel=1e-12)
+    assert solve(lambda x: x - 1e-10, halvings=10) == pytest.approx(
+        1e-10, rel=1e-12)
+    # A level already passed at the lowest end returns that end.
+    assert solve(lambda x: 1.0, halvings=3) == 1e-9 / 8
+    # No bracket, or an overflowing evaluation: the caller's error.
+    with pytest.raises(OutOfRange, match="no bracket"):
+        solve(lambda x: -1.0, doublings=5)
+    with pytest.raises(OutOfRange, match="no bracket"):
+        solve(lambda x: math.expm1(1e3 * x) - 1e300)
+
+
 # ----------------------------------------------------------------------
 # truncated_abs_moment
 # ----------------------------------------------------------------------

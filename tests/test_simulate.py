@@ -175,6 +175,17 @@ LAYOUT_SAMPLERS = {
     "id_compound": lambda n: sim.sample_id_compound(
         m.QuadraticSpectral(eigs=(2.0, -0.7)), 1e-2, n, LAYOUT_RC,
         stream_id=54, keep_counts=True),
+    "id_compound_stable": lambda n: sim.sample_id_compound(
+        m.Stable(alpha=1.2, sigma_total=1.0), 0.5, n, LAYOUT_RC,
+        stream_id=57, center="mean"),
+    "id_compound_area": lambda n: sim.sample_id_compound(
+        m.LevyArea(T=math.pi), 0.5, n, LAYOUT_RC, stream_id=58,
+        gauss_smalljump=True),
+    "id_compound_log": lambda n: sim.sample_id_compound(
+        m.LogKernel(sigma_total=1.0), 0.5, n, LAYOUT_RC, stream_id=59),
+    "id_compound_gauss": lambda n: sim.sample_id_compound(
+        m.GaussKernel(sigma_total=1.0), 0.5, n, LAYOUT_RC, stream_id=60,
+        center="none"),
 }
 
 # First and last three entries of values.ravel() for three full blocks
@@ -190,6 +201,18 @@ FROZEN = {
     "id_compound": (
         [3.7385274077459982, 4.924946980379704, 0.5947427487997874],
         [-0.14444145824459706, 0.7451289886956374, 1.3137478613221445]),
+    "id_compound_area": (
+        [-0.4348945387947991, 0.18597945153895998, -0.5838241501715329],
+        [1.3350781184383196, -0.9345703573288116, -1.1143317998258626]),
+    "id_compound_gauss": (
+        [0.0, -0.7370584992757859, 2.339045373463544],
+        [2.3243501784853198, 16.61090597397234, 0.0]),
+    "id_compound_log": (
+        [0.5537169472860133, -22.549413009120148, 0.0],
+        [-0.027256886422888704, -7.6646419657838925, 0.5744828377597332]),
+    "id_compound_stable": (
+        [0.0, -0.01581329271135612, -3.6782703744157677],
+        [0.0, 2.053379341440027, 9.713485387643797]),
     "levy_area": (
         [-3.415278498592648, -2.211324796589573, 0.5751326746735981],
         [-1.3056480660267065, -0.6581978714212489, -0.9362018544704593]),
@@ -683,11 +706,11 @@ def test_compound_radial_inverse_table_round_trip():
     ]
     for model, eps in cases:
         lam = m.tail_mass(model, eps)
-        log_y, log_m = sim._radial_inverse_table(
+        log_y, log_m = m._radial_inverse_table(
             lambda r: float(m.tail_mass(model, r)), eps, lam)
         y_true = np.geomspace(eps * 1.01, 50.0, 40)
         targets = np.array([m.tail_mass(model, y) for y in y_true])
-        y_back = sim._invert_radial(log_y, log_m, targets)
+        y_back = m._invert_radial(log_y, log_m, targets)
         assert np.max(np.abs(y_back / y_true - 1.0)) < 5e-4, type(model).__name__
 
 
