@@ -22,6 +22,7 @@ The config file is one JSON object.  Recognized keys:
     grid    {"x_lo": float, "x_hi": float, "points": int}
             (deviation units; verify audits are capped at 20 points)
     mc      {"count": int, "steps": int, "seed": int, "stream": int}
+            (count is capped at 10**8)
     out     {"dir": str}
     run     inner task of a sweep ("bound" | "simulate" | "verify")
     over    {"dotted.path": [values, ...]} sweep axes (Cartesian product),
@@ -94,6 +95,9 @@ _TASKS = ("bound", "simulate", "verify", "sweep")
 _TOP_KEYS = {"task", "model", "bound", "grid", "mc", "out", "run", "over"}
 _MAX_SWEEP_CELLS = 1000
 _MAX_BOUND_POINTS = 100_000
+# 10x the largest Monte-Carlo count the acceptance runs use; 8e8 bytes of
+# draws, so a larger count ends in a ConfigError, not a MemoryError.
+_MAX_COUNT = 10 ** 8
 _MISSING = object()
 
 
@@ -387,8 +391,12 @@ def _parse_grid(cfg: dict, audit: bool) -> np.ndarray:
 def _parse_mc(cfg: dict) -> dict:
     mc = _section(cfg, "mc", required=True)
     _check_keys(mc, {"count", "steps", "seed", "stream"}, "mc")
+    count = _int(mc, "count", "mc", minimum=1)
+    if count > _MAX_COUNT:
+        raise ConfigError(
+            f"mc.count: capped at {_MAX_COUNT}, got {count}")
     return {
-        "count": _int(mc, "count", "mc", minimum=1),
+        "count": count,
         "steps": _int(mc, "steps", "mc", default=None, minimum=1),
         "seed": _int(mc, "seed", "mc", default=0, minimum=0),
         "stream": _int(mc, "stream", "mc", default=0, minimum=0),

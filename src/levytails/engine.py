@@ -106,8 +106,9 @@ class TailBound:
         """Evaluate on a grid, never raising for out-of-range points.
 
         Returns (bound, regime, valid) arrays/lists of the grid's length.
-        Points outside the range, points whose evaluation raises
-        OutOfRange, and points whose value is not a finite number in
+        Points outside the range, points whose pointwise evaluation raises
+        OutOfRange or an ArithmeticError (a division by zero or an overflow
+        inside the formula), and points whose value is not a finite number in
         [0, 1] get the trivial value (1 for upper bounds, 0 for lower
         bounds), regime "out_of_range" and valid=False.
         """
@@ -118,7 +119,7 @@ class TailBound:
             out[inside] = self.grid_fn(xs[inside])
         else:
             for i in np.flatnonzero(inside):
-                with suppress(OutOfRange):
+                with suppress(OutOfRange, ArithmeticError):
                     out[i] = self.fn(float(xs[i]))
         valid = inside & np.isfinite(out) & (out >= 0.0) & (out <= 1.0)
         out[~valid] = 1.0 if self.direction == "upper" else 0.0

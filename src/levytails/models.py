@@ -180,6 +180,8 @@ class LogKernel(_Radial):
 
     def tail_mass(self, R: float) -> float:
         # antiderivative of log(r)/r^2 is -(1 + log r)/r
+        if math.isinf(R):
+            return 0.0
         if R >= 1.0:
             return self.sigma_total * (1.0 + math.log(R)) / R
         return self.sigma_total * (2.0 - (1.0 + math.log(R)) / R)
@@ -187,6 +189,8 @@ class LogKernel(_Radial):
     def gamma_envelope(self, R: float) -> float:
         # 2 sigma log(R)/R, flattened at its maximum R = e so it stays
         # nonincreasing, and never below the exact probability.
+        if math.isinf(R):
+            return 0.0
         r_eff = max(R, math.e)
         return max(2.0 * self.sigma_total * math.log(r_eff) / r_eff,
                    super().gamma_envelope(R))
@@ -363,6 +367,8 @@ class LevyArea(_LevyMeasure):
 
     def tail_mass(self, R: float) -> float:
         # int_R^inf dy/(y sinh(pi y/T)) through y = R/u onto (0, 1]
+        if math.isinf(R):
+            return 0.0
         T = self.T
         return _quad(lambda u: (_inv_sinh(math.pi * (R / u) / T) / (R / u)
                                 * R / (u * u)), 0.0, 1.0)

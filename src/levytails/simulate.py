@@ -11,7 +11,8 @@ Samplers
 --------
 ``sample_chaos2``
     second-chaos series  F = (1/2) sum_k a_k (Z_k^2 - 1)  truncated to N
-    eigenvalues, with a remainder guard when the spectrum carries one.
+    eigenvalues, with a remainder guard when the spectrum carries one; the
+    smallest eigenvalues (at most 1e-6 of the energy) share one Gaussian.
 ``sample_brownian_quadratic``
     trapezoidal discretizations of the centered quadratic Brownian
     functionals  int_0^T B^2 dt - T^2/2  and  int_0^T (B - Bbar)^2 dt - T^2/6.
@@ -363,6 +364,35 @@ def _fill_blocks(gen, count: int, block: int, fill) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Share of the retained spectral energy sum a^2 that sample_chaos2 leaves to
+# one moment-matched Gaussian column.  It is relative, so the split does not
+# depend on the scale of the spectrum, and like _BLOCK it is part of the law
+# drawn, so it is a constant, not an option.
+_GAUSS_TAIL = 1e-6
+
+
+def _split_gauss_tail(a: np.ndarray):
+    """Split nonzero eigenvalues into those drawn exactly and a Gaussian.
+
+    The carried ones are the longest run of the smallest |a| (stable sort)
+    whose summed a^2 is at most ``_GAUSS_TAIL`` times that of all of them;
+    (1/2) sum a_k (Z_k^2 - 1) over them is replaced by N(0, (1/2) sum a_k^2),
+    which matches its mean and variance.  Returns the exact eigenvalues in
+    index order, the Gaussian's standard deviation and the carried sum a^2.
+    """
+    if a.size == 0:
+        return a, 0.0, 0.0
+    a_max = float(np.max(np.abs(a)))
+    order = np.argsort(np.abs(a), kind="stable")
+    energy = np.cumsum(np.square(a[order] / a_max))    # scaled: no overflow
+    n_carried = int(np.searchsorted(energy, _GAUSS_TAIL * energy[-1],
+                                    side="right"))
+    if n_carried == 0:
+        return a, 0.0, 0.0
+    root = a_max * math.sqrt(float(energy[n_carried - 1]))   # sqrt(sum a^2)
+    return np.delete(a, order[:n_carried]), root * math.sqrt(0.5), root * root
+
+
 def sample_chaos2(eigs, count, rng, *, N: int | None = None, stream_id: int = 0,
                   remainder_tol: float = 1e-6) -> SampleBatch:
     """Draw the truncated second-chaos series (1/2) sum_{k<=N} a_k (Z_k^2 - 1).
@@ -373,6 +403,12 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None, stream_id: int = 0,
     eigenvalues dropped by ``N``) must stay below ``remainder_tol`` or
     :class:`TruncationTooCoarse` is raised.  Zero eigenvalues contribute
     exactly zero and consume no random variates.
+
+    The smallest eigenvalues that hold at most ``_GAUSS_TAIL`` of the
+    retained sum a^2 are carried by one N(0, (1/2) sum a^2) column, which
+    each block draws first; the others are drawn exactly, one normal each,
+    in index order.  ``meta`` records ``n_exact`` and the carried sum a^2
+    as ``gauss_sq``.
     """
     count = _check_count(count)
     # A QuadraticSpectral guards its stored tail energy; a sequence has none.
@@ -396,13 +432,20 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None, stream_id: int = 0,
             f"remainder_tol={remainder_tol:.3e}"
         )
     gen, seed = _resolve_rng(rng, stream_id)
-    half_a = 0.5 * a[a != 0.0]
+    nonzero = a[a != 0.0]
+    exact, gauss_sd, gauss_sq = _split_gauss_tail(nonzero)
+    half_a = 0.5 * exact
+    carries = exact.size < nonzero.size
 
     vals = np.empty(count, dtype=np.float64)
 
     def fill(g, rows):
         out = vals[rows]
-        out[:] = 0.0
+        if carries:
+            g.standard_normal(out=out)
+            out *= gauss_sd
+        else:
+            out[:] = 0.0
         z = np.empty(out.size, dtype=np.float64)
         for h in half_a:
             g.standard_normal(out=z)
@@ -416,6 +459,8 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None, stream_id: int = 0,
     meta = {
         "sampler": "chaos2",
         "n_eigs": int(a.size),
+        "n_exact": int(half_a.size),
+        "gauss_sq": gauss_sq,
         "remainder_sq": remainder,
         "centering": "mean",
         "replicate": 0,

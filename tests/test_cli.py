@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from levytails import load_batch
+from levytails import cli, load_batch
 from levytails.cli import _BOUND_KEYS, _MODEL_VARIANTS, main
 
 
@@ -132,6 +132,28 @@ def test_bound_grid_cap_enforced(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("task, flags", [
+    ("simulate", ()), ("verify", ()), ("simulate", ("--count", "100000001"))])
+def test_mc_count_cap_enforced(tmp_path, capsys, monkeypatch, task, flags):
+    # Validation must reject the count before any sampler allocates it.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampler called")
+
+    for name in ("sample_chaos2", "sample_levy_area", "sample_stable",
+                 "sample_brownian_quadratic"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    cfg = {"task": task, "model": {"variant": "quadratic", "eigs": [1.0]},
+           "bound": {"name": "quad_wiener"},
+           "grid": {"x_lo": 0.5, "x_hi": 2.0, "points": 4},
+           "mc": {"count": cli._MAX_COUNT + 1 if not flags else 10},
+           "out": {"dir": str(tmp_path / "run")}}
+    assert cli._MAX_COUNT == 10 ** 8
+    assert _run(tmp_path, cfg, *flags) == 1
+    err = capsys.readouterr().err
+    assert "mc.count" in err and len(err.strip().split("\n")) == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("bound, model", [
     ({"name": "bennett", "K": math.inf, "alpha2": 1.0}, None),
     ({"name": "quad_wiener", "form": "log_form"},
@@ -233,6 +255,17 @@ def test_exact_h_bound_rows_have_four_fields(tmp_path):
     assert all(r[2] == "entropy" and r[3] == "1" for r in rows)
 
 
+def test_bound_point_arithmetic_error_is_invalid_row(tmp_path):
+    # alpha2/(K K) divides by zero at every point of this Bennett bound.
+    cfg = {"task": "bound", "bound": {"name": "bennett", "K": 1e-300,
+                                      "alpha2": 5e-324},
+           "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4},
+           "out": {"dir": str(tmp_path / "run")}}
+    assert _run(tmp_path, cfg) == 0
+    _, rows = _read_csv(tmp_path / "run" / "bound_curve.csv")
+    assert len(rows) == 4 and all(r[3] == "0" for r in rows)
+
+
 # Config-wide property: any bound config ends in exit 0, 1 or 2, a failure
 # prints exactly one stderr line, and every valid row is a number in [0, 1].
 _EDGE = [0, 1, -1, 0.5, 2, 3.5, 10, 1e308, -1e308, 1e-300, 5e-324]
@@ -289,6 +322,24 @@ def _bound_config(draw):
     return cfg
 
 
+def _exits_cleanly(cfg, tmp):
+    """Run cfg with its output under tmp: exit 0, 1 or 2, and exactly one
+    stderr line unless 0.  Returns the output directory on exit 0."""
+    run = tmp / "run"
+    (tmp / "config.json").write_text(
+        json.dumps({**cfg, "out": {"dir": str(run)}}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([str(tmp / "config.json")])
+    assert code in (0, 1, 2)
+    if code == 0:
+        return run
+    lines = err.getvalue().strip().split("\n")
+    assert len(lines) == 1 and lines[0], err.getvalue()
+    return None
+
+
 def _probe(name, model=None, **params):
     cfg = {"task": "bound", "bound": {"name": name, **params},
            "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4}}
@@ -318,17 +369,8 @@ _QUAD = {"variant": "quadratic", "eigs": [1.0, 0.5]}
                     variant="near2_log", b=3.5, epsilon=1))
 def test_any_bound_config_exits_cleanly(cfg):
     with tempfile.TemporaryDirectory() as tmp:
-        run = Path(tmp) / "run"
-        cfg = {**cfg, "out": {"dir": str(run)}}
-        (Path(tmp) / "config.json").write_text(json.dumps(cfg))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = main([str(Path(tmp) / "config.json")])
-        assert code in (0, 1, 2)
-        if code != 0:
-            lines = err.getvalue().strip().split("\n")
-            assert len(lines) == 1 and lines[0], err.getvalue()
+        run = _exits_cleanly(cfg, Path(tmp))
+        if run is None:
             return
         _, rows = _read_csv(run / "bound_curve.csv")
         assert len(rows) == cfg["grid"]["points"]
@@ -337,6 +379,62 @@ def test_any_bound_config_exits_cleanly(cfg):
             value = float(row[1])
             assert row[3] == "0" or (math.isfinite(value)
                                      and 0.0 <= value <= 1.0)
+
+
+# The same property for simulate configs: every model variant (quadratic
+# through explicit eigenvalues or a generator at N = 3 and N = 500), counts up
+# to 2000 and the edge numbers.
+_SUMMARY_KEYS = {"task", "config", "count", "seed", "stream_id", "mean", "se",
+                 "min", "max", "meta"}
+
+
+@st.composite
+def _simulate_config(draw):
+    variant = draw(st.sampled_from(_MODEL_VARIANTS))
+    model = {"variant": variant}
+    if variant == "quadratic" and draw(st.booleans()):
+        model["eigs"] = draw(st.lists(_NUMBER | st.floats(-5.0, -0.01),
+                                      min_size=1, max_size=4))
+    elif variant == "quadratic":
+        model["generator"] = {
+            "kind": draw(st.sampled_from(["energy", "centered"])),
+            "T": draw(_NUMBER), "N": draw(st.sampled_from([3, 500])),
+            "convention": draw(st.sampled_from(["spectral", "pathwise"]))}
+    else:
+        model.update({k: draw(_NUMBER) for k in _MODEL_KEYS[variant]})
+        if variant == "stable" and draw(st.integers(0, 3)):
+            model["alpha"] = draw(st.floats(0.1, 1.9))
+    mc = {"count": draw(st.sampled_from([1, 2, 2000])
+                        | st.integers(1, 2000)),
+          "seed": draw(st.sampled_from([0, 2 ** 64 - 1, 2 ** 64])
+                       | st.integers(0, 10 ** 6))}
+    if draw(st.integers(0, 3)):
+        mc["steps"] = draw(st.integers(1, 64))
+    return {"task": "simulate", "model": model, "mc": mc}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_simulate_config())
+@example(cfg={"task": "simulate", "mc": {"count": 2000, "steps": 8},
+              "model": {"variant": "quadratic", "generator": {
+                  "kind": "centered", "T": 1e-300, "N": 500}}})
+@example(cfg={"task": "simulate", "mc": {"count": 10},
+              "model": {"variant": "quadratic", "eigs": [1e308, 1e-300]}})
+def test_any_simulate_config_exits_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = _exits_cleanly(cfg, Path(tmp))
+        if run is None:
+            return
+        summary = json.loads((run / "simulate_summary.json").read_text())
+        assert set(summary) == _SUMMARY_KEYS
+        assert summary["count"] == cfg["mc"]["count"]
+        meta = summary["meta"]
+        if cfg["model"]["variant"] == "quadratic":
+            assert 0 <= meta["n_exact"] <= meta["n_eigs"]
+            assert meta["gauss_sq"] >= 0.0
+            assert (meta["gauss_sq"] > 0.0) <= (meta["n_exact"]
+                                               < meta["n_eigs"])
 
 
 def test_execution_error_names_operation(tmp_path, capsys):

@@ -272,6 +272,21 @@ def test_grid_never_flags_bad_values_valid():
         assert regimes[1:] == ["out_of_range"] * 4
 
 
+def test_pointwise_arithmetic_error_marks_point_invalid():
+    def fn(x):
+        if x == 1.0:
+            raise ZeroDivisionError("float division by zero")
+        if x == 1.5:
+            raise OverflowError("math range error")
+        return 0.25
+
+    vals, regimes, valid = TailBound(name="t", fn=fn).evaluate_grid(
+        [0.5, 1.0, 1.5, 2.0])
+    assert valid.tolist() == [True, False, False, True]
+    assert vals.tolist() == [0.25, 1.0, 1.0, 0.25]
+    assert regimes[1:3] == ["out_of_range"] * 2
+
+
 def test_grid_invalidates_points_above_failed_segment():
     # h_sup is declared infinite but h saturates at 1 before t_end = 5,
     # so h^{-1} is undefined above h(5-) ~ 0.993: those points, and only

@@ -39,6 +39,15 @@ def test_tail_mass_vanishes_at_infinity():
         assert m.tail_mass(mod, 1e12) < 1e-6
 
 
+@pytest.mark.parametrize("mod", [
+    m.Stable(0.7, 2.0), m.LogKernel(1.0), m.GaussKernel(1.0),
+    m.QuadraticSpectral((1.0, -0.5)), m.LevyArea(math.pi), m.LevyArea(0.7),
+    m.BoundedSupport(2.0, {2: 1.0})], ids=lambda mod: type(mod).__name__)
+def test_tail_mass_and_envelope_zero_at_infinite_radius(mod):
+    assert m.tail_mass(mod, math.inf) == 0.0
+    assert m.gamma_envelope(mod, math.inf) == 0.0
+
+
 def test_levy_area_tail_mass_against_blind_quadrature():
     mod = m.LevyArea(T=math.pi)
     oracle, err = integrate.quad(

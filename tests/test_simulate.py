@@ -166,6 +166,8 @@ BROWNIAN_BLOCK = 2 ** 20 // 128          # paths per block at 128 steps
 LAYOUT_SAMPLERS = {
     "chaos2": lambda n: sim.sample_chaos2([2.0, -1.0, 0.5], n, LAYOUT_RC,
                                           stream_id=50),
+    "chaos2_energy": lambda n: sim.sample_chaos2(
+        m.chaos_eigenvalues("energy", 1.0, 500), n, LAYOUT_RC, stream_id=61),
     "brownian": lambda n: sim.sample_brownian_quadratic(
         "sample_variance", 1.0, 128, n, LAYOUT_RC, stream_id=51),
     "levy_area": lambda n: sim.sample_levy_area(math.pi, 1024, n, LAYOUT_RC,
@@ -198,6 +200,9 @@ FROZEN = {
     "chaos2": (
         [-1.1295235439452607, -0.831620658790102, -0.6910314221933088],
         [-0.07536845112105647, -0.43912456962074037, 2.2963717551054654]),
+    "chaos2_energy": (
+        [-0.004479057576629168, -0.19668584448221346, 0.9161505622804674],
+        [0.03655051458360655, 0.30012784690642064, -0.19510067131395212]),
     "id_compound": (
         [3.7385274077459982, 4.924946980379704, 0.5947427487997874],
         [-0.14444145824459706, 0.7451289886956374, 1.3137478613221445]),
@@ -353,6 +358,47 @@ def test_chaos2_n_truncation():
         sim.sample_chaos2(spec, 10, RC, N=2)
     batch = sim.sample_chaos2([1.0, 0.5, 0.25], 10, RC, N=2)
     assert batch.meta["n_eigs"] == 2
+
+
+@pytest.mark.parametrize("kind, T, N, n_exact", [
+    ("energy", 1.0, 500, 28), ("energy", 0.01, 500, 28),
+    ("centered", 1.0, 400, 67)])
+@pytest.mark.parametrize("convention", ["spectral", "pathwise"])
+def test_chaos2_gaussian_tail_split(kind, T, N, n_exact, convention):
+    # The smallest eigenvalues holding at most 1e-6 of sum a^2 share one
+    # Gaussian; the split is relative, so T does not move it.
+    spec = m.chaos_eigenvalues(kind, T, N, convention=convention)
+    meta = sim.sample_chaos2(spec, 10, RC, stream_id=17).meta
+    a = np.asarray(spec.eigs)
+    by_size = np.sort(np.abs(a))
+    carried_sq = np.sum(by_size[:N - n_exact] ** 2)
+    budget = sim._GAUSS_TAIL * np.sum(a ** 2)
+    assert meta["n_eigs"] == N and meta["n_exact"] == n_exact
+    assert meta["gauss_sq"] == pytest.approx(carried_sq, rel=1e-12)
+    assert carried_sq <= budget < carried_sq + by_size[N - n_exact] ** 2
+
+
+@pytest.mark.parametrize("eigs", [[2.0, -1.0, 0.5], [1e-4], [1.0, 0.0, 2e-3],
+                                  [1e308, -1e308]])
+def test_chaos2_short_spectra_carry_nothing(eigs):
+    meta = sim.sample_chaos2(eigs, 10, RC, stream_id=18).meta
+    assert meta["n_exact"] == np.count_nonzero(eigs)
+    assert meta["gauss_sq"] == 0.0
+
+
+def test_chaos2_gaussian_column_drawn_first():
+    # One dominant eigenvalue and 1000 tiny ones: block b draws the
+    # N(0, (1/2) sum a^2) column from child b first, then the exact one.
+    n = sim._BLOCK + 10
+    batch = sim.sample_chaos2([1.0] + [1e-6] * 1000, n, RC, stream_id=19)
+    assert batch.meta["n_exact"] == 1
+    assert batch.meta["gauss_sq"] == pytest.approx(1e-9, rel=1e-12)
+    ref = []
+    for child, size in zip(RC.stream(19).spawn(2), (sim._BLOCK, 10)):
+        gauss = child.standard_normal(size) * math.sqrt(0.5e-9)
+        ref.append(gauss + 0.5 * (np.square(child.standard_normal(size)) - 1))
+    np.testing.assert_allclose(batch.values, np.concatenate(ref),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_chaos2_deterministic():
