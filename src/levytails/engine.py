@@ -9,9 +9,17 @@ The same exponent arises as the Chernoff infimum
 
     inf_{0 < t < t_end} ( int_0^t h(u) du - t x ),
 
-and the two routes are kept numerically independent here (pointwise
-inversion + quadrature of h^{-1} on one side; root of h(t) = x + quadrature
-of h on the other) so that their agreement is a genuine cross-check.
+and the engine computes it along two numerically independent routes:
+
+* the Legendre route (tail_bound_from_h, scalar and grid, and
+  chernoff_min): one root t* of h(t*) = x per point, then
+  int_0^x h^{-1} = int_0^{t*} (x - h(u)) du, a quadrature of h itself
+  with a nonnegative integrand; on a grid each root is bracketed from the
+  previous one and the integral is accumulated segment by segment;
+* the inverse route (entropy_integral, evaluate_entropy_grid): quadrature
+  of the pointwise inverse h^{-1}, one cold root solve per node. It is
+  slower and serves as the reference the Legendre route is checked
+  against.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -19,9 +27,9 @@ All functions are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,10 +55,6 @@ _QUAD_REL_TOL = 1e-11
 _QUAD_ABS_FLOOR = 1e-14
 _MAX_EVALS = 2 ** 20
 _BRACKET_T0 = 1e-12
-# Bracket-memo size cap (see _InverseEvaluator): insort is O(n) per
-# insert, so an unbounded memo would degrade pathological quadratures
-# from linear to quadratic cost.
-_MEMO_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,10 @@ class TailBound:
     meta carries auxiliary information for verification (e.g. the shift
     added to the center, or transform="abs" for norm-type bounds).
     grid_fn, when set, evaluates an array of in-range points at once
-    (NaN where a point fails); engine-backed bounds use it to share one
-    entropy integral across the grid. Without it, fn runs point by point.
+    (NaN where a point fails); engine-backed bounds use it to walk the
+    sorted grid on the Legendre route, each root solve bracketed from the
+    previous point's and the entropy integral summed segment by segment.
+    Without it, fn runs point by point.
     """
 
     name: str
@@ -198,85 +204,42 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> float:
 # Inversion
 # ----------------------------------------------------------------------
 
-class _InverseEvaluator:
-    """Pointwise h^{-1} with bracket memoization.
+def _solve_inverse(h: HFunction, s: float, lo: float) -> float:
+    """Root of h(t) = s above lo, bracketed by expanding upward from lo.
 
-    Successive queries (as issued by adaptive quadrature) are strongly
-    clustered, so remembering every solved pair (s, t) and bracketing new
-    queries between the nearest solved neighbours makes each brentq call
-    converge in a handful of iterations. Results are identical to cold
-    invert_h calls: same root problem, same tolerances.
-    """
-
-    def __init__(self, h: HFunction):
-        self.h = h
-        self._s: list[float] = []   # sorted solved ordinates
-        self._t: dict[float, float] = {}
-
-    def __call__(self, s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        s = _level(self.h, s, "s")
-        t = self._t.get(s)
-        if t is not None:
-            return t
-        if len(self._s) >= _MEMO_CAP:
-            self._s.clear()
-            self._t.clear()
-        i = bisect_left(self._s, s)
-        lo = self._t[self._s[i - 1]] if i > 0 else 0.0
-        hi = self._t[self._s[i]] if i < len(self._s) else None
-        t = _solve_inverse(self.h, s, lo, hi)
-        insort(self._s, s)
-        self._t[s] = t
-        return t
-
-
-def _solve_inverse(h: HFunction, s: float, lo: float,
-                   hi: float | None) -> float:
-    """Root of h(t) = s on (lo, hi), expanding the bracket if hi is None.
-
-    lo must satisfy h(lo) <= s (lo = 0 always works since h(0) = 0).
+    lo should satisfy h(lo) <= s (lo = 0 always works since h(0) = 0).
     Monotonicity is spot-checked during expansion: a decrease of more than
     1e-9 between successive probes raises NonMonotone.
     """
-    if hi is None:
-        t = max(_BRACKET_T0, lo * 2.0 if lo > 0 else _BRACKET_T0)
-        prev_t, prev_v = lo, h(lo) if lo > 0 else 0.0
-        while True:
-            if h.t_end < math.inf and t >= h.t_end:
-                t = 0.5 * (prev_t + h.t_end)
-            v = h(t)
-            if v < prev_v - _MONOTONE_SLACK:
-                raise NonMonotone(
-                    f"h({t!r}) = {v!r} < h({prev_t!r}) = {prev_v!r} - 1e-9")
-            if v >= s:
-                lo, hi = prev_t, t
-                break
-            prev_t, prev_v = t, v
-            if h.t_end < math.inf:
-                t = 0.5 * (t + h.t_end)
-                if h.t_end - t <= 1e-15 * h.t_end:
-                    raise OutOfRange(
-                        f"h(t) stays below s={s!r} up to t_end={h.t_end!r}")
-            else:
-                t *= 2.0
-                if t > 1e300:
-                    raise OutOfRange(
-                        f"h(t) stays below s={s!r} for t up to 1e300")
-    if hi <= lo:
-        return hi
-    f_lo = (h(lo) if lo > 0 else 0.0) - s
-    f_hi = h(hi) - s
-    if f_lo > 0.0:
-        # A memoized neighbour can overshoot by its root tolerance when two
+    t = max(_BRACKET_T0, 2.0 * lo)
+    prev_t, prev_v = lo, h(lo) if lo > 0 else 0.0
+    while True:
+        if h.t_end < math.inf and t >= h.t_end:
+            t = 0.5 * (prev_t + h.t_end)
+        v = h(t)
+        if v < prev_v - _MONOTONE_SLACK:
+            raise NonMonotone(
+                f"h({t!r}) = {v!r} < h({prev_t!r}) = {prev_v!r} - 1e-9")
+        if v >= s:
+            break
+        prev_t, prev_v = t, v
+        if h.t_end < math.inf:
+            t = 0.5 * (t + h.t_end)
+            if h.t_end - t <= 1e-15 * h.t_end:
+                raise OutOfRange(
+                    f"h(t) stays below s={s!r} up to t_end={h.t_end!r}")
+        else:
+            t *= 2.0
+            if t > 1e300:
+                raise OutOfRange(
+                    f"h(t) stays below s={s!r} for t up to 1e300")
+    if v == s:
+        return t
+    if prev_v > s:
+        # A previous root can overshoot by its root tolerance when two
         # ordinates are extremely close; restart from the safe left end.
-        lo, f_lo = 0.0, -s
-    if f_hi < 0.0:
-        return _solve_inverse(h, s, hi, None)
-    if f_hi == 0.0:
-        return hi
-    return float(brentq(lambda t: h(t) - s, lo, hi,
+        prev_t = 0.0
+    return float(brentq(lambda u: h(u) - s, prev_t, t,
                         xtol=_INVERT_XTOL, rtol=_INVERT_RTOL))
 
 
@@ -296,40 +259,61 @@ def invert_h(h: HFunction, s: float) -> float:
     Requires 0 < s < h.h_sup; raises OutOfRange otherwise, and NonMonotone
     if bracketing observes h decreasing by more than 1e-9.
     """
-    return _solve_inverse(h, _level(h, s, "s"), 0.0, None)
+    return _solve_inverse(h, _level(h, s, "s"), 0.0)
 
 
 # ----------------------------------------------------------------------
 # Entropy integral and Chernoff minimum
 # ----------------------------------------------------------------------
 
-def entropy_integral(h: HFunction, x: float,
-                     _inv: _InverseEvaluator | None = None) -> float:
+def entropy_integral(h: HFunction, x: float) -> float:
     """int_0^x h^{-1}(s) ds by adaptive Gauss-Kronrod on the pointwise inverse.
 
-    Requires 0 < x < h.h_sup. The integrand is evaluated through invert_h
-    (with bracket memoization); the quadrature itself is the hand-rolled
-    adaptive Gauss-Kronrod 7-15 with a budget of 2^20 evaluations.
+    Requires 0 < x < h.h_sup. The inverse route, kept as the reference for
+    the Legendre route of tail_bound_from_h and chernoff_min: every
+    quadrature node is one cold invert_h solve; the quadrature itself is
+    the hand-rolled adaptive Gauss-Kronrod 7-15 with a budget of 2^20
+    evaluations.
     """
-    inv = _inv if _inv is not None else _InverseEvaluator(h)
-    return _gauss_kronrod(inv, 0.0, _level(h, x, "x"))
+    return _gauss_kronrod(partial(_inverse_node, h), 0.0, _level(h, x, "x"))
+
+
+def _inverse_node(h: HFunction, s: float) -> float:
+    """h^{-1}(s) at a quadrature node (0 where a denormal node rounds to 0)."""
+    return invert_h(h, s) if s > 0.0 else 0.0
+
+
+def _legendre_step(h: HFunction, x: float, x_prev: float,
+                   t_prev: float) -> tuple[float, float]:
+    """The root t = h^{-1}(x) and the increment int_{x_prev}^x h^{-1}.
+
+    t_prev = h^{-1}(x_prev) (0 for x_prev = 0) brackets the root solve,
+    and the increment is summed as
+
+        (x - x_prev) t_prev + int_{t_prev}^t (x - h(u)) du,
+
+    whose terms are nonnegative for any nondecreasing h, convex or not,
+    so nothing cancels. Raises OutOfRange when h stays below x.
+    """
+    t = _solve_inverse(h, x, t_prev)
+    return t, (x - x_prev) * t_prev + _gauss_kronrod(lambda u: x - h(u),
+                                                     t_prev, t)
 
 
 def chernoff_min(h: HFunction, x: float) -> float:
     """min over t in (0, t_end) of int_0^t h(u) du - t*x.
 
-    For x < h_sup the minimizer solves h(t) = x; the minimum is then the
-    quadrature of h up to that root minus t*x. For x >= h_sup the infimum
-    is approached at t -> t_end: with t_end = +inf it is -inf (returned as
-    a float, not raised); with finite t_end it is the boundary value.
-    The result is always <= 0 (t -> 0 gives 0).
+    For x < h_sup the minimizer solves h(t) = x, and the minimum is minus
+    int_0^t (x - h(u)) du (the one-point case of the Legendre route). For
+    x >= h_sup the infimum is approached at t -> t_end: with t_end = +inf
+    it is -inf (returned as a float, not raised); with finite t_end it is
+    the boundary value. The result is always <= 0 (t -> 0 gives 0).
     """
     x = float(x)
     if not (x > 0.0):
         raise OutOfRange(f"x must be positive, got {x!r}")
     if x < h.h_sup:
-        t_star = invert_h(h, x)
-        return min(_gauss_kronrod(h, 0.0, t_star) - t_star * x, 0.0)
+        return min(-_legendre_step(h, x, 0.0, 0.0)[1], 0.0)
     if math.isinf(h.t_end):
         # h is bounded by h_sup <= x, so the objective decays at least
         # linearly with slope h_sup - x <= 0; the infimum is -inf whenever
@@ -351,24 +335,24 @@ def chernoff_min(h: HFunction, x: float) -> float:
     return min(_gauss_kronrod(h, 0.0, t_edge) - t_edge * x, 0.0)
 
 
-def _entropy_segments(inv: _InverseEvaluator, xs: np.ndarray) -> np.ndarray:
+def _legendre_grid(h: HFunction, xs: np.ndarray) -> np.ndarray:
     """int_0^x h^{-1} at every x of xs (any order, duplicates allowed).
 
-    Sums the integral segment by segment over the sorted points, each at
-    entropy_integral's relative tolerance; the segments are nonnegative,
-    so relative errors do not grow. The point whose segment raises
-    OutOfRange, and every point above it, get NaN.
+    Walks the sorted points with _legendre_step, each root bracketed from
+    the previous one, and sums the nonnegative increments. The point whose
+    root solve raises OutOfRange, and every point above it, get NaN.
     """
     totals = np.full(xs.size, np.nan)
-    acc = prev = 0.0
+    acc = x_prev = t_prev = 0.0
     for i in np.argsort(xs, kind="stable"):
         x = float(xs[i])
-        if x > prev:
+        if x > x_prev:
             try:
-                acc += _gauss_kronrod(inv, prev, x)
+                t_prev, step = _legendre_step(h, x, x_prev, t_prev)
             except OutOfRange:
                 break
-            prev = x
+            acc += step
+            x_prev = x
         totals[i] = acc
     return totals
 
@@ -378,28 +362,29 @@ def tail_bound_from_h(h: HFunction) -> TailBound:
 
     center="mean", direction="upper", validity (0, h_sup), regime
     "entropy" (a label free of commas, unlike the names callers give the
-    bound). A scalar call integrates from 0; evaluate_grid sums the
-    integral segment by segment over the sorted grid. Both share one
-    memoized inverse.
+    bound). Both the scalar fn (exp of chernoff_min) and evaluate_grid
+    take the Legendre route: one root solve per point; the grid brackets
+    each root from the previous point's and sums the integral segment by
+    segment.
     """
-    inv = _InverseEvaluator(h)
     return TailBound(
         name=f"entropy[{h.name}]",
-        fn=lambda x: math.exp(-entropy_integral(h, x, _inv=inv)),
+        fn=lambda x: math.exp(chernoff_min(h, _level(h, x, "x"))),
         center="mean",
         direction="upper",
         valid_lo=0.0,
         valid_hi=h.h_sup,
         regime_fn=lambda x: "entropy",
         meta={"h_name": h.name},
-        grid_fn=lambda xs: np.exp(-_entropy_segments(inv, xs)),
+        grid_fn=lambda xs: np.exp(-_legendre_grid(h, xs)),
     )
 
 
 def evaluate_entropy_grid(h: HFunction, xs: Sequence[float]) -> np.ndarray:
     """Entropy integrals int_0^{x_i} h^{-1} for a whole grid at once.
 
-    The grid path of tail_bound_from_h: the integral is summed segment by
+    The inverse route on a grid, kept as the reference for the grid path
+    of tail_bound_from_h: the quadrature of h^{-1} is summed segment by
     segment over the sorted points and mapped back to the input order.
     Raises OutOfRange if any point falls outside (0, h_sup), or if h^{-1}
     is undefined below a point.
@@ -407,7 +392,10 @@ def evaluate_entropy_grid(h: HFunction, xs: Sequence[float]) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0.0) or np.any(xs >= h.h_sup):
         raise OutOfRange("grid points must lie in (0, sup h)")
-    totals = _entropy_segments(_InverseEvaluator(h), xs)
-    if np.any(np.isnan(totals)):
-        raise OutOfRange("h stays below part of the grid up to t_end")
+    order = np.argsort(xs, kind="stable")
+    edges = np.concatenate(([0.0], xs[order]))
+    inverse = partial(_inverse_node, h)
+    totals = np.empty(xs.size)
+    totals[order] = np.cumsum([_gauss_kronrod(inverse, a, b)
+                               for a, b in zip(edges[:-1], edges[1:])])
     return totals

@@ -32,7 +32,8 @@ import numpy as np
 
 # Nodes x eigenvalues (or x points) per chunk of the node sweep.
 _CHUNK_CELLS = 2 ** 21
-# Refuse node counts beyond this (a law too close to a point mass).
+# Refuse node counts beyond this: |phi(t)| of the law decays too slowly for
+# the requested tol (a tol too tight, or a law too close to a point mass).
 _MAX_NODES = 2 ** 26
 
 
@@ -100,7 +101,9 @@ def _nodes(laws, x, tol):
     while max(_truncation_bound(u, law) for law in laws) > 0.25 * math.pi * tol:
         u *= 1.25
         if u / step > _MAX_NODES:
-            raise ValueError("the law is too close to a point mass to invert")
+            raise ValueError(
+                f"tol={tol!r} needs more than 2**26 inversion nodes for this "
+                "law; use a larger tol")
     k = np.arange(int(math.ceil(u / step)) + 1, dtype=np.float64) + 0.5
     return k * step, 1.0 / (math.pi * k)
 
@@ -117,6 +120,8 @@ def _prepare(x, laws):
 
 def _sweep(x, laws, tol, term):
     """sum_k w_k Im[e^{-i t_k x} term(log phi_1(t_k), ...)] over all nodes."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
     t_all, w_all = _nodes(laws, x, tol)
     total = np.zeros(x.size)
     step = max(1, _CHUNK_CELLS // max(x.size, max(law[0].size for law in laws)))
@@ -132,6 +137,8 @@ def cdf(x, eigs, gauss_var: float = 0.0, *, tol: float = 1e-11):
     """P(X <= x) for X = (1/2) sum a_k (Z_k^2 - 1) + N(0, gauss_var).
 
     Accurate to about ``tol`` (aliasing plus truncation) at every x.
+    Raises ValueError unless 0 < tol < 1, and when the tol needs more than
+    2**26 inversion nodes for the law.
     """
     xs, laws, shape = _prepare(x, [(eigs, gauss_var)])
     return (0.5 - _sweep(xs, laws, tol, np.exp)).reshape(shape)

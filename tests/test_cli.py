@@ -323,8 +323,9 @@ def _bound_config(draw):
 
 
 def _exits_cleanly(cfg, tmp):
-    """Run cfg with its output under tmp: exit 0, 1 or 2, and exactly one
-    stderr line unless 0.  Returns the output directory on exit 0."""
+    """Run cfg with its output under tmp: exit 0, 1 or 2. Exit 1 prints
+    exactly one stderr line; exit 2 (a VIOLATION verdict) prints none.
+    Returns the output directory unless the exit is 1."""
     run = tmp / "run"
     (tmp / "config.json").write_text(
         json.dumps({**cfg, "out": {"dir": str(run)}}))
@@ -333,7 +334,8 @@ def _exits_cleanly(cfg, tmp):
             contextlib.redirect_stderr(err):
         code = main([str(tmp / "config.json")])
     assert code in (0, 1, 2)
-    if code == 0:
+    if code != 1:
+        assert err.getvalue() == ""
         return run
     lines = err.getvalue().strip().split("\n")
     assert len(lines) == 1 and lines[0], err.getvalue()
@@ -435,6 +437,145 @@ def test_any_simulate_config_exits_cleanly(cfg):
             assert meta["gauss_sq"] >= 0.0
             assert (meta["gauss_sq"] > 0.0) <= (meta["n_exact"]
                                                < meta["n_eigs"])
+
+
+# The same property for verify and sweep configs. A verify config joins a
+# drawn bound section and grid to a drawn model and mc section; a sweep runs
+# one to four cells of a drawn bound, simulate or verify config. Huge sizes
+# (counts and grids past their caps, sweeps past the cell cap) are drawn only
+# where validation refuses them before any work is done.
+_HUGE_COUNT = st.sampled_from([10 ** 8 + 1, 10 ** 18])
+_HUGE_POINTS = st.sampled_from([21, 10 ** 9])
+
+
+@st.composite
+def _well_formed_verify(draw):
+    """A samplable model, a bound that applies to it, moderate numbers."""
+    moderate = st.floats(0.05, 5.0)
+    variant = draw(st.sampled_from(["quadratic", "levy_area", "stable",
+                                    "brownian_square_norm"]))
+    model = {"variant": variant}
+    bounds = [{"name": "bennett", "K": draw(moderate),
+               "alpha2": draw(moderate)}]
+    if variant == "quadratic":
+        model["eigs"] = draw(st.lists(moderate, min_size=1, max_size=4))
+        bounds += [{"name": "quad_wiener",
+                    "form": draw(st.sampled_from(["exact_h", "log_form",
+                                                  "min_form"]))},
+                   {"name": "quad_wiener_lower"}]
+    elif variant == "stable":
+        model.update(alpha=draw(st.floats(0.1, 1.9)),
+                     sigma_total=draw(moderate))
+        bounds += [{"name": "id_lower"}, {"name": "stable_median"}]
+    else:
+        model["T"] = draw(moderate)
+        if variant == "levy_area":
+            bounds.append({"name": "levy_area"})
+    x_lo = draw(moderate)
+    return {"task": "verify", "model": model,
+            "bound": draw(st.sampled_from(bounds)),
+            "grid": {"x_lo": x_lo, "x_hi": x_lo + draw(moderate),
+                     "points": draw(st.integers(2, 20))},
+            "mc": {"count": draw(st.integers(1, 500)),
+                   "seed": draw(st.integers(0, 10 ** 6))}}
+
+
+@st.composite
+def _verify_config(draw):
+    if draw(st.booleans()):
+        cfg = draw(_well_formed_verify())
+    else:
+        bound_cfg = draw(_bound_config())
+        sim_cfg = draw(_simulate_config())
+        model = bound_cfg.get("model", sim_cfg["model"])
+        if model["variant"] in ("log_kernel", "gauss_kernel") and draw(
+                st.integers(0, 3)):
+            model = sim_cfg["model"]
+        cfg = {"task": "verify", "model": model, "bound": bound_cfg["bound"],
+               "grid": bound_cfg["grid"],
+               "mc": {**sim_cfg["mc"], "count": draw(st.integers(1, 500))}}
+    if not draw(st.integers(0, 5)):
+        cfg["mc"]["count"] = draw(_HUGE_COUNT)
+    if not draw(st.integers(0, 5)):
+        cfg["grid"]["points"] = draw(_HUGE_POINTS)
+    return cfg
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_verify_config())
+@example(cfg={"task": "verify", "model": {"variant": "levy_area", "T": 1.0},
+              "bound": {"name": "levy_area"}, "mc": {"count": 10 ** 18},
+              "grid": {"x_lo": 0.5, "x_hi": 2.0, "points": 4}})
+@example(cfg={"task": "verify", "model": {"variant": "stable", "alpha": 1.5,
+                                          "sigma_total": 1.0},
+              "bound": {"name": "id_lower"}, "mc": {"count": 300},
+              "grid": {"x_lo": 1.0, "x_hi": 5.0, "points": 10 ** 9}})
+def test_any_verify_config_exits_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = _exits_cleanly(cfg, Path(tmp))
+        if run is None:
+            return
+        report = json.loads((run / "verify_report.json").read_text())
+        assert report["verdict"] in ("PASS", "VIOLATION", "INCONCLUSIVE")
+        _, rows = _read_csv(run / "verify_curve.csv")
+        assert len(rows) == cfg["grid"]["points"]
+
+
+_SWEEP_AXES = [
+    ("bound.K", st.lists(_NUMBER, min_size=1, max_size=2)),
+    ("grid.points", st.lists(st.integers(2, 6) | _HUGE_POINTS,
+                             min_size=1, max_size=2)),
+    ("mc.count", st.lists(st.integers(1, 300) | _HUGE_COUNT,
+                          min_size=1, max_size=2)),
+    ("mc.seed", st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=2)),
+    ("model.T", st.lists(_NUMBER, min_size=1, max_size=2)),
+] * 3 + [
+    # Axes that validation refuses: outside model/bound/grid/mc, through a
+    # non-object, empty, and past the 1000-cell cap.
+    ("task", st.just(["bound"])),
+    ("out.dir", st.just(["elsewhere"])),
+    ("bound.name.deep", st.just([1])),
+    ("mc.seed", st.just([])),
+    ("mc.seed", st.just(list(range(1001)))),
+]
+
+
+@st.composite
+def _sweep_config(draw):
+    """Sweeps over a verify config, whose sections also serve bound and
+    simulate cells (a cell reads only the sections its task needs)."""
+    run = draw(st.sampled_from(["bound", "simulate", "verify"] * 3
+                               + ["sweep"]))
+    axes = draw(st.lists(st.sampled_from(_SWEEP_AXES), min_size=1,
+                         max_size=2))
+    return {**draw(_verify_config()), "task": "sweep", "run": run,
+            "over": {path: draw(values) for path, values in axes}}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_sweep_config())
+@example(cfg={"task": "sweep", "run": "bound",
+              "bound": {"name": "bennett", "K": 1.0, "alpha2": 1.0},
+              "grid": {"x_lo": 0.5, "x_hi": 2.0, "points": 3},
+              "over": {"bound.K": list(range(1, 41)),
+                       "bound.alpha2": list(range(1, 41))}})
+@example(cfg={"task": "sweep", "run": "simulate",
+              "model": {"variant": "levy_area", "T": 1.0},
+              "mc": {"count": 10, "steps": 8},
+              "over": {"mc.count": [5, 10 ** 18]}})
+def test_any_sweep_config_exits_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = _exits_cleanly(cfg, Path(tmp))
+        if run is None:
+            return
+        summary = json.loads((run / "sweep_summary.json").read_text())
+        assert len(summary["cells"]) == math.prod(
+            len(values) for values in cfg["over"].values())
+        assert summary["exit"] == max(c["exit"] for c in summary["cells"])
+        for cell in summary["cells"]:
+            assert (run / cell["dir"]).is_dir()
 
 
 def test_execution_error_names_operation(tmp_path, capsys):

@@ -6,6 +6,9 @@ Oracles are closed forms computed independently of the engine:
         h^{-1}(s) = log(1 + K s/a2)/K,
         entropy   = (x/K + a2/K^2) log(1 + K x/a2) - x/K
   * h(t) = t^2:                h^{-1}(s) = sqrt(s)
+  * concave h(t) = log(1 + t): entropy = e^x - 1 - x
+  * plateau h(t) = min(t, 1) + max(t - 2, 0):
+        entropy = x^2/2 (x <= 1), x^2/2 + x - 1 (x > 1)
 """
 
 import math
@@ -301,3 +304,44 @@ def test_grid_invalidates_points_above_failed_segment():
                                       rel=1e-9)
     with pytest.raises(OutOfRange):
         evaluate_entropy_grid(h, xs)
+
+
+# ----------------------------------------------------------------------
+# Legendre route for h that is not convex, and its work
+# ----------------------------------------------------------------------
+
+def _plateau_entropy(x):
+    return 0.5 * x * x + max(x - 1.0, 0.0)
+
+
+@pytest.mark.parametrize("h, want", [
+    (HFunction(math.log1p, name="log1p"), lambda x: math.expm1(x) - x),
+    (HFunction(lambda t: min(t, 1.0) + max(t - 2.0, 0.0), name="plateau"),
+     _plateau_entropy),
+])
+def test_legendre_route_closed_forms_for_nonconvex_h(h, want):
+    xs = np.linspace(0.05, 5.0, 23)
+    tb = tail_bound_from_h(h)
+    vals, _, valid = tb.evaluate_grid(xs[::-1])
+    assert np.all(valid)
+    for x, v in zip(xs[::-1], vals):
+        assert -math.log(v) == pytest.approx(want(x), rel=1e-9)
+        assert -math.log(tb(x)) == pytest.approx(want(x), rel=1e-9)
+        assert -chernoff_min(h, x) == pytest.approx(want(x), rel=1e-9)
+
+
+def test_grid_makes_a_third_of_the_reference_h_calls():
+    calls = 0
+
+    def poisson(t):
+        nonlocal calls
+        calls += 1
+        return math.expm1(t)
+
+    h = HFunction(poisson, name="poisson[K=1]")
+    xs = np.linspace(0.2, 10.0, 50)
+    legendre = -np.log(tail_bound_from_h(h).evaluate_grid(xs)[0])
+    legendre_calls, calls = calls, 0
+    reference = evaluate_entropy_grid(h, xs)
+    assert legendre == pytest.approx(reference, rel=1e-9)
+    assert 3 * legendre_calls < calls

@@ -110,3 +110,19 @@ def test_rejects_point_mass_and_bad_input():
         exact.cdf([0.0], [1.0], -1.0)
     with pytest.raises(ValueError):
         exact.cdf([0.0], [math.inf])
+
+
+@pytest.mark.parametrize("tol", [0.0, math.nan, 2.0, math.inf])
+def test_rejects_tol_outside_unit_interval(tol):
+    law = ([1.0] * 4, 0.0)
+    message = r"tol must be a finite number in \(0, 1\)"
+    with pytest.raises(ValueError, match=message):
+        exact.cdf(0.5, *law, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        exact.cdf_difference(0.5, law, ([1.0] * 3, 0.5), tol=tol)
+
+
+def test_too_tight_tol_names_tol_and_node_cap():
+    message = r"tol=1e-15 needs more than 2\*\*26 inversion nodes"
+    with pytest.raises(ValueError, match=message):
+        exact.cdf(0.5, [1.0] * 4, tol=1e-15)
