@@ -242,6 +242,35 @@ def _clamped(raw_fn, label: str):
     return fn, regime
 
 
+def _twice_mean_norm_bound(name: str, guard_name: str, K_of, b: float,
+                           rate: float, x_unit: float,
+                           meta: dict) -> TailBound:
+    """P(|F|_2 >= 2 E|F|_2 + x) <= exp(-rate x + K_b [x < x*]), x > 0.
+
+    K_b = K_of(b) and x* = x_unit K_of(b/2): beyond x* the constant drops
+    (regime "sharp"); below it the value is clamped to 1 ("base" or
+    "vacuous").  ``meta`` gains K_b, x_star and the norm transform.
+    """
+    K_b = K_of(b)
+    x_star = x_unit * K_of(0.5 * b)
+
+    def raw(x: float) -> float:
+        return math.exp(-rate * x + (K_b if x < x_star else 0.0))
+
+    fn, clamp_regime = _clamped(_guard(0.0, math.inf, guard_name, raw),
+                                "base")
+
+    def regime(x: float) -> str:
+        if x >= x_star:
+            return "sharp"
+        return clamp_regime(x)
+
+    return TailBound(name=name, fn=fn, center="shifted_mean",
+                     regime_fn=regime,
+                     meta={**meta, "K_b": K_b, "x_star": x_star,
+                           "transform": "norm", "shift_mult": 2.0})
+
+
 def _spectral_radii(spec) -> tuple:
     """(a_max, a_plus) from a QuadraticSpec, a model, or raw eigenvalues."""
     if isinstance(spec, QuadraticSpec):
@@ -365,7 +394,6 @@ def product_h(profile: FunctionalProfile, model, mode: str,
 
 def dimension_free_bound(profile: FunctionalProfile, model,
                          mode: str = "norm", mean_norm: float | None = None,
-                         lip_c: float | None = None,
                          truncation: float = math.inf) -> TailBound:
     """Dimension-free deviation bound for independent-component vectors.
 
@@ -376,8 +404,9 @@ def dimension_free_bound(profile: FunctionalProfile, model,
     mode="norm":      P(|F|_2 >= 2 E|F|_2 + x) <= bound(x);
                       mean_norm = E|F|_2.
     mode="lipschitz": P(f(F) >= E[f(F)] + c sqrt(2 sum_i Var F_i) + d)
-                      <= bound(d) for l2-Lipschitz(c) f, where the bound
-                      is expressed in the physical deviation d = c x;
+                      <= bound(d) for l2-Lipschitz(c) f, where
+                      c = profile.lip_c and the bound is expressed in
+                      the physical deviation d = c x;
                       mean_norm = E|F - E[F]|_2.
 
     For i.i.d. components mean_norm^2 grows like n, so h -- hence the
@@ -422,9 +451,7 @@ def dimension_free_bound(profile: FunctionalProfile, model,
                        center="shifted_mean",
                        meta={"h": h, "transform": "norm", "shift_mult": 2.0,
                              "mean_norm": mean_norm})
-    c = profile.lip_c if lip_c is None else float(lip_c)
-    if not (c > 0.0):
-        raise InvalidProfile(f"lip_c must be > 0, got {c!r}")
+    c = profile.lip_c
 
     def fn(d: float) -> float:
         return base.fn(d / c)
@@ -656,26 +683,10 @@ def quad_euclid_iid_bound(spec: QuadraticSpec, b: float = 0.5) -> TailBound:
                 - 8.0 * fsq * (2.0 / (a * a) + 1.0 / m2) * (1.0 - bb)
                 + (4.0 * fsq / m2) * (1.0 - bb * bb) / (bb * bb))
 
-    K_b = K_of(b)
-    x_star = (2.0 * a / b) * K_of(0.5 * b)
-    rate = (1.0 - b) / a
-
-    def raw(x: float) -> float:
-        return math.exp(-rate * x + (K_b if x < x_star else 0.0))
-
-    fn, clamp_regime = _clamped(_guard(0.0, math.inf, "quad_euclid", raw),
-                                "base")
-
-    def regime(x: float) -> str:
-        if x >= x_star:
-            return "sharp"
-        return clamp_regime(x)
-
-    return TailBound(name="quad_euclid_iid", fn=fn, center="shifted_mean",
-                     regime_fn=regime,
-                     meta={"b": b, "K_b": K_b, "x_star": x_star, "a": a,
-                           "f2_sq": fsq, "mean_abs": spec.mean_abs,
-                           "transform": "norm", "shift_mult": 2.0})
+    return _twice_mean_norm_bound(
+        "quad_euclid_iid", "quad_euclid", K_of, b, rate=(1.0 - b) / a,
+        x_unit=2.0 * a / b,
+        meta={"b": b, "a": a, "f2_sq": fsq, "mean_abs": spec.mean_abs})
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +695,7 @@ def quad_euclid_iid_bound(spec: QuadraticSpec, b: float = 0.5) -> TailBound:
 
 def levy_area_bound(T: float, n: int = 1, lip_c: float = 1.0,
                     b: float | None = None, variant: str = "lipschitz",
-                    mean_abs: float | None = None):
+                    mean_abs: float | None = None) -> TailBound:
     """Tail bounds for vectors of planar Brownian stochastic areas on [0,T].
 
     variant="lipschitz":  for l1-Lipschitz(c) g,
@@ -695,12 +706,11 @@ def levy_area_bound(T: float, n: int = 1, lip_c: float = 1.0,
         x >= (2T/(pi b)) K_{b/2}, with
         K_b = -32 log b - 32 (1-b) + (16 T^2/(pi^2 mean_abs^2)) (1-b)^2/b^2,
         mean_abs = E|S^1_T| (single component; K_b is dimension free).
-    variant="slope":  returns the exact tail slope -pi/T as a float.
+
+    The exact tail slope -pi/T is ``asymptotic_slope("area", T)``.
     """
     if not (T > 0.0):
         raise InvalidProfile(f"T must be > 0, got {T!r}")
-    if variant == "slope":
-        return -math.pi / T
     if n < 1:
         raise InvalidProfile(f"n must be >= 1, got {n!r}")
 
@@ -735,26 +745,10 @@ def levy_area_bound(T: float, n: int = 1, lip_c: float = 1.0,
                 + (16.0 * T * T / (math.pi ** 2 * m2))
                 * (1.0 - bb) ** 2 / (bb * bb))
 
-    K_b = K_of(b)
-    x_star = (2.0 * T / (math.pi * b)) * K_of(0.5 * b)
-    rate = (1.0 - b) * math.pi / T
-
-    def raw(x: float) -> float:
-        return math.exp(-rate * x + (K_b if x < x_star else 0.0))
-
-    fn, clamp_regime = _clamped(_guard(0.0, math.inf, "levy_area", raw),
-                                "base")
-
-    def regime(x: float) -> str:
-        if x >= x_star:
-            return "sharp"
-        return clamp_regime(x)
-
-    return TailBound(name="levy_area[euclid]", fn=fn, center="shifted_mean",
-                     regime_fn=regime,
-                     meta={"T": T, "n": n, "b": b, "K_b": K_b,
-                           "x_star": x_star, "mean_abs": mean_abs,
-                           "transform": "norm", "shift_mult": 2.0})
+    return _twice_mean_norm_bound(
+        "levy_area[euclid]", "levy_area", K_of, b,
+        rate=(1.0 - b) * math.pi / T, x_unit=2.0 * T / (math.pi * b),
+        meta={"T": T, "n": n, "b": b, "mean_abs": mean_abs})
 
 
 # ----------------------------------------------------------------------
@@ -781,8 +775,7 @@ def id_lower_curve(model) -> TailBound:
                      meta={"transform": "abs"})
 
 
-def median_bound_general(model, beta_fn, C: float,
-                         beta_inv=None) -> TailBound:
+def median_bound_general(model, beta_fn, C: float) -> TailBound:
     """General median deviation bound from a growth function beta.
 
     Under the usual local-Lipschitz hypotheses (the caller's
@@ -792,17 +785,19 @@ def median_bound_general(model, beta_fn, C: float,
 
     valid for x >= 2 beta(gamma^{-1}(1/(2(1 + C e)))), where gamma is the
     model's envelope for the probability of a jump outside B(0, R) and
-    beta_fn is nondecreasing.  Evaluation below valid_lo raises
-    OutOfRange.
+    beta_fn is nondecreasing; beta^{-1} is solved by bracketing.
+    Evaluation below valid_lo raises OutOfRange.
     """
     if not (C > 0.0):
         raise InvalidProfile(f"C must be > 0, got {C!r}")
     one_plus = 1.0 + C * _E
-    inv = beta_inv if beta_inv is not None else (
-        lambda u: models._bracket_root(
+
+    def inv(u: float) -> float:
+        return models._bracket_root(
             lambda r: beta_fn(r) - u, 1e-12, 1.0, xtol=1e-15, rtol=1e-12,
             failure=OutOfRange(
-                f"median_bound_general: could not bracket level {u!r}")))
+                f"median_bound_general: could not bracket level {u!r}"))
+
     r0 = models.inverse_gamma(model, 1.0 / (2.0 * one_plus))
     valid_lo = 2.0 * beta_fn(r0)
 

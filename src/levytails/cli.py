@@ -89,7 +89,13 @@ from .simulate import (
     sample_stable,
     save_batch,
 )
-from .verify import audit_bound, deviation_values, empirical_median, empirical_tail
+from .verify import (
+    _MAX_AUDIT_POINTS,
+    audit_bound,
+    deviation_values,
+    empirical_median,
+    empirical_tail,
+)
 
 _TASKS = ("bound", "simulate", "verify", "sweep")
 _TOP_KEYS = {"task", "model", "bound", "grid", "mc", "out", "run", "over"}
@@ -378,9 +384,10 @@ def _parse_grid(cfg: dict, audit: bool) -> np.ndarray:
     if not x_lo < x_hi:
         raise ConfigError(f"grid.x_hi: must exceed x_lo, got "
                           f"[{x_lo}, {x_hi}]")
-    if audit and points > 20:
+    if audit and points > _MAX_AUDIT_POINTS:
         raise ConfigError(
-            f"grid.points: audit tasks are capped at 20 points, got {points}")
+            f"grid.points: audit tasks are capped at {_MAX_AUDIT_POINTS} "
+            f"points, got {points}")
     if points > _MAX_BOUND_POINTS:
         raise ConfigError(
             f"grid.points: bound tasks are capped at {_MAX_BOUND_POINTS} "
@@ -506,11 +513,9 @@ def _run_verify(cfg: dict, out_dir: Path, phase: dict) -> int:
         estimates = {"median": med["median"], "median_ci_lo": med["ci_lo"],
                      "median_ci_hi": med["ci_hi"]}
     else:
-        if bound.meta.get("transform") == "norm":
-            base = np.abs(values) if values.ndim == 1 \
-                else np.linalg.norm(values, axis=1)
-        else:
-            base = values
+        # At center 0 the "norm" deviation is the norm itself.
+        base = deviation_values(batch, bound, 0.0)[0] \
+            if bound.meta.get("transform") == "norm" else values
         center = float(base.mean())
         center_se = float(base.std() / np.sqrt(base.shape[0]))
         estimates = {"mean": center, "mean_se": center_se}

@@ -66,7 +66,3 @@ class BudgetExceeded(LevytailsError):
 
 class TruncationTooCoarse(LevytailsError):
     """A truncation radius is too large for the requested accuracy."""
-
-
-class UnsupportedAlpha(LevytailsError):
-    """The stable index alpha falls on a branch the sampler does not cover."""

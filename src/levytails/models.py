@@ -86,7 +86,7 @@ class _LevyMeasure:
 
     def amplitude_sampler(self, eps: float, lam: float):
         log_y, log_m = _radial_inverse_table(
-            lambda r: float(self.tail_mass(r)), eps, lam)
+            np.vectorize(self.tail_mass, otypes=[np.float64]), eps, lam)
         return _symmetric_sampler(
             lambda u: _invert_radial(log_y, log_m, u * lam))
 
@@ -335,7 +335,7 @@ class QuadraticSpectral(_LevyMeasure):
         cum_w = np.cumsum(weights)
         tables = [
             _radial_inverse_table(lambda r, ak=ak: 0.5 * exp1(r / ak),
-                                  eps, w_k, vectorized=True)
+                                  eps, w_k)
             for ak, w_k in zip(np.abs(a), weights)
         ]
 
@@ -555,8 +555,7 @@ def _symmetric_sampler(radii):
     return draw
 
 
-def _radial_inverse_table(tail_fn, eps: float, lam: float, *,
-                          vectorized: bool = False):
+def _radial_inverse_table(tail_fn, eps: float, lam: float):
     """Monotone inverse of a radial tail-mass function on (eps, infinity).
 
     Returns log-spaced radii and the log of their tail masses, for use with
@@ -566,8 +565,8 @@ def _radial_inverse_table(tail_fn, eps: float, lam: float, *,
     1e-18 per jump.  Plateaus where the tail mass saturates in double
     precision (e.g. the Gaussian-kernel model below radius ~0.12, whose
     density is ~e^{-200}) collapse to their left edge; the affected mass is
-    below 1e-15 of the rate.  With ``vectorized=True`` the node grid is
-    evaluated in one ``tail_fn`` call on the whole array.
+    below 1e-15 of the rate.  ``tail_fn`` takes arrays: the node grid is
+    evaluated in one call.
     """
     y_hi = max(2.0 * eps, 1.0)
     for _ in range(4000):
@@ -577,10 +576,7 @@ def _radial_inverse_table(tail_fn, eps: float, lam: float, *,
     else:
         raise Divergent("tail mass decays too slowly to tabulate")
     y = np.geomspace(eps, y_hi, _TABLE_NODES)
-    if vectorized:
-        masses = np.array(tail_fn(y), dtype=np.float64)
-    else:
-        masses = np.array([tail_fn(v) for v in y], dtype=np.float64)
+    masses = np.array(tail_fn(y), dtype=np.float64)
     masses[0] = lam
     # Guard against flat spots from underflow at the far end.
     positive = masses > 0.0

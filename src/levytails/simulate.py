@@ -44,6 +44,7 @@ center at the mean or not at all.
 
 Stream layout
 -------------
+Every stream is one SFC64 generator seeded through ``SeedSequence``.
 A sampler resolves its parent stream (``RngContract.stream(stream_id)``,
 or the Generator it was given), cuts the batch into fixed blocks of
 ``_BLOCK`` draws (Brownian paths: ``2**20 // steps`` per block; compound
@@ -75,7 +76,6 @@ from .errors import (
     InvalidProfile,
     PreconditionViolated,
     TruncationTooCoarse,
-    UnsupportedAlpha,
 )
 from . import models as _models
 from .models import _interior_uniform
@@ -97,18 +97,6 @@ __all__ = [
 # RNG contract
 # ---------------------------------------------------------------------------
 
-_BITGENS = {
-    "sfc64": np.random.SFC64,
-    "pcg64": np.random.PCG64,
-    "philox": np.random.Philox,
-}
-
-# SFC64 is the default: on the reference machine it fills normals about
-# twice as fast as PCG64, and every bit generator here is driven through
-# SeedSequence, which hashes the (root_seed, stream_id, replicate) key into
-# independent, collision-free initial states regardless of the generator.
-_DEFAULT_BITGEN = "sfc64"
-
 _MAX_SEED = 2 ** 64
 
 
@@ -117,31 +105,29 @@ class RngContract:
     """Reproducible stream factory.
 
     ``stream(stream_id, replicate)`` returns a fresh ``numpy.random.Generator``
-    seeded from the key ``(root_seed, stream_id, replicate)``.  Distinct keys
-    give independent streams, so concurrent batches can be drawn on disjoint
-    ``stream_id`` values and merged later without any ordering constraint.
+    on an SFC64 bit generator seeded from the key
+    ``(root_seed, stream_id, replicate)`` through ``SeedSequence``, which
+    hashes distinct keys into independent, collision-free states.  So
+    concurrent batches can be drawn on disjoint ``stream_id`` values and
+    merged later without any ordering constraint.  The generator is fixed
+    (batch files do not record one); SFC64 fills normals about twice as
+    fast as PCG64.
     """
 
     root_seed: int
-    bitgen: str = _DEFAULT_BITGEN
 
     def __post_init__(self):
         if not isinstance(self.root_seed, (int, np.integer)):
             raise PreconditionViolated("root_seed must be an integer")
         if not (0 <= int(self.root_seed) < _MAX_SEED):
             raise PreconditionViolated("root_seed must fit in 64 bits")
-        if self.bitgen not in _BITGENS:
-            raise PreconditionViolated(
-                f"unknown bit generator {self.bitgen!r}; "
-                f"choose from {sorted(_BITGENS)}"
-            )
 
     def stream(self, stream_id: int = 0, replicate: int = 0) -> np.random.Generator:
         if stream_id < 0 or replicate < 0:
             raise PreconditionViolated("stream_id and replicate must be >= 0")
         ss = np.random.SeedSequence((int(self.root_seed), int(stream_id),
                                      int(replicate)))
-        return np.random.Generator(_BITGENS[self.bitgen](ss))
+        return np.random.Generator(np.random.SFC64(ss))
 
 
 def _resolve_rng(rng, stream_id: int):
@@ -268,8 +254,10 @@ def save_batch(batch: SampleBatch, path: str) -> None:
 def load_batch(path: str) -> SampleBatch:
     """Read a batch written by :func:`save_batch`.
 
-    A truncated or corrupt file raises :class:`InvalidProfile` with the
-    expected and the found size of its float64 data.
+    A truncated file raises :class:`InvalidProfile` with the expected and
+    the found size of its float64 data; a corrupt header (a missing or
+    mistyped field, a count that does not match the shape) raises
+    :class:`InvalidProfile` as well.
     """
     try:
         if str(path).endswith(".csv"):
@@ -288,23 +276,23 @@ def load_batch(path: str) -> SampleBatch:
                 header = json.loads(fh.read(hlen).decode("utf-8"))
                 data = fh.read()
         shape = tuple(header.get("shape", [header["count"]]))
-    except (ValueError, KeyError, struct.error) as exc:
+        if len(data) != 8 * math.prod(shape):
+            raise InvalidProfile(
+                f"{path}: shape {list(shape)} needs {8 * math.prod(shape)} "
+                f"bytes of float64 data, found {len(data)}")
+        values = np.frombuffer(data, dtype="<f8").astype(np.float64)
+        meta = {"sampler": header.get("sampler", "unknown")}
+        meta.update(header.get("params", {}))
+        return SampleBatch(
+            values=values.reshape(shape),
+            count=header["count"],
+            seed=header["seed"],
+            stream_id=header["stream_id"],
+            meta=meta,
+        )
+    except (ValueError, KeyError, TypeError, AttributeError,
+            struct.error) as exc:
         raise InvalidProfile(f"{path}: corrupt batch file ({exc})") from None
-    if len(data) != 8 * math.prod(shape):
-        raise InvalidProfile(
-            f"{path}: shape {list(shape)} needs {8 * math.prod(shape)} bytes "
-            f"of float64 data, found {len(data)}")
-    values = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    values = values.reshape(shape)
-    meta = {"sampler": header.get("sampler", "unknown")}
-    meta.update(header.get("params", {}))
-    return SampleBatch(
-        values=values,
-        count=header["count"],
-        seed=header["seed"],
-        stream_id=header["stream_id"],
-        meta=meta,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +352,11 @@ def _fill_blocks(gen, count: int, block: int, fill) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Largest tail spectral energy (the stored remainder of a truncated
+# spectrum plus whatever N drops) that sample_chaos2 accepts before it
+# raises TruncationTooCoarse.
+_REMAINDER_TOL = 1e-6
+
 # Share of the retained spectral energy sum a^2 that sample_chaos2 leaves to
 # one moment-matched Gaussian column.  It is relative, so the split does not
 # depend on the scale of the spectrum, and like _BLOCK it is part of the law
@@ -393,15 +386,15 @@ def _split_gauss_tail(a: np.ndarray):
     return np.delete(a, order[:n_carried]), root * math.sqrt(0.5), root * root
 
 
-def sample_chaos2(eigs, count, rng, *, N: int | None = None, stream_id: int = 0,
-                  remainder_tol: float = 1e-6) -> SampleBatch:
+def sample_chaos2(eigs, count, rng, *, N: int | None = None,
+                  stream_id: int = 0) -> SampleBatch:
     """Draw the truncated second-chaos series (1/2) sum_{k<=N} a_k (Z_k^2 - 1).
 
     ``eigs`` is either a plain sequence of eigenvalues or a
     :class:`~levytails.models.QuadraticSpectral`; in the latter case the
     spectrum's stored tail energy ``remainder_sq`` (plus the energy of any
-    eigenvalues dropped by ``N``) must stay below ``remainder_tol`` or
-    :class:`TruncationTooCoarse` is raised.  Zero eigenvalues contribute
+    eigenvalues dropped by ``N``) must stay at or below ``_REMAINDER_TOL``
+    = 1e-6 or :class:`TruncationTooCoarse` is raised.  Zero eigenvalues contribute
     exactly zero and consume no random variates.
 
     The smallest eigenvalues that hold at most ``_GAUSS_TAIL`` of the
@@ -426,10 +419,10 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None, stream_id: int = 0,
             )
         remainder += float(np.sum(a[N:] ** 2))
         a = a[:N]
-    if guarded and remainder > remainder_tol:
+    if guarded and remainder > _REMAINDER_TOL:
         raise TruncationTooCoarse(
             f"tail spectral energy {remainder:.3e} exceeds "
-            f"remainder_tol={remainder_tol:.3e}"
+            f"the tolerance {_REMAINDER_TOL:.3e}"
         )
     gen, seed = _resolve_rng(rng, stream_id)
     nonzero = a[a != 0.0]
@@ -603,20 +596,18 @@ def _area_recursive(gen, T: float, steps: int, out: np.ndarray) -> None:
     np.multiply(s, 0.5, out=out)
 
 
-def sample_levy_area(T: float, steps: int, count, rng, *, stream_id: int = 0,
-                     method: str = "auto") -> SampleBatch:
+def sample_levy_area(T: float, steps: int, count, rng, *,
+                     stream_id: int = 0) -> SampleBatch:
     """Sample the discretized Levy stochastic area on [0, T].
 
     Two independent Brownian grids with ``steps`` increments each feed the
-    midpoint sums (1/2) sum (B^1 dB^2 - B^2 dB^1).  ``method="direct"``
-    runs the scheme step by step; ``method="recursive"`` (power-of-two
-    ``steps`` only) draws from the exact same law through the dyadic
-    refinement described in :func:`_area_recursive`, hundreds of times
-    faster at large step counts.  ``method="auto"`` picks the recursive
-    route when ``steps`` is a power of two.
-    The two methods consume the stream differently, so they produce
-    different (equally distributed) values for the same seed; the method
-    actually used is recorded in ``meta``.
+    midpoint sums (1/2) sum (B^1 dB^2 - B^2 dB^1).  The route follows
+    ``steps``: a power of two draws from the exact law of the scheme
+    through the dyadic refinement of :func:`_area_recursive`, hundreds of
+    times faster at large step counts; any other count runs the scheme
+    step by step (:func:`_area_direct`, also the reference the recursive
+    route is tested against).  The routes consume the stream differently;
+    ``meta["method"]`` records the one used.
     """
     if not (T > 0.0):
         raise PreconditionViolated("T must be > 0")
@@ -624,13 +615,7 @@ def sample_levy_area(T: float, steps: int, count, rng, *, stream_id: int = 0,
     if steps < 1000:
         raise PreconditionViolated("steps must be >= 1000")
     count = _check_count(count)
-    if method not in ("auto", "direct", "recursive"):
-        raise PreconditionViolated(f"unknown method {method!r}")
-    is_pow2 = steps & (steps - 1) == 0
-    if method == "recursive" and not is_pow2:
-        raise PreconditionViolated("recursive method needs steps = 2^L")
-    if method == "auto":
-        method = "recursive" if is_pow2 else "direct"
+    method = "recursive" if steps & (steps - 1) == 0 else "direct"
     gen, seed = _resolve_rng(rng, stream_id)
 
     area = _area_direct if method == "direct" else _area_recursive
@@ -712,8 +697,7 @@ def _uniform_sphere_moment(alpha: float, n: int) -> float:
 
 def sample_stable(alpha: float, n: int, spherical, count, rng, *,
                   stream_id: int = 0, sigma_total: float | None = None,
-                  atoms=None,
-                  allow_log_corrected: bool = True) -> SampleBatch:
+                  atoms=None) -> SampleBatch:
     """Sample an alpha-stable vector whose Levy measure is
     sigma(d theta) r^{-1-alpha} dr with the requested spherical part.
 
@@ -739,9 +723,7 @@ def sample_stable(alpha: float, n: int, spherical, count, rng, *,
     K_alpha = pi / (2 Gamma(1+alpha) sin(pi alpha / 2)); amplitudes come
     from the uniform-exponential (CMS/Weron) transform.  Centering: none
     for symmetric laws, pure-jump for totally skewed alpha < 1, mean for
-    alpha > 1, log-corrected standard centering at alpha = 1 with skew
-    (refused with :class:`UnsupportedAlpha` when
-    ``allow_log_corrected=False``).
+    alpha > 1, log-corrected standard centering at alpha = 1 with skew.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 2.0):
@@ -781,11 +763,6 @@ def sample_stable(alpha: float, n: int, spherical, count, rng, *,
                 f"sigma_total={sigma_total} != sum of atom weights {total}"
             )
         sigma_total = total
-        if abs(alpha - 1.0) < _ALPHA_ONE_TOL and not allow_log_corrected:
-            raise UnsupportedAlpha(
-                "alpha = 1 with skew requires the log-corrected branch "
-                "(allow_log_corrected=False)"
-            )
     else:
         if atoms is not None:
             raise InvalidProfile("atoms are only used with spherical='custom'")
@@ -860,9 +837,13 @@ def sample_stable(alpha: float, n: int, spherical, count, rng, *,
 # Compound-Poisson approximation of an ID law
 # ---------------------------------------------------------------------------
 
+# Jump rate nu(|y| > eps) per draw from which sample_id_compound raises
+# BudgetExceeded: at this rate every draw holds about 1e7 jumps (80 MB).
+_JUMP_BUDGET = 1e7
+
+
 def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
                        gauss_smalljump: bool = False, center: str = "unit",
-                       budget: float = 1e7,
                        keep_counts: bool = False) -> SampleBatch:
     """Compound-Poisson approximation of the ID law with Levy measure ``model``.
 
@@ -880,6 +861,8 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
 
     With ``gauss_smalljump=True`` an independent Gaussian with variance
     int_{|y|<=eps} y^2 nu(dy) stands in for the removed small jumps.
+    A rate nu(|y| > eps) of ``_JUMP_BUDGET`` = 1e7 jumps per draw or more
+    raises :class:`BudgetExceeded`.
     Radial models are symmetric (sign by fair coin), QuadraticSpectral jumps
     carry their eigenvalue's sign; amplitudes come from closed-form inverses
     where available (Stable) and a tabulated monotone inverse of the exact
@@ -894,9 +877,10 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
         )
     count = _check_count(count)
     lam = float(_models.tail_mass(model, eps))
-    if not (lam < budget):
+    if not (lam < _JUMP_BUDGET):
         raise BudgetExceeded(
-            f"nu(|y|>eps) = {lam:.3e} exceeds the per-draw budget {budget:.3e}"
+            f"nu(|y|>eps) = {lam:.3e} exceeds the per-draw budget "
+            f"{_JUMP_BUDGET:.3e}"
         )
     gen, seed = _resolve_rng(rng, stream_id)
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -726,6 +727,20 @@ def test_overrides_echoed_and_applied(tmp_path, capsys):
     assert summary["config"]["mc"]["seed"] == 123
     assert summary["count"] == 2000
     assert not (tmp_path / "orig").exists()
+
+
+def test_readme_config_examples_run(tmp_path):
+    # The README's example configs must stay valid under the schema.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text("utf-8"),
+                        re.S)
+    assert len(blocks) == 3
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.json"
+        path.write_text(block)
+        code = main([str(path), "--count", "20000",
+                     "--out", str(tmp_path / f"out_{i}")])
+        assert code == 0, block
 
 
 # ----------------------------------------------------------------------

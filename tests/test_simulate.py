@@ -17,8 +17,10 @@ Each sampler is checked against an independent analytic oracle:
   exact stochastic-area law through the tabulated radial inverse.
 """
 
+import json
 import math
 import os
+import struct
 import sys
 import tempfile
 import threading
@@ -37,7 +39,6 @@ from levytails.errors import (
     MissingEstimate,
     PreconditionViolated,
     TruncationTooCoarse,
-    UnsupportedAlpha,
 )
 
 RC = sim.RngContract(20260816)
@@ -76,8 +77,6 @@ def test_rng_contract_validation():
         sim.RngContract(-1)
     with pytest.raises(PreconditionViolated):
         sim.RngContract(2 ** 64)
-    with pytest.raises(PreconditionViolated):
-        sim.RngContract(1, bitgen="mersenne")
     with pytest.raises(PreconditionViolated):
         sim.RngContract(1).stream(-2)
 
@@ -154,6 +153,24 @@ def test_load_truncated_or_corrupt_batch(tmp_path):
         fh.writelines(lines[:-1])
     with pytest.raises(InvalidProfile, match="found 792"):
         sim.load_batch(csv)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("seed"),
+    lambda h: h.update(count=h["count"] - 1),
+    lambda h: h.update(params=[1, 2]),
+], ids=["no_seed", "count_not_shape", "params_list"])
+def test_load_corrupt_header_raises_invalid_profile(tmp_path, edit):
+    batch = sim.sample_chaos2([2.0, -1.0], 100, sim.RngContract(11))
+    header = sim._meta_header(batch)
+    edit(header)
+    payload = json.dumps(header).encode("utf-8")
+    path = str(tmp_path / "batch.bin")
+    with open(path, "wb") as fh:
+        fh.write(sim._BIN_MAGIC + struct.pack("<I", len(payload)) + payload
+                 + batch.values.astype("<f8").tobytes())
+    with pytest.raises(InvalidProfile, match="corrupt"):
+        sim.load_batch(path)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +275,7 @@ def test_block_boundary_counts(monkeypatch, name):
     # _BLOCK + 1 starts with the batch of _BLOCK, whatever the workers.
     sample = LAYOUT_SAMPLERS.get(name) or (
         lambda n: sim.sample_levy_area(math.pi, 1000, n, LAYOUT_RC,
-                                       stream_id=55, method="direct"))
+                                       stream_id=55))
     full = _at_workers(monkeypatch, 1, lambda: sample(sim._BLOCK))
     one = _at_workers(monkeypatch, 1, lambda: sample(sim._BLOCK + 1))
     two = _at_workers(monkeypatch, 2, lambda: sample(sim._BLOCK + 1))
@@ -343,8 +360,6 @@ def test_chaos2_remainder_guard():
     coarse = m.chaos_eigenvalues("energy", 1.0, 3, convention="spectral")
     with pytest.raises(TruncationTooCoarse):
         sim.sample_chaos2(coarse, 100, RC, stream_id=4)
-    # ... but passes when the caller loosens it.
-    sim.sample_chaos2(coarse, 100, RC, stream_id=4, remainder_tol=1e-3)
 
 
 def test_chaos2_n_truncation():
@@ -473,32 +488,41 @@ def test_area_preconditions():
         sim.sample_levy_area(math.pi, 999, 10, RC)
     with pytest.raises(PreconditionViolated):
         sim.sample_levy_area(0.0, 1024, 10, RC)
-    with pytest.raises(PreconditionViolated):
-        sim.sample_levy_area(1.0, 1000, 10, RC, method="recursive")
-    with pytest.raises(PreconditionViolated):
-        sim.sample_levy_area(1.0, 1024, 10, RC, method="diagonal")
+
+
+def _direct_area_values(T, steps, count, stream_id):
+    """The step-by-step route at any step count, laid out in blocks as
+    sample_levy_area lays out its batches."""
+    vals = np.empty(count)
+    sim._fill_blocks(RC.stream(stream_id), count, sim._BLOCK,
+                     lambda g, rows: sim._area_direct(g, T, steps, vals[rows]))
+    return vals
+
+
+def test_area_route_follows_steps():
+    assert sim.sample_levy_area(1.0, 1024, 10, RC).meta["method"] == \
+        "recursive"
+    assert sim.sample_levy_area(1.0, 1000, 10, RC).meta["method"] == "direct"
 
 
 def test_area_variance_exact_small_scale():
     # The midpoint scheme has Var = (T^2/4)(1 - 1/steps) exactly; both
-    # methods must agree with it.
+    # routes must agree with it.
     T, steps, n = math.pi, 1024, 150_000
     target = (T * T / 4.0) * (1.0 - 1.0 / steps)
     rec = sim.sample_levy_area(T, steps, n, RC, stream_id=17)
     assert rec.meta["method"] == "recursive"
     assert abs(rec.values.var() - target) < 0.05 * target
-    direct = sim.sample_levy_area(T, steps, 40_000, RC, stream_id=18,
-                                  method="direct")
-    assert abs(direct.values.var() - target) < 0.10 * target
+    direct = _direct_area_values(T, steps, 40_000, stream_id=18)
+    assert abs(direct.var() - target) < 0.10 * target
 
 
 def test_area_recursive_matches_direct():
     # The dyadic refinement must reproduce the direct scheme's law exactly.
     T, steps = math.pi, 1024
     rec = sim.sample_levy_area(T, steps, 100_000, RC, stream_id=19)
-    direct = sim.sample_levy_area(T, steps, 40_000, RC, stream_id=20,
-                                  method="direct")
-    assert stats.ks_2samp(rec.values, direct.values).pvalue > KS_LEVEL
+    direct = _direct_area_values(T, steps, 40_000, stream_id=20)
+    assert stats.ks_2samp(rec.values, direct).pvalue > KS_LEVEL
 
 
 def test_area_median_and_exact_tail_law():
@@ -630,17 +654,13 @@ def test_stable_isotropic_marginal_consistency():
 
 
 def test_stable_alpha_one_skew_branch():
-    with pytest.raises(UnsupportedAlpha):
-        sim.sample_stable(1.0, 1, "custom", 100, RC, atoms=[(1.0, 1.0)],
-                          allow_log_corrected=False)
     # The log-corrected branch itself runs and produces finite draws.
     batch = sim.sample_stable(1.0, 1, "custom", 10_000, RC, stream_id=36,
                               atoms=[(1.0, 1.0)])
     assert np.all(np.isfinite(batch.values))
     assert batch.meta["centering"] == "log-corrected"
     # Symmetric alpha = 1 never needs the branch.
-    sym = sim.sample_stable(1.0, 1, "uniform", 100, RC, stream_id=37,
-                            allow_log_corrected=False)
+    sym = sim.sample_stable(1.0, 1, "uniform", 100, RC, stream_id=37)
     assert np.all(np.isfinite(sym.values))
 
 
@@ -753,7 +773,7 @@ def test_compound_radial_inverse_table_round_trip():
     for model, eps in cases:
         lam = m.tail_mass(model, eps)
         log_y, log_m = m._radial_inverse_table(
-            lambda r: float(m.tail_mass(model, r)), eps, lam)
+            np.vectorize(model.tail_mass, otypes=[np.float64]), eps, lam)
         y_true = np.geomspace(eps * 1.01, 50.0, 40)
         targets = np.array([m.tail_mass(model, y) for y in y_true])
         y_back = m._invert_radial(log_y, log_m, targets)
