@@ -545,14 +545,22 @@ def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
                            for v in comp], dtype=float)
         if target == "sup":
             flat = flat[flat > 0.0]
-        sq = flat * flat
+        half_sq = 0.5 * (flat * flat)
         ab = np.abs(flat)
+        top = float(ab.max())
 
         def ev(t: float) -> float:
-            if t <= 0.0:
-                return 0.0
+            # (1/2) sum a_k^2 / (1/(ct) - |a_k|) in one vector pass
+            # (np.add.reduce is ndarray.sum without its Python wrapper).
+            # Every gap is at least 1/(ct) - top: h is +inf where rounding
+            # near t_end closes that, and 0 where ct underflows.
             ct = c * t
-            return float(0.5 * np.sum(ct * sq / (1.0 - ct * ab)))
+            if not ct > 0.0:
+                return 0.0
+            inv = 1.0 / ct
+            if not inv > top:
+                return math.inf
+            return float(np.add.reduce(half_sq / (inv - ab)))
 
         h = HFunction(eval_fn=ev, t_end=1.0 / (c * a), h_sup=math.inf,
                       name=f"quad_h[{target}]")

@@ -33,7 +33,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NonMonotone, OutOfRange, QuadratureFailure
 
@@ -50,11 +49,12 @@ _QUAD_REL_TOL = 1e-11
 # exp(-I), so an absolute error of 1e-14 in I is a 1e-14 relative error
 # on the bound -- far inside every contract.  Without the floor, tiny
 # integrals (I ~ x^2 for x -> 0) would demand tolerances below the noise
-# floor of the brentq-computed integrand and the quadrature could never
+# floor of the root-solved integrand and the quadrature could never
 # converge.
 _QUAD_ABS_FLOOR = 1e-14
 _MAX_EVALS = 2 ** 20
-_BRACKET_T0 = 1e-12
+_BRACKET_FLOOR = 1e-12
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -204,19 +204,114 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> float:
 # Inversion
 # ----------------------------------------------------------------------
 
+def _nan_at(x: float) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; "
+                      "solver cannot continue.")
+
+
+def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
+           fb: float, xtol: float, rtol: float) -> float:
+    """Zero of f between a and b by Brent's method, given fa = f(a), fb = f(b).
+
+    The package's one bracketing zero-finder: a line-for-line port of
+    scipy's brentq.c (Brent 1973, "Algorithms for Minimization Without
+    Derivatives", ch. 4), except that the caller passes the values of f at
+    both bracket ends, which it already holds, instead of having them
+    evaluated again. The iterates, and so the root, are those of scipy's
+    brentq with the same xtol and rtol; each solve makes two fewer calls
+    of f. Raises ValueError if a value of f is NaN or fa and fb have the
+    same sign, and RuntimeError after 100 iterations without convergence.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = float(fa), float(fb)
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if fx != fx:
+            raise _nan_at(x)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # Zeros are handled above, so a sign bit is the test x < 0.
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        step_ok = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C gives an infinite or NaN step there, which the test
+                # below rejects.
+                pass
+            else:
+                step_ok = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        if step_ok:
+            # good short step
+            spre, scur = scur, stry
+        else:
+            # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise _nan_at(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
+def _probe(h: HFunction, t: float) -> float:
+    """h(t), raising OutOfRange if it is NaN."""
+    v = h(t)
+    if v != v:
+        raise OutOfRange(f"h({t!r}) is NaN")
+    return v
+
+
 def _solve_inverse(h: HFunction, s: float, lo: float) -> float:
-    """Root of h(t) = s above lo, bracketed by expanding upward from lo.
+    """Root of h(t) = s above lo, bracketed by probes of h, then Brent.
 
     lo should satisfy h(lo) <= s (lo = 0 always works since h(0) = 0).
-    Monotonicity is spot-checked during expansion: a decrease of more than
-    1e-9 between successive probes raises NonMonotone.
+    From lo > 0 the bracket grows upward: 2 lo, then doublings (halfway
+    to t_end when t_end is finite). From lo = 0 the first probe is t0 = 1
+    (t_end/2 when t_end <= 2); below the level there, the bracket grows
+    upward from t0 the same way, else it shrinks toward 0: first the
+    secant guess t0 s / h(t0) through the origin, then halvings, with
+    [0, t] the bracket once t is below 1e-12. Monotonicity is spot-checked
+    between successive probes on either side: h decreasing by more than
+    1e-9 raises NonMonotone. A NaN value of h raises OutOfRange.
     """
-    t = max(_BRACKET_T0, 2.0 * lo)
-    prev_t, prev_v = lo, h(lo) if lo > 0 else 0.0
+    if lo > 0.0:
+        prev_t, prev_v, t = lo, _probe(h, lo), 2.0 * lo
+    else:
+        prev_t, prev_v = 0.0, 0.0
+        t = 1.0 if h.t_end > 2.0 else 0.5 * h.t_end
     while True:
         if h.t_end < math.inf and t >= h.t_end:
             t = 0.5 * (prev_t + h.t_end)
-        v = h(t)
+        v = _probe(h, t)
         if v < prev_v - _MONOTONE_SLACK:
             raise NonMonotone(
                 f"h({t!r}) = {v!r} < h({prev_t!r}) = {prev_v!r} - 1e-9")
@@ -233,14 +328,42 @@ def _solve_inverse(h: HFunction, s: float, lo: float) -> float:
             if t > 1e300:
                 raise OutOfRange(
                     f"h(t) stays below s={s!r} for t up to 1e300")
+    if prev_t == 0.0 and v > s:
+        prev_t, prev_v, t, v = _shrink_bracket(h, s, t, v)
     if v == s:
         return t
     if prev_v > s:
         # A previous root can overshoot by its root tolerance when two
         # ordinates are extremely close; restart from the safe left end.
-        prev_t = 0.0
-    return float(brentq(lambda u: h(u) - s, prev_t, t,
-                        xtol=_INVERT_XTOL, rtol=_INVERT_RTOL))
+        prev_t, prev_v = 0.0, 0.0
+    try:
+        return _brent(lambda u: h(u) - s, prev_t, prev_v - s, t, v - s,
+                      _INVERT_XTOL, _INVERT_RTOL)
+    except ValueError as exc:  # a NaN value of h inside the bracket
+        raise OutOfRange(str(exc)) from exc
+
+
+def _shrink_bracket(h: HFunction, s: float, t: float,
+                    v: float) -> tuple[float, float, float, float]:
+    """(a, h(a), b, h(b)) with h(a) < s <= h(b), from h(t) = v > s.
+
+    Probes the secant guess t s / v, then halvings, each probe the new
+    upper end while h stays at or above s there; once the upper end is
+    below 1e-12, the lower end is 0.
+    """
+    guess = t * s / v
+    lower = guess if 0.0 < guess < t else 0.5 * t
+    while True:
+        w = _probe(h, lower)
+        if w > v + _MONOTONE_SLACK:
+            raise NonMonotone(
+                f"h({lower!r}) = {w!r} > h({t!r}) = {v!r} + 1e-9")
+        if w < s:
+            return lower, w, t, v
+        t, v = lower, w
+        if v == s or t < _BRACKET_FLOOR:
+            return 0.0, 0.0, t, v
+        lower = 0.5 * t
 
 
 def _level(h: HFunction, v: float, name: str) -> float:

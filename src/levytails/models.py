@@ -53,9 +53,9 @@ from typing import Mapping, Union
 
 import numpy as np
 from scipy import integrate
-from scipy.optimize import brentq
 from scipy.special import exp1, gammainc, polygamma, psi, zeta
 
+from .engine import _brent
 from .errors import (
     Divergent,
     EmptySpectrum,
@@ -506,8 +506,9 @@ def _bracket_root(g, lo: float, hi: float, *, xtol: float, rtol: float,
     lo is halved (at most `halvings` times) while the level is passed
     there, g(lo) >= 0; if it still is, lo is returned (the generalized
     inverse, cut at the search range). Else hi is doubled (at most
-    `doublings` times, the low end following) until g(hi) >= 0 and brentq
-    solves g = 0 at the caller's xtol and rtol. Raises `failure` if no
+    `doublings` times, the low end following) until g(hi) >= 0 and
+    engine._brent solves g = 0 at the caller's xtol and rtol, from the
+    bracket values already in hand. Raises `failure` if no
     bracket is found or g raises an ArithmeticError (e.g. overflow).
     """
     try:
@@ -522,7 +523,7 @@ def _bracket_root(g, lo: float, hi: float, *, xtol: float, rtol: float,
         for _ in range(doublings):
             above = g(hi)
             if above >= 0.0 and below < 0.0:
-                return float(brentq(g, lo, hi, xtol=xtol, rtol=rtol))
+                return _brent(g, lo, below, hi, above, xtol, rtol)
             lo, below, hi = hi, above, 2.0 * hi
     except ArithmeticError as exc:
         raise failure from exc

@@ -13,8 +13,10 @@ formula or independent bisection), never read back from the module.
 """
 
 import math
+import warnings
 from math import exp, log, pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -365,6 +367,45 @@ def test_quad_exact_h_matches_spectral_sum():
     expect = 0.5 * sum(ct * a * a / (1.0 - ct * abs(a))
                        for a in (0.5, -0.3, 0.2))
     assert h(0.7) == pytest.approx(expect, rel=1e-12)
+
+
+def _random_exact_h(seed, n, lip, target):
+    eigs = np.abs(np.random.default_rng(seed).uniform(-2.0, 2.0, n))
+    eigs[1::2] *= -1.0
+    tb = c.quad_wiener_bound(c.QuadraticSpec((tuple(eigs),)), lip_c=lip,
+                             form="exact_h", target=target)
+    used = [float(a) for a in eigs if target == "lipschitz" or a > 0.0]
+    return tb.meta["h"], tb.meta["lip_c"], used
+
+
+@pytest.mark.parametrize("n", [5, 500])
+@pytest.mark.parametrize("target", ["lipschitz", "sup"])
+def test_quad_exact_h_guard(n, target):
+    """The exact_h h-function is positive and nondecreasing, with no
+    division by zero, at the points the bracket walk probes below t_end,
+    finite at the smallest denormal, and within 1e-13 of an mpmath sum."""
+    for seed in range(40):
+        for lip in (0.1, 0.3, 1.0, 3.0, 7.0):
+            h, _, _ = _random_exact_h(seed, n, lip, target)
+            prev = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for k in range(1, 53):
+                    v = h(h.t_end * (1.0 - 2.0 ** -k))
+                    assert v > 0.0 and v >= prev, (seed, lip, k)
+                    prev = v
+                tiny = h(5e-324)
+            assert math.isfinite(tiny) and tiny >= 0.0
+    rng = np.random.default_rng(n)
+    for lip in (0.3, 1.0, 7.0):
+        h, lip_c, used = _random_exact_h(n, n, lip, target)
+        for u in rng.uniform(0.0, 0.99, 10):
+            t = float(u * h.t_end)
+            with mpmath.workdps(40):
+                ct = mpmath.mpf(lip_c) * mpmath.mpf(t)
+                want = sum(ct * mpmath.mpf(a) ** 2 / (1 - ct * abs(a))
+                           for a in used) / 2
+            assert h(t) == pytest.approx(float(want), rel=1e-13)
 
 
 def test_quad_sup_target_uses_positive_spectrum():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from levytails import (
     HFunction,
@@ -27,7 +28,7 @@ from levytails import (
     invert_h,
     tail_bound_from_h,
 )
-from levytails.engine import TailBound, _gauss_kronrod, _gk15
+from levytails.engine import TailBound, _brent, _gauss_kronrod, _gk15
 from levytails.errors import NonMonotone, OutOfRange, QuadratureFailure
 
 
@@ -118,6 +119,127 @@ def test_invert_detects_decrease():
     bad = HFunction(lambda t: math.sin(3.0 * t), name="sin")
     with pytest.raises(NonMonotone):
         invert_h(bad, 1.5)
+
+
+class _Counted:
+    """A function that records every argument it is called with."""
+
+    def __init__(self, f):
+        self.f = f
+        self.args = []
+
+    def __call__(self, t):
+        self.args.append(t)
+        return self.f(t)
+
+
+def test_invert_cold_bracket_call_counts():
+    # A cold bracket starts at t0 = 1: a secant guess and halvings below
+    # it, doublings above.
+    h_fn = _Counted(math.expm1)
+    h = HFunction(h_fn, name="expm1")
+    for s in (0.01, 1.0, 100.0):
+        h_fn.args.clear()
+        assert invert_h(h, s) == pytest.approx(math.log1p(s), rel=1e-12)
+        assert len(h_fn.args) <= 14, s
+    h_fn.args.clear()
+    want = 2.0 * math.log(2.0) - 1.0
+    assert entropy_integral(h, 1.0) == pytest.approx(want, rel=1e-13)
+    assert len(h_fn.args) <= 160
+
+
+@pytest.mark.parametrize("f, t_end", [
+    (math.expm1, math.inf),
+    (math.log1p, math.inf),
+    (lambda t: t * t, math.inf),
+    (lambda t: min(t, 1.0) + max(t - 2.0, 0.0), math.inf),
+    (lambda t: t / (1.0 - t), 1.0),
+    (lambda t: 1e-3 * t / (0.01 - t), 0.01),
+])
+def test_invert_never_probes_the_same_t_twice(f, t_end):
+    h_fn = _Counted(f)
+    h = HFunction(h_fn, t_end=t_end)
+    for s in (1e-9, 1e-3, 0.3, 0.999, 1.0, 1.5, 40.0):
+        h_fn.args.clear()
+        invert_h(h, s)
+        assert len(set(h_fn.args)) == len(h_fn.args), (s, h_fn.args)
+
+
+def test_invert_nan_raises_at_first_nan_probe():
+    h_fn = _Counted(lambda t: t if t < 5.0 else math.nan)
+    h = HFunction(h_fn, name="nan above 5")
+    with pytest.raises(OutOfRange, match=r"h\(8\.0\) is NaN"):
+        invert_h(h, 6.0)
+    assert len(h_fn.args) == 4          # t = 1, 2, 4, 8
+    xs = [0.5, 1.0, 1.5, 6.0, 9.0]
+    tb = tail_bound_from_h(h)
+    vals, _, valid = tb.evaluate_grid(xs)
+    assert valid.tolist() == [True, True, True, False, False]
+    assert vals[:3] == pytest.approx(np.exp(-0.5 * np.square(xs[:3])),
+                                     rel=1e-12)
+    with pytest.raises(OutOfRange):
+        tb(6.0)
+    # A NaN between the bracket ends, met by the Brent iterates.
+    hole = HFunction(lambda t: math.nan if 1.9 < t < 1.99 else t)
+    with pytest.raises(OutOfRange, match="NaN"):
+        invert_h(hole, 1.95)
+
+
+# ----------------------------------------------------------------------
+# Brent solver (a port of scipy's brentq that reuses the bracket values)
+# ----------------------------------------------------------------------
+
+def _brent_vs_brentq(f, a, b, xtol, rtol):
+    """(outcome, calls) of brentq and of _brent on the same problem."""
+    results = []
+    for solve in (lambda g: brentq(g, a, b, xtol=xtol, rtol=rtol),
+                  lambda g: _brent(g, a, f(a), b, f(b), xtol, rtol)):
+        g = _Counted(f)
+        try:
+            out = solve(g).hex()
+        except (ValueError, RuntimeError) as exc:
+            out = (type(exc).__name__, str(exc))
+        results.append((out, len(g.args)))
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+       k=st.floats(0.05, 4.0),
+       root=st.floats(-5.0, 5.0),
+       ends=st.tuples(st.floats(1e-9, 8.0), st.floats(1e-9, 8.0)),
+       swap=st.booleans(),
+       tol=st.sampled_from([(1e-15, 1e-12), (2e-12, 8.881784197001252e-16),
+                            (1e-22, 1e-10), (1e-15, 1e-13)]))
+def test_brent_returns_brentqs_float_with_two_fewer_calls(w, k, root, ends,
+                                                         swap, tol):
+    # A nondecreasing function with a zero at `root`, on a bracket around it.
+    def g(x):
+        return (w[0] * math.expm1(k * x) + w[1] * x + w[2] * math.atan(k * x)
+                + w[3] * math.floor(4.0 * x) + x * 1e-3)
+
+    g_root = g(root)
+    a, b = root - ends[0], root + ends[1]
+    if swap:
+        a, b = b, a
+    (ref, ref_calls), (port, port_calls) = _brent_vs_brentq(
+        lambda x: g(x) - g_root, a, b, *tol)
+    assert port == ref
+    if isinstance(ref, str):
+        assert port_calls == ref_calls - 2
+
+
+@pytest.mark.parametrize("f, a, b, error", [
+    (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, "ValueError"),
+    (lambda x: math.nan if 0.2 < x < 0.4 else x - 0.3, 0.0, 1.0,
+     "ValueError"),
+    (lambda x: x * x + 1.0, -1.0, 2.0, "ValueError"),
+    (lambda x: (x - 1.0) ** 5, 0.0, 5.0, "RuntimeError"),
+])
+def test_brent_error_parity(f, a, b, error):
+    (ref, _), (port, _) = _brent_vs_brentq(f, a, b, 1e-15, 1e-12)
+    assert ref[0] == error
+    assert port == ref
 
 
 # ----------------------------------------------------------------------
