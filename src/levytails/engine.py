@@ -299,9 +299,11 @@ def _solve_inverse(h: HFunction, s: float, lo: float) -> float:
     (t_end/2 when t_end <= 2); below the level there, the bracket grows
     upward from t0 the same way, else it shrinks toward 0: first the
     secant guess t0 s / h(t0) through the origin, then halvings, with
-    [0, t] the bracket once t is below 1e-12. Monotonicity is spot-checked
-    between successive probes on either side: h decreasing by more than
-    1e-9 raises NonMonotone. A NaN value of h raises OutOfRange.
+    [0, t] the bracket once t is below 1e-12. An upward probe where h is
+    NaN is bisected against the last finite one (see _bisect_nan).
+    Monotonicity is spot-checked between successive probes on either side:
+    h decreasing by more than 1e-9 raises NonMonotone. Any other NaN value
+    of h raises OutOfRange.
     """
     if lo > 0.0:
         prev_t, prev_v, t = lo, _probe(h, lo), 2.0 * lo
@@ -311,7 +313,10 @@ def _solve_inverse(h: HFunction, s: float, lo: float) -> float:
     while True:
         if h.t_end < math.inf and t >= h.t_end:
             t = 0.5 * (prev_t + h.t_end)
-        v = _probe(h, t)
+        v = h(t)
+        if v != v:
+            prev_t, prev_v, t, v = _bisect_nan(h, s, prev_t, prev_v, t)
+            break
         if v < prev_v - _MONOTONE_SLACK:
             raise NonMonotone(
                 f"h({t!r}) = {v!r} < h({prev_t!r}) = {prev_v!r} - 1e-9")
@@ -341,6 +346,33 @@ def _solve_inverse(h: HFunction, s: float, lo: float) -> float:
                       _INVERT_XTOL, _INVERT_RTOL)
     except ValueError as exc:  # a NaN value of h inside the bracket
         raise OutOfRange(str(exc)) from exc
+
+
+def _bisect_nan(h: HFunction, s: float, lo: float, lo_v: float,
+                nan_t: float) -> tuple[float, float, float, float]:
+    """(a, h(a), b, h(b)) with h(a) < s <= h(b), from h(lo) = lo_v < s and
+    h(nan_t) NaN, by bisecting [lo, nan_t].
+
+    A NaN midpoint becomes the NaN end, a finite one below s the low end.
+    Raises OutOfRange, naming nan_t, once the NaN end is within 1e-15
+    relative (or 1e-12 absolute) of a low end where h is still below s.
+    """
+    first = nan_t
+    while nan_t - lo > 1e-15 * nan_t and nan_t > _BRACKET_FLOOR:
+        t = 0.5 * (lo + nan_t)
+        v = h(t)
+        if v != v:
+            nan_t = t
+            continue
+        if v < lo_v - _MONOTONE_SLACK:
+            raise NonMonotone(
+                f"h({t!r}) = {v!r} < h({lo!r}) = {lo_v!r} - 1e-9")
+        if v >= s:
+            return lo, lo_v, t, v
+        lo, lo_v = t, v
+    raise OutOfRange(
+        f"h({first!r}) is NaN, and h stays below s={s!r} up to its NaN "
+        f"boundary near t={nan_t!r}")
 
 
 def _shrink_bracket(h: HFunction, s: float, t: float,

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 import numpy as np
-from scipy import integrate
 from scipy.special import exp1, gammainc, polygamma, psi, zeta
 
 from .engine import _brent
@@ -99,6 +98,8 @@ class _Radial(_LevyMeasure):
         if not (self.sigma_total > 0.0):
             raise PreconditionViolated("sigma_total must be > 0")
         # Numeric sanity check of int_{r<=1} r^2 rho(r) dr.
+        from scipy import integrate  # on first use, as in _quad
+
         rho = self.radial_density
         val, err = integrate.quad(lambda r: r * r * rho(r), 0.0, 1.0,
                                   epsabs=1e-12, epsrel=1e-8, limit=200)
@@ -489,6 +490,10 @@ def _expm1_over_sinh(t: float, b: float, y: float) -> float:
 
 
 def _quad(f, a, b, **kw) -> float:
+    # Imported on first use: scipy.integrate adds about 0.35 s to a cold
+    # start, and most runs never integrate.
+    from scipy import integrate
+
     opts = dict(epsabs=1e-13, epsrel=_QUAD_EPS, limit=300)
     opts.update(kw)
     val, err = integrate.quad(f, a, b, **opts)

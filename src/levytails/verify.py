@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special as _special
 
 from .engine import TailBound
 from .errors import (
@@ -75,7 +75,7 @@ _LEVEL = 0.99
 _MAX_AUDIT_POINTS = 20
 # z-score matching the one-sided 99% level, used to convert band widths
 # into log-space standard errors for the slope fit.
-_Z99 = float(_stats.norm.ppf(_LEVEL))
+_Z99 = float(_special.ndtri(_LEVEL))
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +205,22 @@ def _clopper_pearson(k: np.ndarray, n: int, alpha: float = 1.0 - _LEVEL):
     lo = np.zeros(k.shape, dtype=np.float64)
     hi = np.ones(k.shape, dtype=np.float64)
     pos = k > 0
-    lo[pos] = _stats.beta.ppf(alpha, k[pos], n - k[pos] + 1)
+    lo[pos] = _special.betaincinv(k[pos], n - k[pos] + 1, alpha)
     below = k < n
-    hi[below] = _stats.beta.ppf(1.0 - alpha, k[below] + 1, n - k[below])
+    hi[below] = _special.betaincinv(k[below] + 1, n - k[below], 1.0 - alpha)
     return lo, hi
+
+
+def _binom_ppf(q: float, n: int) -> int:
+    """Smallest k with P(Binomial(n, 1/2) <= k) >= q, for 0 < q < 1.
+
+    The continuous inverse rounded up, then one step down where the CDF
+    already reaches q there. At the two levels empirical_median uses,
+    this gives scipy's binom.ppf ranks.
+    """
+    k = math.ceil(_special.bdtrik(q, n, 0.5))
+    below = max(k - 1, 0)
+    return below if _special.bdtr(below, n, 0.5) >= q else k
 
 
 def _values_1d(batch) -> np.ndarray:
@@ -299,8 +311,8 @@ def empirical_median(batch) -> dict:
     ordered = np.sort(values)
     # P(v_(j) <= m <= v_(k)) from the binomial(n, 1/2) law of the rank of
     # the true median; two-sided 99%.
-    j = int(_stats.binom.ppf(0.005, n, 0.5))
-    k = int(_stats.binom.ppf(0.995, n, 0.5))
+    j = _binom_ppf(0.005, n)
+    k = _binom_ppf(0.995, n)
     j = max(j - 1, 0)
     k = min(k + 1, n - 1)
     return {

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -799,3 +802,47 @@ def test_sweep_run_must_be_subtask_name(tmp_path, capsys):
     # Top-level keys are reported bare, with no leading dot.
     assert "run: must be a string" in err
     assert ".run" not in err
+
+
+# ----------------------------------------------------------------------
+# cold start
+# ----------------------------------------------------------------------
+
+_COLD_START = """
+import json, runpy, sys
+heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+loaded = {}
+import levytails
+loaded["import levytails"] = [m for m in heavy if m in sys.modules]
+import levytails.cli
+loaded["import levytails.cli"] = [m for m in heavy if m in sys.modules]
+sys.argv = ["levytails", sys.argv[1]]
+try:
+    runpy.run_module("levytails", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    loaded["exit"] = exc.code
+loaded["python -m levytails"] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_cold_start_loads_no_heavy_scipy(tmp_path):
+    # A fresh process that imports the package and runs a Bennett bound
+    # pays for scipy.special only: scipy.stats, scipy.integrate and
+    # scipy.optimize stay unloaded.
+    cfg = tmp_path / "bennett.json"
+    cfg.write_text(json.dumps({
+        "task": "bound",
+        "bound": {"name": "bennett", "K": 1.0, "alpha2": 1.0},
+        "grid": {"x_lo": 0.25, "x_hi": 5.0, "points": 20},
+        "out": {"dir": str(tmp_path / "run")},
+    }))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == {"import levytails": [], "import levytails.cli": [],
+                      "exit": 0, "python -m levytails": []}
+    assert (tmp_path / "run" / "bound_curve.csv").exists()

@@ -170,7 +170,8 @@ def test_invert_nan_raises_at_first_nan_probe():
     h = HFunction(h_fn, name="nan above 5")
     with pytest.raises(OutOfRange, match=r"h\(8\.0\) is NaN"):
         invert_h(h, 6.0)
-    assert len(h_fn.args) == 4          # t = 1, 2, 4, 8
+    # t = 1, 2, 4, 8, then 50 bisections of [4, 8] pin the NaN boundary.
+    assert len(h_fn.args) == 54
     xs = [0.5, 1.0, 1.5, 6.0, 9.0]
     tb = tail_bound_from_h(h)
     vals, _, valid = tb.evaluate_grid(xs)
@@ -179,6 +180,13 @@ def test_invert_nan_raises_at_first_nan_probe():
                                      rel=1e-12)
     with pytest.raises(OutOfRange):
         tb(6.0)
+    # The root lies below the NaN region: bisecting [4, 8] finds it.
+    h_fn.args.clear()
+    assert invert_h(h, 4.9) == pytest.approx(4.9, rel=1e-12)
+    assert len(h_fn.args) <= 14
+    vals, _, valid = tb.evaluate_grid([1.0, 4.9, 6.0])
+    assert valid.tolist() == [True, True, False]
+    assert vals[1] == pytest.approx(math.exp(-0.5 * 4.9 ** 2), rel=1e-12)
     # A NaN between the bracket ends, met by the Brent iterates.
     hole = HFunction(lambda t: math.nan if 1.9 < t < 1.99 else t)
     with pytest.raises(OutOfRange, match="NaN"):

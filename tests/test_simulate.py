@@ -30,6 +30,7 @@ import pytest
 from scipy import stats
 from scipy.special import erfc
 
+from levytails import exact
 from levytails import models as m
 from levytails import simulate as sim
 from levytails.errors import (
@@ -537,6 +538,32 @@ def test_area_median_and_exact_tail_law():
         se = math.sqrt(p * (1.0 - p) / batch.count)
         # allow the O(1/steps) discretization gap on top of 4 SE
         assert abs(p_hat - p) < 4.0 * se + 2.0 * p / 2048
+
+
+def _area_eigenvalues(T, steps):
+    """Spectrum of the midpoint area with ``steps`` steps: its law is
+    (1/2) sum a_k (Z_k^2 - 1) with a = +-(T/(2 steps)) cot((2k - 1) pi /
+    (2 steps)), k = 1..steps/2, each sign twice."""
+    k = np.arange(1, steps // 2 + 1)
+    a = T / (2.0 * steps) / np.tan((2 * k - 1) * math.pi / (2.0 * steps))
+    return np.concatenate([a, a, -a, -a])
+
+
+@pytest.mark.parametrize("steps, method", [(4096, "recursive"),
+                                           (1000, "direct")])
+def test_area_matches_exact_discrete_law(steps, method):
+    # One-sample DKW check against the exact law of the n-step scheme:
+    # sup |F_n - F| <= sqrt(log(2/level) / (2n)) with prob. 1 - level.
+    T, n = math.pi, 20_000
+    eigs = _area_eigenvalues(T, steps)
+    var = (T * T / 4.0) * (1.0 - 1.0 / steps)
+    assert 0.5 * np.sum(eigs ** 2) == pytest.approx(var, rel=1e-13)
+    batch = sim.sample_levy_area(T, steps, n, RC, stream_id=25)
+    assert batch.meta["method"] == method
+    xs = np.linspace(-3.5, 3.5, 64) * math.sqrt(var)
+    ecdf = np.searchsorted(np.sort(batch.values), xs, side="right") / n
+    dist = float(np.max(np.abs(ecdf - exact.cdf(xs, eigs))))
+    assert dist < math.sqrt(math.log(2.0 / KS_LEVEL) / (2.0 * n)), dist
 
 
 def test_area_step_doubling_consistency():

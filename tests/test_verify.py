@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from levytails import (
     SampleBatch,
@@ -15,6 +15,7 @@ from levytails import (
     empirical_median,
     empirical_tail,
     fit_log_slope,
+    verify,
 )
 from levytails.errors import (
     CenterMismatch,
@@ -119,6 +120,49 @@ def test_median_normal_width():
 def test_median_needs_count():
     with pytest.raises(PreconditionViolated):
         empirical_median(_batch(np.arange(50, dtype=np.float64)))
+
+
+# The band and rank quantiles come from scipy.special; scipy.stats, not
+# imported by the package, is the oracle they must match bit for bit.
+_ORACLE_NS = [1, 2, 3, 7, 100, 999, 1000, 4097, 10**4, 123_457, 10**6,
+              10**7, 10**8]
+
+
+@pytest.mark.parametrize("n", _ORACLE_NS)
+def test_clopper_pearson_equals_beta_ppf(n):
+    if n <= 5000:
+        k = np.arange(n + 1)
+    else:
+        k = np.unique(np.r_[0:30, n - 30:n + 1,
+                            np.linspace(0, n, 300).astype(np.int64)])
+    lo, hi = verify._clopper_pearson(k, n)
+    alpha = 1.0 - verify._LEVEL
+    want_lo = np.zeros(k.shape)
+    want_hi = np.ones(k.shape)
+    pos, below = k > 0, k < n
+    want_lo[pos] = stats.beta.ppf(alpha, k[pos], n - k[pos] + 1)
+    want_hi[below] = stats.beta.ppf(1.0 - alpha, k[below] + 1, n - k[below])
+    assert lo.tobytes() == want_lo.tobytes()
+    assert hi.tobytes() == want_hi.tobytes()
+
+
+def test_median_ranks_equal_binom_ppf():
+    ns = list(range(100, 3000)) + [4097, 10**4, 123_457, 10**6, 10**7,
+                                   10**8]
+    for n in ns:
+        for q in (0.005, 0.995):
+            assert verify._binom_ppf(q, n) == int(stats.binom.ppf(q, n, 0.5))
+    # At q = P(B <= k) the continuous inverse lands on or just above k,
+    # and the rank must come back down to k.
+    for n in (1001, 10**4):
+        for k in range(n // 2 - 60, n // 2 + 60):
+            assert verify._binom_ppf(float(special.bdtr(k, n, 0.5)), n) == k
+    assert verify._Z99 == float(stats.norm.ppf(verify._LEVEL))
+    values = np.random.default_rng(14).normal(size=1001)
+    ordered = np.sort(values)
+    est = empirical_median(_batch(values))
+    assert est["ci_lo"] == ordered[int(stats.binom.ppf(0.005, 1001, 0.5)) - 1]
+    assert est["ci_hi"] == ordered[int(stats.binom.ppf(0.995, 1001, 0.5)) + 1]
 
 
 # ----------------------------------------------------------------------
