@@ -78,7 +78,6 @@ class FunctionalProfile:
     alpha2  sup_omega int |D_yF|^2 nu(dy)  (the square alpha~^2),
     beta    per-component slopes sup |D_{(i,y)}F_i| / |y|,
     lip_c   Lipschitz constant of the outer function,
-    lip_norm  which norm that constant refers to ("l1", "l2", "linf"),
     n       dimension of the described vector.
     """
 
@@ -86,7 +85,6 @@ class FunctionalProfile:
     alpha2: float
     beta: tuple = (1.0,)
     lip_c: float = 1.0
-    lip_norm: str = "l2"
     n: int = 1
 
     def __post_init__(self):
@@ -98,8 +96,6 @@ class FunctionalProfile:
             raise InvalidProfile(f"lip_c must be > 0, got {self.lip_c!r}")
         if any(b < 0.0 for b in self.beta):
             raise InvalidProfile("beta entries must be >= 0")
-        if self.lip_norm not in ("l1", "l2", "linf"):
-            raise InvalidProfile(f"unknown lip_norm {self.lip_norm!r}")
         if self.n < 1:
             raise InvalidProfile(f"n must be >= 1, got {self.n!r}")
 
@@ -152,12 +148,6 @@ class QuadraticSpec:
         """Largest positive eigenvalue across components (0 if none)."""
         pos = [a for comp in self.eigs_per_component for a in comp if a > 0.0]
         return max(pos) if pos else 0.0
-
-    @property
-    def a_minus(self) -> float:
-        """Largest -a_k^i across components (0 if none negative)."""
-        neg = [-a for comp in self.eigs_per_component for a in comp if a < 0.0]
-        return max(neg) if neg else 0.0
 
     @property
     def f2_norms(self) -> tuple:
@@ -319,6 +309,14 @@ def bennett_bound(K: float, alpha2: float) -> TailBound:
                      meta={"K": K, "alpha2": alpha2, "transform": "value"})
 
 
+def _per_component(model, n: int) -> list:
+    """One model per component: a list or tuple as given, else n copies."""
+    mods = list(model) if isinstance(model, (list, tuple)) else [model] * n
+    if len(mods) != n:
+        raise InvalidProfile(f"got {len(mods)} models for n={n} components")
+    return mods
+
+
 def product_h(profile: FunctionalProfile, model, mode: str,
               truncation: float = math.inf) -> HFunction:
     """h-function for a functional of several independent components.
@@ -340,10 +338,7 @@ def product_h(profile: FunctionalProfile, model, mode: str,
     if mode not in ("shared_beta", "per_component", "supremum"):
         raise OutOfRange(f"unknown mode {mode!r}")
     n = profile.n
-    mods = list(model) if isinstance(model, (list, tuple)) else [model] * n
-    if len(mods) != n:
-        raise InvalidProfile(
-            f"got {len(mods)} models for n={n} components")
+    mods = _per_component(model, n)
     trunc_finite = math.isfinite(truncation)
 
     if mode == "shared_beta":
@@ -421,9 +416,7 @@ def dimension_free_bound(profile: FunctionalProfile, model,
         raise InvalidProfile(f"mean_norm must be > 0, got {mean_norm!r}")
     n = profile.n
     betas = profile.betas()
-    mods = list(model) if isinstance(model, (list, tuple)) else [model] * n
-    if len(mods) != n:
-        raise InvalidProfile(f"got {len(mods)} models for n={n} components")
+    mods = _per_component(model, n)
     active = [(m, b) for m, b in zip(mods, betas) if b > 0.0]
     if not active:
         raise InvalidProfile("all beta_i are zero")

@@ -16,13 +16,14 @@ The config file is one JSON object.  Recognized keys:
              "eigs": [floats]                  (quadratic, explicit spectrum)
              "generator": {"kind": "energy"|"centered", "T": float,
                            "N": int, "convention": "spectral"|"pathwise"}}
-                                               (quadratic, closed-form spectrum)
+                                               (quadratic, closed-form spectrum;
+                                                N is capped at 10**6)
     bound   {"name": <catalog name>, ...parameters}   (see the table in
             _BOUND_KEYS; "dev_nico" is accepted as an alias of "bennett")
     grid    {"x_lo": float, "x_hi": float, "points": int}
             (deviation units; verify audits are capped at 20 points)
     mc      {"count": int, "steps": int, "seed": int, "stream": int}
-            (count is capped at 10**8)
+            (count is capped at 10**8, steps at 2**20)
     out     {"dir": str}
     run     inner task of a sweep ("bound" | "simulate" | "verify")
     over    {"dotted.path": [values, ...]} sweep axes (Cartesian product),
@@ -104,6 +105,11 @@ _MAX_BOUND_POINTS = 100_000
 # 10x the largest Monte-Carlo count the acceptance runs use; 8e8 bytes of
 # draws, so a larger count ends in a ConfigError, not a MemoryError.
 _MAX_COUNT = 10 ** 8
+# 2000x the N = 500 spectra the benchmarks use (8 MB of eigenvalues), and 8 MB
+# per Brownian path (the default is 4096 steps for the area): past these a
+# config ends in a ConfigError, not a MemoryError.
+_MAX_EIGS = 10 ** 6
+_MAX_STEPS = 2 ** 20
 _MISSING = object()
 
 
@@ -157,7 +163,8 @@ def _num(section: dict, key: str, path: str, default=_MISSING):
     return float(val)
 
 
-def _int(section: dict, key: str, path: str, default=_MISSING, minimum=None):
+def _int(section: dict, key: str, path: str, default=_MISSING, minimum=None,
+         maximum=None):
     if key not in section:
         if default is _MISSING:
             raise ConfigError(f"{_loc(path, key)}: required")
@@ -169,6 +176,9 @@ def _int(section: dict, key: str, path: str, default=_MISSING, minimum=None):
     if minimum is not None and val < minimum:
         raise ConfigError(
             f"{_loc(path, key)}: must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(
+            f"{_loc(path, key)}: capped at {maximum}, got {val}")
     return val
 
 
@@ -259,7 +269,7 @@ def build_model(model_cfg: dict):
     return chaos_eigenvalues(
         _str(gen, "kind", "model.generator", choices=("energy", "centered")),
         _num(gen, "T", "model.generator"),
-        _int(gen, "N", "model.generator", minimum=1),
+        _int(gen, "N", "model.generator", minimum=1, maximum=_MAX_EIGS),
         _str(gen, "convention", "model.generator", default="spectral",
              choices=("spectral", "pathwise")),
     )
@@ -398,13 +408,10 @@ def _parse_grid(cfg: dict, audit: bool) -> np.ndarray:
 def _parse_mc(cfg: dict) -> dict:
     mc = _section(cfg, "mc", required=True)
     _check_keys(mc, {"count", "steps", "seed", "stream"}, "mc")
-    count = _int(mc, "count", "mc", minimum=1)
-    if count > _MAX_COUNT:
-        raise ConfigError(
-            f"mc.count: capped at {_MAX_COUNT}, got {count}")
     return {
-        "count": count,
-        "steps": _int(mc, "steps", "mc", default=None, minimum=1),
+        "count": _int(mc, "count", "mc", minimum=1, maximum=_MAX_COUNT),
+        "steps": _int(mc, "steps", "mc", default=None, minimum=1,
+                      maximum=_MAX_STEPS),
         "seed": _int(mc, "seed", "mc", default=0, minimum=0),
         "stream": _int(mc, "stream", "mc", default=0, minimum=0),
     }

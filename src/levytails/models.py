@@ -97,16 +97,6 @@ class _Radial(_LevyMeasure):
     def __post_init__(self):
         if not (self.sigma_total > 0.0):
             raise PreconditionViolated("sigma_total must be > 0")
-        # Numeric sanity check of int_{r<=1} r^2 rho(r) dr.
-        from scipy import integrate  # on first use, as in _quad
-
-        rho = self.radial_density
-        val, err = integrate.quad(lambda r: r * r * rho(r), 0.0, 1.0,
-                                  epsabs=1e-12, epsrel=1e-8, limit=200)
-        if not math.isfinite(val) or err > 1e-6 * (1.0 + abs(val)):
-            raise PreconditionViolated(
-                f"{type(self).__name__}: small-ball second moment not "
-                f"finite to 1e-6 (value={val!r}, err={err!r})")
 
     def exp_weighted_moment(self, k: int, t: float, R: float, side: str):
         if math.isinf(R):
@@ -259,14 +249,6 @@ class QuadraticSpectral(_LevyMeasure):
 
     def abs_eigs(self) -> np.ndarray:
         return np.abs(np.asarray(self.eigs, dtype=float))
-
-    def positive_part(self) -> "QuadraticSpectral":
-        """The sub-measure carried by the positive eigenvalues (used for
-        one-sided/supremum bounds). Raises EmptySpectrum if there is none."""
-        pos = tuple(a for a in self.eigs if a > 0.0)
-        if not pos:
-            raise EmptySpectrum("no positive eigenvalues")
-        return QuadraticSpectral(pos)
 
     def tail_mass(self, R: float) -> float:
         a = self.abs_eigs()
@@ -698,19 +680,6 @@ def exp_weighted_moment(model: LevyModel, k: int, t: float,
     return model.exp_weighted_moment(k, t, R, side)
 
 
-def levy_area_exp_envelope(T: float, t: float) -> float:
-    """Closed-form upper envelope 4 t T/(pi (pi/T - t)) for the k=1
-    exponentially weighted moment of the LevyArea measure (abs side).
-
-    Valid for 0 < t < pi/T; raises Divergent at or beyond the abscissa.
-    """
-    if not (t > 0.0):
-        raise OutOfRange(f"t must be > 0, got {t!r}")
-    if t >= math.pi / T:
-        raise Divergent(f"t={t!r} at/beyond pi/T = {math.pi / T!r}")
-    return 4.0 * t * T / (math.pi * (math.pi / T - t))
-
-
 # ----------------------------------------------------------------------
 # Spectral generators for the two canonical quadratic path functionals
 # ----------------------------------------------------------------------
@@ -759,14 +728,3 @@ def chaos_eigenvalues(kind: str, T: float, N: int,
         lam = 2.0 * lam
         rem = 4.0 * rem
     return QuadraticSpectral(tuple(float(a) for a in lam), remainder_sq=rem)
-
-
-def spectral_sum_sq(model: QuadraticSpectral, include_remainder: bool = True) -> float:
-    """sum_k a_k^2, optionally including the generator's dropped tail."""
-    s = float(np.sum(np.asarray(model.eigs) ** 2))
-    return s + model.remainder_sq if include_remainder else s
-
-
-def spectral_sum(model: QuadraticSpectral) -> float:
-    """sum_k a_k over the retained eigenvalues (signed)."""
-    return float(np.sum(np.asarray(model.eigs)))

@@ -180,11 +180,26 @@ class SampleBatch:
             raise EmptyBatch("batch contains no samples")
 
 
+# Meta entries that identify or count one batch's draws rather than the law
+# they were drawn from; every other entry must agree across a merge.
+_PER_BATCH_META = ("replicate", "jump_counts", "merged_stream_ids")
+
+
+def _law_params(batch: SampleBatch) -> str:
+    # Normalized as in the saved header, so a loaded batch (lists where the
+    # sampler wrote tuples) compares equal to a fresh one.
+    return json.dumps({k: v for k, v in batch.meta.items()
+                       if k not in _PER_BATCH_META},
+                      sort_keys=True, default=str)
+
+
 def merge_batches(batches) -> SampleBatch:
     """Merge batches drawn on disjoint streams of one root seed.
 
-    The result is independent of the order in which the inputs are passed:
-    segments are concatenated sorted by ``(stream_id, replicate)``.
+    All inputs must come from one sampler with one parameter set and have
+    the same value shape per draw; ``InvalidProfile`` otherwise.  The result
+    is independent of the order in which the inputs are passed: segments are
+    concatenated sorted by ``(stream_id, replicate)``.
     """
     batches = list(batches)
     if not batches:
@@ -192,6 +207,19 @@ def merge_batches(batches) -> SampleBatch:
     seeds = {b.seed for b in batches}
     if len(seeds) != 1:
         raise InvalidProfile(f"cannot merge batches with mixed seeds {seeds}")
+    first, params = batches[0], _law_params(batches[0])
+    for b in batches[1:]:
+        if b.meta.get("sampler") != first.meta.get("sampler"):
+            raise InvalidProfile(
+                f"cannot merge batches of samplers {first.meta.get('sampler')!r}"
+                f" and {b.meta.get('sampler')!r}")
+        if b.values.shape[1:] != first.values.shape[1:]:
+            raise InvalidProfile(
+                f"cannot merge batches with per-draw shapes "
+                f"{first.values.shape[1:]} and {b.values.shape[1:]}")
+        if _law_params(b) != params:
+            raise InvalidProfile(
+                "cannot merge batches drawn with different parameters")
     keys = [(b.stream_id, b.meta.get("replicate", 0)) for b in batches]
     if len(set(keys)) != len(keys):
         raise InvalidProfile("duplicate (stream_id, replicate) in merge")

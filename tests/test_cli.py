@@ -427,6 +427,11 @@ def _simulate_config(draw):
                   "kind": "centered", "T": 1e-300, "N": 500}}})
 @example(cfg={"task": "simulate", "mc": {"count": 10},
               "model": {"variant": "quadratic", "eigs": [1e308, 1e-300]}})
+@example(cfg={"task": "simulate", "mc": {"count": 10},
+              "model": {"variant": "quadratic", "generator": {
+                  "kind": "energy", "T": 1, "N": 10 ** 12}}})
+@example(cfg={"task": "simulate", "mc": {"count": 10, "steps": 10 ** 12},
+              "model": {"variant": "brownian_square_norm", "T": 1}})
 def test_any_simulate_config_exits_cleanly(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         run = _exits_cleanly(cfg, Path(tmp))
@@ -826,23 +831,35 @@ print(json.dumps(loaded))
 """
 
 
-def test_cold_start_loads_no_heavy_scipy(tmp_path):
-    # A fresh process that imports the package and runs a Bennett bound
-    # pays for scipy.special only: scipy.stats, scipy.integrate and
-    # scipy.optimize stay unloaded.
-    cfg = tmp_path / "bennett.json"
-    cfg.write_text(json.dumps({
+_COLD_START_CONFIGS = (
+    ("bound_curve.csv", {
         "task": "bound",
         "bound": {"name": "bennett", "K": 1.0, "alpha2": 1.0},
-        "grid": {"x_lo": 0.25, "x_hi": 5.0, "points": 20},
-        "out": {"dir": str(tmp_path / "run")},
-    }))
+        "grid": {"x_lo": 0.25, "x_hi": 5.0, "points": 20}}),
+    ("verify_report.json", {
+        "task": "verify",
+        "model": {"variant": "stable", "alpha": 1.2, "sigma_total": 1.0},
+        "bound": {"name": "stable_median"},
+        "grid": {"x_lo": 12.0, "x_hi": 60.0, "points": 10},
+        "mc": {"count": 20_000, "seed": 1}}),
+)
+
+
+def test_cold_start_loads_no_heavy_scipy(tmp_path):
+    # A fresh process that imports the package and runs a Bennett bound, or
+    # builds a Stable model and audits its median bound, pays for
+    # scipy.special only: scipy.stats, scipy.integrate and scipy.optimize
+    # stay unloaded.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg)],
-                          capture_output=True, text=True, env=env,
-                          timeout=120, check=True)
-    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert loaded == {"import levytails": [], "import levytails.cli": [],
-                      "exit": 0, "python -m levytails": []}
-    assert (tmp_path / "run" / "bound_curve.csv").exists()
+    for i, (artifact, cfg) in enumerate(_COLD_START_CONFIGS):
+        run = tmp_path / f"run{i}"
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps({**cfg, "out": {"dir": str(run)}}))
+        proc = subprocess.run([sys.executable, "-c", _COLD_START, str(path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, check=True)
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert loaded == {"import levytails": [], "import levytails.cli": [],
+                          "exit": 0, "python -m levytails": []}, artifact
+        assert (run / artifact).exists()

@@ -100,6 +100,31 @@ def test_merge_batches_order_independent():
         sim.merge_batches([b1, b1])
 
 
+def test_merge_batches_refuses_mixed_laws(tmp_path):
+    b1 = sim.sample_chaos2([1.0], 100, sim.RngContract(7), stream_id=0)
+    # a batch read back from its file merges with a fresh one of its law
+    sim.save_batch(b1, str(tmp_path / "b1.bin"))
+    b2 = sim.sample_chaos2([1.0], 150, sim.RngContract(7), stream_id=1)
+    assert sim.merge_batches(
+        [sim.load_batch(str(tmp_path / "b1.bin")), b2]).count == 250
+    # another sampler, and a per-draw shape of (2,) against ()
+    vector = sim.sample_stable(1.5, 2, "uniform", 50, sim.RngContract(7),
+                               stream_id=1)
+    with pytest.raises(InvalidProfile, match="samplers"):
+        sim.merge_batches([b1, vector])
+    with pytest.raises(InvalidProfile, match="shapes"):
+        sim.merge_batches([b1, sim.SampleBatch(np.zeros((5, 2)), 5, 7, 1,
+                                               dict(b1.meta))])
+    # the same sampler with other eigenvalues (the header records their
+    # number, not their values)
+    other = sim.sample_chaos2([1.0, 0.5], 100, sim.RngContract(7),
+                              stream_id=1)
+    with pytest.raises(InvalidProfile, match="parameters"):
+        sim.merge_batches([b1, other])
+    with pytest.raises(InvalidProfile, match="parameters"):
+        sim.merge_batches([other, b1])
+
+
 def test_save_load_round_trip_exact():
     scalar = sim.sample_chaos2([2.0, -1.0], 257, sim.RngContract(11), stream_id=5)
     vector = sim.sample_stable(1.5, 2, "uniform", 64, sim.RngContract(12))
@@ -347,7 +372,8 @@ def test_chaos2_single_eigenvalue_moments():
 def test_chaos2_variance_matches_spectrum():
     spec = m.chaos_eigenvalues("energy", 1.0, 300, convention="spectral")
     batch = sim.sample_chaos2(spec, 200_000, RC, stream_id=3)
-    target = 0.5 * m.spectral_sum_sq(spec)
+    target = 0.5 * (float(np.sum(np.asarray(spec.eigs) ** 2))
+                    + spec.remainder_sq)
     assert abs(batch.values.var() - target) < 0.05 * target
 
 
