@@ -17,8 +17,9 @@ and the engine computes it along two numerically independent routes:
   with a nonnegative integrand; on a grid each root is bracketed from the
   previous one and the integral is accumulated segment by segment;
 * the inverse route (entropy_integral, evaluate_entropy_grid): quadrature
-  of the pointwise inverse h^{-1}, one cold root solve per node. It is
-  slower and serves as the reference the Legendre route is checked
+  of the pointwise inverse h^{-1}, one cold root solve at the top point,
+  then each node solved inside the bracket of its solved neighbours. It
+  is slower and serves as the reference the Legendre route is checked
   against.
 
 All functions are pure; there is no shared mutable state.
@@ -27,9 +28,9 @@ All functions are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,15 +166,18 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
             r * sum(w * v for w, v in zip(_G7_W, fv[1::2])))
 
 
-def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> float:
+def _gauss_kronrod(f: Callable[[float], float], a: float, b: float,
+                   accepted: Callable[[float], None] | None = None) -> float:
     """Integrate f on [a, b] to relative tolerance _QUAD_REL_TOL.
 
     The first K15 estimate on [a, b] sets the absolute tolerance
     _QUAD_REL_TOL * |estimate| + _QUAD_ABS_FLOOR. A panel is accepted when
     its K15 and G7 estimates agree within its tolerance (or it is narrower
     than 1e-15 (b - a)); otherwise it is bisected and each half gets half
-    the tolerance. Raises QuadratureFailure once more than 2^20 integrand
-    evaluations would be spent.
+    the tolerance. Panels are accepted left to right, and accepted(b0) is
+    told the right end b0 of each: f is never evaluated left of it again.
+    Raises QuadratureFailure once more than 2^20 integrand evaluations
+    would be spent.
     """
     if b <= a:
         return 0.0
@@ -188,6 +192,8 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> float:
         a0, b0, k0, g0, tol0 = stack.pop()
         if abs(k0 - g0) <= tol0 or b0 - a0 <= min_width:
             total += k0
+            if accepted is not None:
+                accepted(b0)
             continue
         evals += 30
         if evals > _MAX_EVALS:
@@ -282,40 +288,36 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
         f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _probe(h: HFunction, t: float) -> float:
-    """h(t), raising OutOfRange if it is NaN."""
-    v = h(t)
-    if v != v:
-        raise OutOfRange(f"h({t!r}) is NaN")
-    return v
+def _solve_inverse(h: HFunction, s: float, lo: float = 0.0,
+                   lo_v: float = 0.0) -> tuple[float, float]:
+    """(t, h(t)) at the root of h(t) = s above lo: probes of h, then Brent.
 
-
-def _solve_inverse(h: HFunction, s: float, lo: float) -> float:
-    """Root of h(t) = s above lo, bracketed by probes of h, then Brent.
-
-    lo should satisfy h(lo) <= s (lo = 0 always works since h(0) = 0).
-    From lo > 0 the bracket grows upward: 2 lo, then doublings (halfway
-    to t_end when t_end is finite). From lo = 0 the first probe is t0 = 1
-    (t_end/2 when t_end <= 2); below the level there, the bracket grows
-    upward from t0 the same way, else it shrinks toward 0: first the
-    secant guess t0 s / h(t0) through the origin, then halvings, with
-    [0, t] the bracket once t is below 1e-12. An upward probe where h is
-    NaN is bisected against the last finite one (see _bisect_nan).
-    Monotonicity is spot-checked between successive probes on either side:
-    h decreasing by more than 1e-9 raises NonMonotone. Any other NaN value
+    lo_v = h(lo) <= s is the caller's value (lo = lo_v = 0 always works
+    since h(0) = 0), and h(t) is the value h returned at t, so a caller
+    that goes on from t never evaluates h there again. From lo > 0 the
+    bracket grows upward: 2 lo, then doublings (halfway to t_end when
+    t_end is finite). From lo = 0 the first probe is t0 = 1 (t_end/2 when
+    t_end <= 2); below the level there, the bracket grows upward from t0
+    the same way, else it shrinks toward 0: first the secant guess
+    t0 s / h(t0) through the origin, then halvings, with [0, t] the
+    bracket once t is below 1e-12. An upward probe where h is NaN is
+    bisected against the last finite one (see _bisect_nan). Monotonicity
+    is spot-checked between successive probes on either side: h
+    decreasing by more than 1e-9 raises NonMonotone. Any other NaN value
     of h raises OutOfRange.
     """
+    ev = h.eval_fn
+    prev_t, prev_v = lo, lo_v
     if lo > 0.0:
-        prev_t, prev_v, t = lo, _probe(h, lo), 2.0 * lo
+        t = 2.0 * lo
     else:
-        prev_t, prev_v = 0.0, 0.0
         t = 1.0 if h.t_end > 2.0 else 0.5 * h.t_end
     while True:
         if h.t_end < math.inf and t >= h.t_end:
             t = 0.5 * (prev_t + h.t_end)
-        v = h(t)
+        v = float(ev(t))
         if v != v:
-            prev_t, prev_v, t, v = _bisect_nan(h, s, prev_t, prev_v, t)
+            prev_t, prev_v, t, v = _bisect_nan(ev, s, prev_t, prev_v, t)
             break
         if v < prev_v - _MONOTONE_SLACK:
             raise NonMonotone(
@@ -334,24 +336,41 @@ def _solve_inverse(h: HFunction, s: float, lo: float) -> float:
                 raise OutOfRange(
                     f"h(t) stays below s={s!r} for t up to 1e300")
     if prev_t == 0.0 and v > s:
-        prev_t, prev_v, t, v = _shrink_bracket(h, s, t, v)
+        prev_t, prev_v, t, v = _shrink_bracket(ev, s, t, v)
     if v == s:
-        return t
+        return t, v
     if prev_v > s:
         # A previous root can overshoot by its root tolerance when two
         # ordinates are extremely close; restart from the safe left end.
         prev_t, prev_v = 0.0, 0.0
     try:
-        return _brent(lambda u: h(u) - s, prev_t, prev_v - s, t, v - s,
-                      _INVERT_XTOL, _INVERT_RTOL)
+        return _brent_level(ev, s, prev_t, prev_v, t, v)
     except ValueError as exc:  # a NaN value of h inside the bracket
         raise OutOfRange(str(exc)) from exc
 
 
-def _bisect_nan(h: HFunction, s: float, lo: float, lo_v: float,
-                nan_t: float) -> tuple[float, float, float, float]:
+def _brent_level(ev: Callable[[float], float], s: float, a: float,
+                 va: float, b: float, vb: float) -> tuple[float, float]:
+    """(t, h(t)) at the root of h(t) = s between a and b, by _brent.
+
+    ev is h's eval_fn, and va = h(a), vb = h(b) lie on either side of s.
+    h(t) is the value ev returned at t, not the level plus the residual.
+    Raises ValueError where h is NaN, as _brent does.
+    """
+    seen = {a: va, b: vb}
+
+    def residual(u: float) -> float:
+        v = seen[u] = float(ev(u))
+        return v - s
+
+    t = _brent(residual, a, va - s, b, vb - s, _INVERT_XTOL, _INVERT_RTOL)
+    return t, seen[t]
+
+
+def _bisect_nan(ev: Callable[[float], float], s: float, lo: float,
+                lo_v: float, nan_t: float) -> tuple[float, float, float, float]:
     """(a, h(a), b, h(b)) with h(a) < s <= h(b), from h(lo) = lo_v < s and
-    h(nan_t) NaN, by bisecting [lo, nan_t].
+    h(nan_t) NaN, by bisecting [lo, nan_t]; ev is h's eval_fn.
 
     A NaN midpoint becomes the NaN end, a finite one below s the low end.
     Raises OutOfRange, naming nan_t, once the NaN end is within 1e-15
@@ -360,7 +379,7 @@ def _bisect_nan(h: HFunction, s: float, lo: float, lo_v: float,
     first = nan_t
     while nan_t - lo > 1e-15 * nan_t and nan_t > _BRACKET_FLOOR:
         t = 0.5 * (lo + nan_t)
-        v = h(t)
+        v = float(ev(t))
         if v != v:
             nan_t = t
             continue
@@ -375,18 +394,21 @@ def _bisect_nan(h: HFunction, s: float, lo: float, lo_v: float,
         f"boundary near t={nan_t!r}")
 
 
-def _shrink_bracket(h: HFunction, s: float, t: float,
+def _shrink_bracket(ev: Callable[[float], float], s: float, t: float,
                     v: float) -> tuple[float, float, float, float]:
-    """(a, h(a), b, h(b)) with h(a) < s <= h(b), from h(t) = v > s.
+    """(a, h(a), b, h(b)) with h(a) < s <= h(b), from h(t) = v > s; ev is
+    h's eval_fn.
 
     Probes the secant guess t s / v, then halvings, each probe the new
     upper end while h stays at or above s there; once the upper end is
-    below 1e-12, the lower end is 0.
+    below 1e-12, the lower end is 0. A NaN probe raises OutOfRange.
     """
     guess = t * s / v
     lower = guess if 0.0 < guess < t else 0.5 * t
     while True:
-        w = _probe(h, lower)
+        w = float(ev(lower))
+        if w != w:
+            raise OutOfRange(f"h({lower!r}) is NaN")
         if w > v + _MONOTONE_SLACK:
             raise NonMonotone(
                 f"h({lower!r}) = {w!r} > h({t!r}) = {v!r} + 1e-9")
@@ -414,7 +436,7 @@ def invert_h(h: HFunction, s: float) -> float:
     Requires 0 < s < h.h_sup; raises OutOfRange otherwise, and NonMonotone
     if bracketing observes h decreasing by more than 1e-9.
     """
-    return _solve_inverse(h, _level(h, s, "s"), 0.0)
+    return _solve_inverse(h, _level(h, s, "s"))[0]
 
 
 # ----------------------------------------------------------------------
@@ -425,34 +447,78 @@ def entropy_integral(h: HFunction, x: float) -> float:
     """int_0^x h^{-1}(s) ds by adaptive Gauss-Kronrod on the pointwise inverse.
 
     Requires 0 < x < h.h_sup. The inverse route, kept as the reference for
-    the Legendre route of tail_bound_from_h and chernoff_min: every
-    quadrature node is one cold invert_h solve; the quadrature itself is
-    the hand-rolled adaptive Gauss-Kronrod 7-15 with a budget of 2^20
-    evaluations.
+    the Legendre route of tail_bound_from_h and chernoff_min: h^{-1}(x) is
+    one cold solve, and every quadrature node below it one Brent solve
+    inside the bracket of its solved neighbours (see _InverseNodes); the
+    quadrature itself is the hand-rolled adaptive Gauss-Kronrod 7-15 with
+    a budget of 2^20 evaluations.
     """
-    return _gauss_kronrod(partial(_inverse_node, h), 0.0, _level(h, x, "x"))
+    x = _level(h, x, "x")
+    nodes = _InverseNodes(h, x)
+    return _gauss_kronrod(nodes, 0.0, x, nodes.drop_below)
 
 
-def _inverse_node(h: HFunction, s: float) -> float:
-    """h^{-1}(s) at a quadrature node (0 where a denormal node rounds to 0)."""
-    return invert_h(h, s) if s > 0.0 else 0.0
+class _InverseNodes:
+    """h^{-1} at the nodes of one left-to-right quadrature sweep below top.
+
+    h^{-1}(top) is solved cold. Every node s below it is then solved by
+    _brent on [t_lo, t_hi], the roots of the nearest solved nodes below
+    and above s, whose h values are held, so it needs no bracketing probe.
+    Where those values do not bracket s (rounding, a NaN value of h
+    between them, an h that is not monotone), the node takes the cold
+    _solve_inverse, which raises OutOfRange or NonMonotone as invert_h
+    does. The sweep never returns left of an accepted panel, so
+    drop_below(b) keeps only the last node at or below b: the table holds
+    the nodes of the panels still on the quadrature stack, and each lookup
+    is a bisection.
+    """
+
+    def __init__(self, h: HFunction, top: float):
+        self.h = h
+        self.ev = h.eval_fn
+        self.levels = [0.0, top]
+        self.roots = [(0.0, 0.0), _solve_inverse(h, top)]
+
+    def __call__(self, s: float) -> float:
+        levels, roots = self.levels, self.roots
+        i = bisect_right(levels, s)
+        t_lo, v_lo = roots[i - 1]
+        if levels[i - 1] == s:
+            return t_lo
+        root = None
+        if i < len(roots) and v_lo <= s <= roots[i][1]:
+            try:
+                root = _brent_level(self.ev, s, t_lo, v_lo, *roots[i])
+            except ValueError:  # h is NaN between the neighbours
+                pass
+        if root is None:
+            root = _solve_inverse(self.h, s)
+        levels.insert(i, s)
+        roots.insert(i, root)
+        return root[0]
+
+    def drop_below(self, b: float) -> None:
+        j = bisect_right(self.levels, b) - 1
+        if j > 0:
+            del self.levels[:j], self.roots[:j]
 
 
-def _legendre_step(h: HFunction, x: float, x_prev: float,
-                   t_prev: float) -> tuple[float, float]:
-    """The root t = h^{-1}(x) and the increment int_{x_prev}^x h^{-1}.
+def _legendre_step(h: HFunction, x: float, x_prev: float, t_prev: float,
+                   v_prev: float) -> tuple[float, float, float]:
+    """(t, h(t), int_{x_prev}^x h^{-1}) for the root t = h^{-1}(x).
 
-    t_prev = h^{-1}(x_prev) (0 for x_prev = 0) brackets the root solve,
-    and the increment is summed as
+    t_prev = h^{-1}(x_prev) with v_prev = h(t_prev) (0 and 0 for
+    x_prev = 0) brackets the root solve, and the increment is summed as
 
         (x - x_prev) t_prev + int_{t_prev}^t (x - h(u)) du,
 
     whose terms are nonnegative for any nondecreasing h, convex or not,
     so nothing cancels. Raises OutOfRange when h stays below x.
     """
-    t = _solve_inverse(h, x, t_prev)
-    return t, (x - x_prev) * t_prev + _gauss_kronrod(lambda u: x - h(u),
-                                                     t_prev, t)
+    t, v = _solve_inverse(h, x, t_prev, v_prev)
+    ev = h.eval_fn
+    return t, v, (x - x_prev) * t_prev + _gauss_kronrod(
+        lambda u: x - float(ev(u)), t_prev, t)
 
 
 def chernoff_min(h: HFunction, x: float) -> float:
@@ -468,7 +534,7 @@ def chernoff_min(h: HFunction, x: float) -> float:
     if not (x > 0.0):
         raise OutOfRange(f"x must be positive, got {x!r}")
     if x < h.h_sup:
-        return min(-_legendre_step(h, x, 0.0, 0.0)[1], 0.0)
+        return min(-_legendre_step(h, x, 0.0, 0.0, 0.0)[2], 0.0)
     if math.isinf(h.t_end):
         # h is bounded by h_sup <= x, so the objective decays at least
         # linearly with slope h_sup - x <= 0; the infimum is -inf whenever
@@ -494,16 +560,18 @@ def _legendre_grid(h: HFunction, xs: np.ndarray) -> np.ndarray:
     """int_0^x h^{-1} at every x of xs (any order, duplicates allowed).
 
     Walks the sorted points with _legendre_step, each root bracketed from
-    the previous one, and sums the nonnegative increments. The point whose
-    root solve raises OutOfRange, and every point above it, get NaN.
+    the previous one and its held h value, and sums the nonnegative
+    increments. The point whose root solve raises OutOfRange, and every
+    point above it, get NaN.
     """
     totals = np.full(xs.size, np.nan)
-    acc = x_prev = t_prev = 0.0
+    acc = x_prev = t_prev = v_prev = 0.0
     for i in np.argsort(xs, kind="stable"):
         x = float(xs[i])
         if x > x_prev:
             try:
-                t_prev, step = _legendre_step(h, x, x_prev, t_prev)
+                t_prev, v_prev, step = _legendre_step(h, x, x_prev, t_prev,
+                                                      v_prev)
             except OutOfRange:
                 break
             acc += step
@@ -541,16 +609,20 @@ def evaluate_entropy_grid(h: HFunction, xs: Sequence[float]) -> np.ndarray:
     The inverse route on a grid, kept as the reference for the grid path
     of tail_bound_from_h: the quadrature of h^{-1} is summed segment by
     segment over the sorted points and mapped back to the input order.
-    Raises OutOfRange if any point falls outside (0, h_sup), or if h^{-1}
-    is undefined below a point.
+    One sweep's node table serves every segment, its top the largest
+    point. Raises OutOfRange if any point falls outside (0, h_sup), or if
+    h^{-1} is undefined below a point.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0.0) or np.any(xs >= h.h_sup):
         raise OutOfRange("grid points must lie in (0, sup h)")
+    if not xs.size:
+        return np.empty(0)
     order = np.argsort(xs, kind="stable")
     edges = np.concatenate(([0.0], xs[order]))
-    inverse = partial(_inverse_node, h)
+    nodes = _InverseNodes(h, float(edges[-1]))
     totals = np.empty(xs.size)
-    totals[order] = np.cumsum([_gauss_kronrod(inverse, a, b)
-                               for a, b in zip(edges[:-1], edges[1:])])
+    totals[order] = np.cumsum([
+        _gauss_kronrod(nodes, a, b, nodes.drop_below)
+        for a, b in zip(edges[:-1], edges[1:])])
     return totals

@@ -59,6 +59,7 @@ reduction is attempted: every draw is i.i.d., as the auditor assumes.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -185,12 +186,17 @@ class SampleBatch:
 _PER_BATCH_META = ("replicate", "jump_counts", "merged_stream_ids")
 
 
+def _json_default(obj):
+    # Arrays (jump counts) are written in full, anything else by its str.
+    return obj.tolist() if isinstance(obj, np.ndarray) else str(obj)
+
+
 def _law_params(batch: SampleBatch) -> str:
     # Normalized as in the saved header, so a loaded batch (lists where the
     # sampler wrote tuples) compares equal to a fresh one.
     return json.dumps({k: v for k, v in batch.meta.items()
                        if k not in _PER_BATCH_META},
-                      sort_keys=True, default=str)
+                      sort_keys=True, default=_json_default)
 
 
 def merge_batches(batches) -> SampleBatch:
@@ -199,7 +205,8 @@ def merge_batches(batches) -> SampleBatch:
     All inputs must come from one sampler with one parameter set and have
     the same value shape per draw; ``InvalidProfile`` otherwise.  The result
     is independent of the order in which the inputs are passed: segments are
-    concatenated sorted by ``(stream_id, replicate)``.
+    concatenated sorted by ``(stream_id, replicate)``, and so are their
+    ``jump_counts`` when they carry them (all or none must).
     """
     batches = list(batches)
     if not batches:
@@ -220,6 +227,9 @@ def merge_batches(batches) -> SampleBatch:
         if _law_params(b) != params:
             raise InvalidProfile(
                 "cannot merge batches drawn with different parameters")
+        if ("jump_counts" in b.meta) != ("jump_counts" in first.meta):
+            raise InvalidProfile(
+                "cannot merge batches with and without jump counts")
     keys = [(b.stream_id, b.meta.get("replicate", 0)) for b in batches]
     if len(set(keys)) != len(keys):
         raise InvalidProfile("duplicate (stream_id, replicate) in merge")
@@ -227,6 +237,9 @@ def merge_batches(batches) -> SampleBatch:
     values = np.concatenate([batches[i].values for i in order], axis=0)
     meta = dict(batches[order[0]].meta)
     meta["merged_stream_ids"] = [batches[i].stream_id for i in order]
+    if "jump_counts" in meta:
+        meta["jump_counts"] = np.concatenate(
+            [batches[i].meta["jump_counts"] for i in order])
     return SampleBatch(
         values=values,
         count=values.shape[0],
@@ -261,16 +274,17 @@ def save_batch(batch: SampleBatch, path: str) -> None:
     digits) and carry the sampler name, parameters, seed and count in the
     header, so a saved batch is self-describing.
     """
-    header = _meta_header(batch)
+    header = json.dumps(_meta_header(batch), sort_keys=True,
+                        default=_json_default)
     if str(path).endswith(".csv"):
         cols = batch.values if batch.values.ndim == 2 else batch.values[:, None]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# levytails-batch v1\n")
-            fh.write("# " + json.dumps(header, sort_keys=True, default=str) + "\n")
+            fh.write("# " + header + "\n")
             for row in cols:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     else:
-        payload = json.dumps(header, sort_keys=True, default=str).encode("utf-8")
+        payload = header.encode("utf-8")
         data = np.ascontiguousarray(batch.values, dtype="<f8")
         with open(path, "wb") as fh:
             fh.write(_BIN_MAGIC)
@@ -311,6 +325,9 @@ def load_batch(path: str) -> SampleBatch:
         values = np.frombuffer(data, dtype="<f8").astype(np.float64)
         meta = {"sampler": header.get("sampler", "unknown")}
         meta.update(header.get("params", {}))
+        if "jump_counts" in meta:
+            meta["jump_counts"] = np.asarray(meta["jump_counts"],
+                                             dtype=np.int64)
         return SampleBatch(
             values=values.reshape(shape),
             count=header["count"],
@@ -428,8 +445,9 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None,
     The smallest eigenvalues that hold at most ``_GAUSS_TAIL`` of the
     retained sum a^2 are carried by one N(0, (1/2) sum a^2) column, which
     each block draws first; the others are drawn exactly, one normal each,
-    in index order.  ``meta`` records ``n_exact`` and the carried sum a^2
-    as ``gauss_sq``.
+    in index order.  ``meta`` records ``n_exact``, the carried sum a^2
+    as ``gauss_sq``, and ``eigs_sha256``, the SHA-256 of the float64 bytes
+    of the (first ``N``) eigenvalues, which tells laws apart in a merge.
     """
     count = _check_count(count)
     # A QuadraticSpectral guards its stored tail energy; a sequence has none.
@@ -483,6 +501,7 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None,
         "n_exact": int(half_a.size),
         "gauss_sq": gauss_sq,
         "remainder_sq": remainder,
+        "eigs_sha256": hashlib.sha256(a.astype("<f8").tobytes()).hexdigest(),
         "centering": "mean",
         "replicate": 0,
     }

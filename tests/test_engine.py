@@ -22,12 +22,15 @@ from scipy.optimize import brentq
 
 from levytails import (
     HFunction,
+    QuadraticSpec,
     chernoff_min,
     entropy_integral,
     evaluate_entropy_grid,
     invert_h,
+    quad_wiener_bound,
     tail_bound_from_h,
 )
+from levytails import engine
 from levytails.engine import TailBound, _brent, _gauss_kronrod, _gk15
 from levytails.errors import NonMonotone, OutOfRange, QuadratureFailure
 
@@ -475,3 +478,89 @@ def test_grid_makes_a_third_of_the_reference_h_calls():
     reference = evaluate_entropy_grid(h, xs)
     assert legendre == pytest.approx(reference, rel=1e-9)
     assert 3 * legendre_calls < calls
+
+
+# ----------------------------------------------------------------------
+# Inverse route: each node solved inside its solved neighbours' bracket
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("h, want", [
+    (HFunction(math.log1p, name="log1p"), lambda x: math.expm1(x) - x),
+    (HFunction(lambda t: min(t, 1.0) + max(t - 2.0, 0.0), name="plateau"),
+     _plateau_entropy),
+    (HFunction(lambda t: t / (1.0 - t), t_end=1.0, name="t/(1-t)"),
+     lambda x: x - math.log1p(x)),
+])
+def test_inverse_route_closed_forms(h, want):
+    xs = np.linspace(0.05, 5.0, 23)
+    grid = evaluate_entropy_grid(h, xs[::-1])
+    for x, g in zip(xs[::-1], grid):
+        assert g == pytest.approx(want(x), rel=1e-9)
+        assert entropy_integral(h, x) == pytest.approx(want(x), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eigs=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=6),
+       signs=st.lists(st.booleans(), min_size=6, max_size=6),
+       lip_c=st.floats(0.5, 2.0),
+       frac=st.floats(0.05, 0.97))
+def test_inverse_route_dual_to_chernoff_on_quadratic_spectra(eigs, signs,
+                                                            lip_c, frac):
+    a = tuple(e if up else -e for e, up in zip(eigs, signs))
+    h = quad_wiener_bound(QuadraticSpec((a,)), lip_c=lip_c,
+                          form="exact_h").meta["h"]
+    x = h(frac * h.t_end)
+    assert abs(entropy_integral(h, x) + chernoff_min(h, x)) <= 1e-9
+
+
+def test_inverse_route_call_ceiling():
+    # One cold solve at x = 1, then every node inside its neighbours'
+    # bracket: 82 calls, where a cold solve per node took 111.
+    h_fn = _Counted(math.expm1)
+    h = HFunction(h_fn, name="expm1")
+    want = 2.0 * math.log(2.0) - 1.0
+    assert entropy_integral(h, 1.0) == pytest.approx(want, rel=1e-13)
+    assert len(h_fn.args) <= 90
+
+
+def test_inverse_route_raises_on_nan_and_decreasing_h():
+    above = HFunction(lambda t: t if t < 5.0 else math.nan, name="nan > 5")
+    with pytest.raises(OutOfRange, match="NaN"):
+        entropy_integral(above, 6.0)
+    with pytest.raises(OutOfRange, match="NaN"):
+        evaluate_entropy_grid(above, [1.0, 6.0])
+    assert entropy_integral(above, 4.0) == pytest.approx(8.0, rel=1e-12)
+    # Nodes at s = 1.81 and 2.11 have their roots where h is NaN: the
+    # neighbours' bracket meets the NaN, and the cold solve reports it.
+    hole = HFunction(lambda t: math.nan if 1.5 < t < 2.5 else t, name="hole")
+    with pytest.raises(OutOfRange, match="NaN"):
+        entropy_integral(hole, 3.0)
+    with pytest.raises(OutOfRange, match="NaN"):
+        evaluate_entropy_grid(hole, [3.0, 1.0])
+    sin3 = HFunction(lambda t: math.sin(3.0 * t), name="sin")
+    with pytest.raises(NonMonotone):
+        entropy_integral(sin3, 0.5)
+    with pytest.raises(NonMonotone):
+        evaluate_entropy_grid(sin3, [0.5, 0.2])
+
+
+def test_inverse_route_budget_failure_is_linear(monkeypatch):
+    # h^{-1}(s) wiggles with amplitude 1e-6 and period 6e-6 on [0, 1], so
+    # no panel converges before the budget (cut to 2^16 here) runs out.
+    # The node table keeps only the nodes right of the accepted panels.
+    monkeypatch.setattr(engine, "_MAX_EVALS", 2 ** 16)
+    sizes = []
+    call = engine._InverseNodes.__call__
+
+    def spied(nodes, s):
+        sizes.append(len(nodes.levels))
+        return call(nodes, s)
+
+    monkeypatch.setattr(engine._InverseNodes, "__call__", spied)
+    h = HFunction(lambda t: t + 1e-6 * math.sin(1e6 * t), name="wiggle")
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureFailure):
+        entropy_integral(h, 1.0)
+    assert time.perf_counter() - t0 < 20.0
+    assert len(sizes) > 2 ** 16 - 30
+    assert max(sizes) <= 2000

@@ -17,6 +17,7 @@ Each sampler is checked against an independent analytic oracle:
   exact stochastic-area law through the tabulated radial inverse.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -853,3 +854,51 @@ def test_compound_deterministic():
     b1 = sim.sample_id_compound(qs, 1e-3, 5000, sim.RngContract(3), stream_id=2)
     b2 = sim.sample_id_compound(qs, 1e-3, 5000, sim.RngContract(3), stream_id=2)
     assert np.array_equal(b1.values, b2.values)
+
+
+def test_merge_batches_concatenates_jump_counts(tmp_path):
+    # eps > 1: a pure compound-Poisson sum, 0 exactly where no jump fell,
+    # so the merged counts can be checked against the merged values.
+    qs = m.QuadraticSpectral(eigs=(2.0,))
+    b50 = sim.sample_id_compound(qs, 1.5, 50, RC, stream_id=60,
+                                 keep_counts=True)
+    b70 = sim.sample_id_compound(qs, 1.5, 70, RC, stream_id=61,
+                                 keep_counts=True)
+    want = np.concatenate([b50.meta["jump_counts"], b70.meta["jump_counts"]])
+    loaded = []
+    for b in (b50, b70):
+        path = str(tmp_path / f"{b.stream_id}.bin")
+        sim.save_batch(b, path)
+        loaded.append(sim.load_batch(path))
+    for pair in ([b50, b70], [b70, b50], loaded, loaded[::-1]):
+        merged = sim.merge_batches(pair)
+        counts = merged.meta["jump_counts"]
+        assert merged.count == 120 and np.array_equal(counts, want)
+        assert np.array_equal(merged.values == 0.0, counts == 0)
+    for ext in (".bin", ".csv"):
+        path = str(tmp_path / f"merged{ext}")
+        sim.save_batch(merged, path)
+        assert np.array_equal(sim.load_batch(path).meta["jump_counts"], want)
+    without = sim.sample_id_compound(qs, 1.5, 30, RC, stream_id=62)
+    with pytest.raises(InvalidProfile, match="jump counts"):
+        sim.merge_batches([b50, without])
+
+
+def test_chaos2_header_digests_its_eigenvalues(tmp_path):
+    one = sim.sample_chaos2([1.0], 100, sim.RngContract(7), stream_id=0)
+    two = sim.sample_chaos2([2.0], 100, sim.RngContract(7), stream_id=1)
+    assert one.meta["eigs_sha256"] == hashlib.sha256(
+        np.array([1.0], dtype="<f8").tobytes()).hexdigest()
+    with pytest.raises(InvalidProfile, match="parameters"):
+        sim.merge_batches([one, two])
+    # The digest covers the eigenvalues drawn with, the first N.
+    cut = sim.sample_chaos2([1.0, 5.0], 10, sim.RngContract(7), N=1)
+    assert cut.meta["eigs_sha256"] == one.meta["eigs_sha256"]
+    # A batch file written before the digest was recorded still loads.
+    old_meta = {k: v for k, v in one.meta.items() if k != "eigs_sha256"}
+    path = str(tmp_path / "old.bin")
+    sim.save_batch(sim.SampleBatch(one.values, one.count, one.seed,
+                                   one.stream_id, old_meta), path)
+    back = sim.load_batch(path)
+    assert "eigs_sha256" not in back.meta
+    assert back.values.tobytes() == one.values.tobytes()
