@@ -63,6 +63,10 @@ _E = math.e
 # Two-regime parameter sets this close (relative) to the precondition
 # boundary are rejected: the crossover equation for s0 degenerates there.
 _BOUNDARY_MARGIN = 1e-6
+# np.add.reduce sums float64 arrays pairwise from this length up and term
+# by term below it, so the exact_h h of a shorter spectrum sums in a
+# plain-float loop: the same float, without numpy's fixed cost per call.
+_PAIRWISE_SUM_MIN = 8
 
 
 # ----------------------------------------------------------------------
@@ -541,19 +545,27 @@ def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
         half_sq = 0.5 * (flat * flat)
         ab = np.abs(flat)
         top = float(ab.max())
+        pairs = (tuple(zip(half_sq.tolist(), ab.tolist()))
+                 if flat.size < _PAIRWISE_SUM_MIN else None)
 
         def ev(t: float) -> float:
-            # (1/2) sum a_k^2 / (1/(ct) - |a_k|) in one vector pass
-            # (np.add.reduce is ndarray.sum without its Python wrapper).
-            # Every gap is at least 1/(ct) - top: h is +inf where rounding
-            # near t_end closes that, and 0 where ct underflows.
+            # (1/2) sum a_k^2 / (1/(ct) - |a_k|): in plain floats for a
+            # small spectrum, else in one vector pass (np.add.reduce is
+            # ndarray.sum without its Python wrapper); both give the same
+            # float. Every gap is at least 1/(ct) - top: h is +inf where
+            # rounding near t_end closes that, and 0 where ct underflows.
             ct = c * t
             if not ct > 0.0:
                 return 0.0
             inv = 1.0 / ct
             if not inv > top:
                 return math.inf
-            return float(np.add.reduce(half_sq / (inv - ab)))
+            if pairs is None:
+                return float(np.add.reduce(half_sq / (inv - ab)))
+            total = 0.0
+            for hs, ak in pairs:
+                total += hs / (inv - ak)
+            return total
 
         h = HFunction(eval_fn=ev, t_end=1.0 / (c * a), h_sup=math.inf,
                       name=f"quad_h[{target}]")

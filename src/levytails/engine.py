@@ -216,44 +216,62 @@ def _nan_at(x: float) -> ValueError:
 
 
 def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
-           fb: float, xtol: float, rtol: float) -> float:
-    """Zero of f between a and b by Brent's method, given fa = f(a), fb = f(b).
+           fb: float, xtol: float, rtol: float,
+           level: float = 0.0) -> tuple[float, float]:
+    """(x, f(x)) at a root x of f(x) = level between a and b, by Brent's
+    method, given fa = f(a) and fb = f(b).
 
-    The package's one bracketing zero-finder: a line-for-line port of
-    scipy's brentq.c (Brent 1973, "Algorithms for Minimization Without
-    Derivatives", ch. 4), except that the caller passes the values of f at
-    both bracket ends, which it already holds, instead of having them
-    evaluated again. The iterates, and so the root, are those of scipy's
-    brentq with the same xtol and rtol; each solve makes two fewer calls
-    of f. Raises ValueError if a value of f is NaN or fa and fb have the
-    same sign, and RuntimeError after 100 iterations without convergence.
+    The package's one bracketing root finder. It takes the same iterates
+    as scipy's brentq.c (Brent 1973, "Algorithms for Minimization Without
+    Derivatives", ch. 4) on the residual f - level, formed as v - level
+    from each value v that f returns, so the root is brentq's with the
+    same xtol and rtol. The caller passes the values of f at both bracket
+    ends, which it already holds, so each solve makes two fewer calls of f
+    than brentq; f(x) is the value f returned at the root, so a caller
+    that goes on from there never evaluates f at it again. Raises
+    ValueError if a value of f is NaN or fa and fb lie on the same side
+    of level, and RuntimeError after 100 iterations without convergence.
     """
     xpre, xcur = a, b
-    fpre, fcur = float(fa), float(fb)
-    for x, fx in ((xpre, fpre), (xcur, fcur)):
-        if fx != fx:
-            raise _nan_at(x)
+    vpre, vcur = float(fa), float(fb)
+    if vpre != vpre:
+        raise _nan_at(xpre)
+    if vcur != vcur:
+        raise _nan_at(xcur)
+    fpre, fcur = vpre - level, vcur - level
     if fpre == 0.0:
-        return xpre
+        return xpre, vpre
     if fcur == 0.0:
-        return xcur
-    # Zeros are handled above, so a sign bit is the test x < 0.
+        return xcur, vcur
+    # Zeros are handled above and at the top of each iteration, so a sign
+    # bit is the test f < 0.
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    # |f| and |s| ride along with f and s, each taken once per iterate,
+    # and the v are the raw values of f.
+    afpre = -fpre if fpre < 0.0 else fpre
+    afcur = -fcur if fcur < 0.0 else fcur
+    xblk = fblk = afblk = vblk = spre = scur = aspre = ascur = 0.0
     for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+        if fcur == 0.0:
+            return xcur, vcur
+        if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
+            afblk, vblk = afpre, vpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+            aspre = ascur = -scur if scur < 0.0 else scur
+        if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            afpre, afcur, afblk = afcur, afblk, afcur
+            vpre, vcur, vblk = vcur, vblk, vcur
+        delta = (xtol + rtol * (-xcur if xcur < 0.0 else xcur)) * 0.5
+        sbis = (xblk - xcur) * 0.5
+        asbis = -sbis if sbis < 0.0 else sbis
+        if asbis < delta:
+            return xcur, vcur
         step_ok = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        if aspre > delta and afcur < afpre:
             try:
                 if xpre == xblk:
                     # interpolate
@@ -269,21 +287,28 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
                 # below rejects.
                 pass
             else:
-                step_ok = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+                astry = -stry if stry < 0.0 else stry
+                limit = 3.0 * asbis - delta
+                step_ok = 2.0 * astry < (aspre if aspre < limit else limit)
         if step_ok:
             # good short step
             spre, scur = scur, stry
+            aspre, ascur = ascur, astry
         else:
             # bisect
             spre = scur = sbis
+            aspre = ascur = asbis
         xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
+        afpre, vpre = afcur, vcur
+        if ascur > delta:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if fcur != fcur:
+        vcur = float(f(xcur))
+        if vcur != vcur:
             raise _nan_at(xcur)
+        fcur = vcur - level
+        afcur = -fcur if fcur < 0.0 else fcur
     raise RuntimeError(
         f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
@@ -344,27 +369,10 @@ def _solve_inverse(h: HFunction, s: float, lo: float = 0.0,
         # ordinates are extremely close; restart from the safe left end.
         prev_t, prev_v = 0.0, 0.0
     try:
-        return _brent_level(ev, s, prev_t, prev_v, t, v)
+        return _brent(ev, prev_t, prev_v, t, v, _INVERT_XTOL, _INVERT_RTOL,
+                      level=s)
     except ValueError as exc:  # a NaN value of h inside the bracket
         raise OutOfRange(str(exc)) from exc
-
-
-def _brent_level(ev: Callable[[float], float], s: float, a: float,
-                 va: float, b: float, vb: float) -> tuple[float, float]:
-    """(t, h(t)) at the root of h(t) = s between a and b, by _brent.
-
-    ev is h's eval_fn, and va = h(a), vb = h(b) lie on either side of s.
-    h(t) is the value ev returned at t, not the level plus the residual.
-    Raises ValueError where h is NaN, as _brent does.
-    """
-    seen = {a: va, b: vb}
-
-    def residual(u: float) -> float:
-        v = seen[u] = float(ev(u))
-        return v - s
-
-    t = _brent(residual, a, va - s, b, vb - s, _INVERT_XTOL, _INVERT_RTOL)
-    return t, seen[t]
 
 
 def _bisect_nan(ev: Callable[[float], float], s: float, lo: float,
@@ -488,7 +496,8 @@ class _InverseNodes:
         root = None
         if i < len(roots) and v_lo <= s <= roots[i][1]:
             try:
-                root = _brent_level(self.ev, s, t_lo, v_lo, *roots[i])
+                root = _brent(self.ev, t_lo, v_lo, *roots[i], _INVERT_XTOL,
+                              _INVERT_RTOL, level=s)
             except ValueError:  # h is NaN between the neighbours
                 pass
         if root is None:

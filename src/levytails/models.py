@@ -510,7 +510,7 @@ def _bracket_root(g, lo: float, hi: float, *, xtol: float, rtol: float,
         for _ in range(doublings):
             above = g(hi)
             if above >= 0.0 and below < 0.0:
-                return _brent(g, lo, below, hi, above, xtol, rtol)
+                return _brent(g, lo, below, hi, above, xtol, rtol)[0]
             lo, below, hi = hi, above, 2.0 * hi
     except ArithmeticError as exc:
         raise failure from exc

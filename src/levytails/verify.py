@@ -373,7 +373,9 @@ def _audit_points(curve: TailCurve, bound: TailBound, deviations: np.ndarray,
     """Per-point verdicts plus the decision-band bookkeeping.
 
     Returns ``(points, decision)`` where decision records how many points
-    were actually audited and the adjusted per-point level used for upper
+    were actually audited, how many of those are informative (the bound is
+    below 1 for an upper bound, above 0 for a lower one, so the data could
+    contradict it), and the adjusted per-point level used for upper
     VIOLATION calls (family level 1% split over the audited points).
     """
     values, regimes, valid = bound.evaluate_grid(deviations)
@@ -381,6 +383,8 @@ def _audit_points(curve: TailCurve, bound: TailBound, deviations: np.ndarray,
     if bound.direction == "lower":
         audited &= deviations >= audit_lo
     m = int(np.count_nonzero(audited))
+    informative = (values[audited] < 1.0 if bound.direction == "upper"
+                   else values[audited] > 0.0)
     alpha_point = (1.0 - _LEVEL) / max(m, 1)
     # Reconstruct the exceedance counts; p_hat is k/count exactly.
     k = np.rint(curve.p_hat * curve.count).astype(np.int64)
@@ -401,7 +405,9 @@ def _audit_points(curve: TailCurve, bound: TailBound, deviations: np.ndarray,
             ci_lo=float(curve.ci_lo[i]), ci_hi=float(curve.ci_hi[i]),
             bound_value=float(values[i]), regime=regimes[i], verdict=verdict,
         ))
-    decision = {"audited_points": m, "family_alpha": 1.0 - _LEVEL,
+    decision = {"audited_points": m,
+                "informative_points": int(np.count_nonzero(informative)),
+                "family_alpha": 1.0 - _LEVEL,
                 "point_alpha": alpha_point}
     return points, decision
 

@@ -378,7 +378,7 @@ def _random_exact_h(seed, n, lip, target):
     return tb.meta["h"], tb.meta["lip_c"], used
 
 
-@pytest.mark.parametrize("n", [5, 500])
+@pytest.mark.parametrize("n", [5, 7, 8, 500])
 @pytest.mark.parametrize("target", ["lipschitz", "sup"])
 def test_quad_exact_h_guard(n, target):
     """The exact_h h-function is positive and nondecreasing, with no
@@ -406,6 +406,28 @@ def test_quad_exact_h_guard(n, target):
                 want = sum(ct * mpmath.mpf(a) ** 2 / (1 - ct * abs(a))
                            for a in used) / 2
             assert h(t) == pytest.approx(float(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("target", ["lipschitz", "sup"])
+def test_quad_exact_h_small_spectrum_sums_as_numpy(n, target):
+    """Below 8 eigenvalues h sums in plain floats; it gives the float of
+    the one-pass numpy sum, out to t_end (1 - 2^-52)."""
+    for seed in range(20):
+        for lip in (0.3, 1.0, 7.0):
+            h, lip_c, used = _random_exact_h(seed, n, lip, target)
+            eigs = np.asarray(used)
+            half_sq, ab = 0.5 * (eigs * eigs), np.abs(eigs)
+            ts = [h.t_end * u for u in (1e-9, 0.01, 0.3, 0.7, 0.99)]
+            ts += [h.t_end * (1.0 - 2.0 ** -k) for k in (10, 20, 40, 52)]
+            for t in ts:
+                inv = 1.0 / (lip_c * t)
+                if not inv > ab.max():
+                    assert h(t) == math.inf
+                    continue
+                want = float(np.add.reduce(half_sq / (inv - ab)))
+                assert h(t) == pytest.approx(want, rel=1e-15, abs=0.0), (
+                    seed, lip, t)
 
 
 def test_quad_sup_target_uses_positive_spectrum():

@@ -204,7 +204,7 @@ def _brent_vs_brentq(f, a, b, xtol, rtol):
     """(outcome, calls) of brentq and of _brent on the same problem."""
     results = []
     for solve in (lambda g: brentq(g, a, b, xtol=xtol, rtol=rtol),
-                  lambda g: _brent(g, a, f(a), b, f(b), xtol, rtol)):
+                  lambda g: _brent(g, a, f(a), b, f(b), xtol, rtol)[0]):
         g = _Counted(f)
         try:
             out = solve(g).hex()
@@ -238,6 +238,42 @@ def test_brent_returns_brentqs_float_with_two_fewer_calls(w, k, root, ends,
     assert port == ref
     if isinstance(ref, str):
         assert port_calls == ref_calls - 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
+       k=st.floats(0.05, 4.0),
+       offset=st.floats(-1e3, 1e3),
+       root=st.floats(-5.0, 5.0),
+       ends=st.tuples(st.floats(1e-9, 8.0), st.floats(1e-9, 8.0)),
+       swap=st.booleans())
+def test_brent_at_a_level_takes_the_residuals_iterates(w, k, offset, root,
+                                                       ends, swap):
+    # _brent(f, level=s) solves f = s with the iterates of _brent on f - s
+    # at level 0, and hands back the value f itself took at the root.
+    def f(x):
+        return (offset + w[0] * math.expm1(k * x) + w[1] * math.atan(k * x)
+                + w[2] * math.floor(4.0 * x) + x * 1e-3)
+
+    s = f(root)
+    a, b = root - ends[0], root + ends[1]
+    if swap:
+        a, b = b, a
+    outcomes = []
+    for solve in (lambda: _brent(f, a, f(a), b, f(b), 1e-15, 1e-12, level=s),
+                  lambda: _brent(lambda x: f(x) - s, a, f(a) - s, b,
+                                 f(b) - s, 1e-15, 1e-12)):
+        try:
+            outcomes.append(solve())
+        except (ValueError, RuntimeError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    at_level, shifted = outcomes
+    if isinstance(shifted[0], str):
+        assert at_level == shifted
+    else:
+        assert at_level[0].hex() == shifted[0].hex()
+        assert at_level[1].hex() == f(at_level[0]).hex()
+        assert shifted[1].hex() == (f(shifted[0]) - s).hex()
 
 
 @pytest.mark.parametrize("f, a, b, error", [

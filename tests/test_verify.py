@@ -8,6 +8,8 @@ import pytest
 from scipy import special, stats
 
 from levytails import (
+    QuadraticSpec,
+    RngContract,
     SampleBatch,
     TailBound,
     audit_bound,
@@ -15,6 +17,8 @@ from levytails import (
     empirical_median,
     empirical_tail,
     fit_log_slope,
+    quad_euclid_iid_bound,
+    sample_chaos2,
     verify,
 )
 from levytails.errors import (
@@ -23,6 +27,7 @@ from levytails.errors import (
     InsufficientTail,
     PreconditionViolated,
 )
+from levytails.models import chaos_eigenvalues
 from levytails.verify import TailCurve
 
 
@@ -320,6 +325,52 @@ def test_audit_report_serialization(exp_million):
         "PASS", "INCONCLUSIVE", "VIOLATION", "out_of_range", "informational")
     # the true tail exp(-x) sits inside [ci_lo, ci_hi] at the first point
     assert float(cells[2]) <= math.exp(-0.5) <= float(cells[3])
+
+
+def test_audit_counts_informative_points(exp_million):
+    # A bound at its trivial value cannot be contradicted: the decision
+    # shows how many audited points could have been.
+    curve = empirical_tail(exp_million[:10_000], np.linspace(0.5, 5.0, 10))
+    vacuous = TailBound(name="unit", fn=lambda x: 1.0)
+    capped = TailBound(name="capped", fn=lambda x: min(1.0, math.exp(2 - x)))
+    nothing = TailBound(name="zero", fn=lambda x: 0.0, direction="lower")
+    lower = TailBound(name="low", fn=lambda x: 0.0 if x < 2.0 else 1e-9,
+                      direction="lower", meta={"audit_lo": 1.0})
+    for bound, audited, informative in ((vacuous, 10, 0), (capped, 10, 6),
+                                        (nothing, 10, 0), (lower, 9, 7)):
+        report = audit_bound(curve, bound, 0.0)
+        assert report.decision["audited_points"] == audited
+        assert report.decision["informative_points"] == informative
+    assert audit_bound(curve, vacuous, 0.0).verdict == "PASS"
+
+
+def test_quad_euclid_iid_bound_holds_where_it_is_informative():
+    """The dimension-free norm bound on n = 1, 10, 100 i.i.d. energy chaoses
+    (N = 500, 5e4 draws each on its own stream), audited on a grid where
+    the bound is below 1 for b = 0.8 and 0.9."""
+    spectrum = chaos_eigenvalues("energy", T=1.0, N=500,
+                                 convention="spectral")
+    rng = RngContract(20261018)
+    columns = np.column_stack([
+        sample_chaos2(spectrum, 50_000, rng, stream_id=j).values
+        for j in range(100)])
+    # One law for every component, so all draws estimate E|J_2(f_2)|.
+    spec = QuadraticSpec((tuple(spectrum.eigs),),
+                         mean_abs=float(np.abs(columns).mean()))
+    scan = np.linspace(0.01, 10.0, 1000)
+    for b in (0.8, 0.9):
+        bound = quad_euclid_iid_bound(spec, b=b)
+        x0 = next(x for x in scan if bound(float(x)) < 1.0)
+        grid = x0 * np.array([1.0, 1.2, 1.5, 2.0, 2.5])
+        for n in (1, 10, 100):
+            values = columns[:, :n]
+            center = float(np.linalg.norm(values, axis=1).mean())
+            dev, meta = deviation_values(values, bound, center)
+            report = audit_bound(empirical_tail(dev, grid, meta=meta),
+                                 bound, center)
+            assert report.decision["informative_points"] >= 3, (b, n)
+            assert all(p.verdict != "VIOLATION" for p in report.points), (
+                b, n)
 
 
 # ----------------------------------------------------------------------
