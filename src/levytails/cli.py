@@ -292,6 +292,11 @@ _BOUND_KEYS = {
 }
 _BOUND_ALIASES = {"dev_nico": "bennett"}
 
+# build_model returns None without a model section and for the brownian
+# variants, which are path functionals rather than Levy measures.
+_NEEDS_LEVY_MODEL = "needs a Levy-measure model (model.variant one of {})".format(
+    ", ".join(v for v in _MODEL_VARIANTS if not v.startswith("brownian_")))
+
 
 def _quad_spec(model, mean_abs=None) -> QuadraticSpec:
     if not isinstance(model, QuadraticSpectral):
@@ -350,11 +355,11 @@ def build_bound(bound_cfg: dict, model):
             mean_abs=_num(bound_cfg, "mean_abs", "bound", default=None))
     if name == "id_lower":
         if model is None:
-            raise ConfigError("bound.name: id_lower needs a model section")
+            raise ConfigError(f"bound.name: id_lower {_NEEDS_LEVY_MODEL}")
         return id_lower_curve(model)
     if name == "median_linear":
         if model is None:
-            raise ConfigError("bound.name: median_linear needs a model")
+            raise ConfigError(f"bound.name: median_linear {_NEEDS_LEVY_MODEL}")
         return median_bound_linear(model, _num(bound_cfg, "C", "bound"),
                                    _num(bound_cfg, "C_prime", "bound"))
     if name == "stable_median":

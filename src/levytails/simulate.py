@@ -45,11 +45,12 @@ center at the mean or not at all.
 Stream layout
 -------------
 Every stream is one SFC64 generator seeded through ``SeedSequence``.
-A sampler resolves its parent stream (``RngContract.stream(stream_id)``,
-or the Generator it was given), cuts the batch into fixed blocks of
-``_BLOCK`` draws (Brownian paths: ``2**20 // steps`` per block; compound
-draws: at most ``2**22 // ceil(rate)``) and fills block b from child b of
-``parent.spawn(n_blocks)``, each into its own slice of one output array.
+A sampler takes its parent stream from ``RngContract.stream(stream_id)``
+(any other ``rng`` raises ``PreconditionViolated``), cuts the batch into
+fixed blocks of ``_BLOCK`` draws (Brownian paths: ``2**20 // steps`` per
+block; compound draws: at most ``2**22 // ceil(rate)``) and fills block b
+from child b of ``parent.spawn(n_blocks)``, each into its own slice of one
+output array.
 The blocks run on a pool of threads, one per CPU this process may use;
 numpy releases the GIL inside its fills and ufuncs.  The layout is fixed,
 so a batch's values do not depend on the number of workers.  No variance
@@ -58,6 +59,7 @@ reduction is attempted: every draw is i.i.d., as the auditor assumes.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -132,20 +134,14 @@ class RngContract:
 
 
 def _resolve_rng(rng, stream_id: int):
-    """Accept an RngContract, a raw integer seed, or a ready Generator.
+    """Returns ``(rng.stream(stream_id), rng.root_seed)`` for an RngContract.
 
-    Returns ``(generator, seed_for_meta)``.  A ready Generator is convenient
-    in exploratory use but records seed -1 (unknown provenance).
+    Nothing else is accepted: a batch's header must name the stream its
+    draws came from, so that batches on distinct streams are independent.
     """
-    if isinstance(rng, RngContract):
-        return rng.stream(stream_id), int(rng.root_seed)
-    if isinstance(rng, (int, np.integer)):
-        return RngContract(int(rng)).stream(stream_id), int(rng)
-    if isinstance(rng, np.random.Generator):
-        return rng, -1
-    raise PreconditionViolated(
-        "rng must be an RngContract, an integer seed, or a numpy Generator"
-    )
+    if not isinstance(rng, RngContract):
+        raise PreconditionViolated("rng must be an RngContract")
+    return rng.stream(stream_id), int(rng.root_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +179,7 @@ class SampleBatch:
 
 # Meta entries that identify or count one batch's draws rather than the law
 # they were drawn from; every other entry must agree across a merge.
-_PER_BATCH_META = ("replicate", "jump_counts", "merged_stream_ids")
-
-
-def _json_default(obj):
-    # Arrays (jump counts) are written in full, anything else by its str.
-    return obj.tolist() if isinstance(obj, np.ndarray) else str(obj)
+_PER_BATCH_META = ("replicate", "merged_stream_ids")
 
 
 def _law_params(batch: SampleBatch) -> str:
@@ -196,7 +187,7 @@ def _law_params(batch: SampleBatch) -> str:
     # sampler wrote tuples) compares equal to a fresh one.
     return json.dumps({k: v for k, v in batch.meta.items()
                        if k not in _PER_BATCH_META},
-                      sort_keys=True, default=_json_default)
+                      sort_keys=True, default=str)
 
 
 def merge_batches(batches) -> SampleBatch:
@@ -205,8 +196,7 @@ def merge_batches(batches) -> SampleBatch:
     All inputs must come from one sampler with one parameter set and have
     the same value shape per draw; ``InvalidProfile`` otherwise.  The result
     is independent of the order in which the inputs are passed: segments are
-    concatenated sorted by ``(stream_id, replicate)``, and so are their
-    ``jump_counts`` when they carry them (all or none must).
+    concatenated sorted by ``(stream_id, replicate)``.
     """
     batches = list(batches)
     if not batches:
@@ -227,9 +217,6 @@ def merge_batches(batches) -> SampleBatch:
         if _law_params(b) != params:
             raise InvalidProfile(
                 "cannot merge batches drawn with different parameters")
-        if ("jump_counts" in b.meta) != ("jump_counts" in first.meta):
-            raise InvalidProfile(
-                "cannot merge batches with and without jump counts")
     keys = [(b.stream_id, b.meta.get("replicate", 0)) for b in batches]
     if len(set(keys)) != len(keys):
         raise InvalidProfile("duplicate (stream_id, replicate) in merge")
@@ -237,9 +224,6 @@ def merge_batches(batches) -> SampleBatch:
     values = np.concatenate([batches[i].values for i in order], axis=0)
     meta = dict(batches[order[0]].meta)
     meta["merged_stream_ids"] = [batches[i].stream_id for i in order]
-    if "jump_counts" in meta:
-        meta["jump_counts"] = np.concatenate(
-            [batches[i].meta["jump_counts"] for i in order])
     return SampleBatch(
         values=values,
         count=values.shape[0],
@@ -275,7 +259,7 @@ def save_batch(batch: SampleBatch, path: str) -> None:
     header, so a saved batch is self-describing.
     """
     header = json.dumps(_meta_header(batch), sort_keys=True,
-                        default=_json_default)
+                        default=str)
     if str(path).endswith(".csv"):
         cols = batch.values if batch.values.ndim == 2 else batch.values[:, None]
         with open(path, "w", encoding="utf-8") as fh:
@@ -325,9 +309,6 @@ def load_batch(path: str) -> SampleBatch:
         values = np.frombuffer(data, dtype="<f8").astype(np.float64)
         meta = {"sampler": header.get("sampler", "unknown")}
         meta.update(header.get("params", {}))
-        if "jump_counts" in meta:
-            meta["jump_counts"] = np.asarray(meta["jump_counts"],
-                                             dtype=np.int64)
         return SampleBatch(
             values=values.reshape(shape),
             count=header["count"],
@@ -397,9 +378,8 @@ def _fill_blocks(gen, count: int, block: int, fill) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Largest tail spectral energy (the stored remainder of a truncated
-# spectrum plus whatever N drops) that sample_chaos2 accepts before it
-# raises TruncationTooCoarse.
+# Largest stored tail spectral energy of a truncated spectrum that
+# sample_chaos2 accepts before it raises TruncationTooCoarse.
 _REMAINDER_TOL = 1e-6
 
 # Share of the retained spectral energy sum a^2 that sample_chaos2 leaves to
@@ -431,15 +411,13 @@ def _split_gauss_tail(a: np.ndarray):
     return np.delete(a, order[:n_carried]), root * math.sqrt(0.5), root * root
 
 
-def sample_chaos2(eigs, count, rng, *, N: int | None = None,
-                  stream_id: int = 0) -> SampleBatch:
-    """Draw the truncated second-chaos series (1/2) sum_{k<=N} a_k (Z_k^2 - 1).
+def sample_chaos2(eigs, count, rng, *, stream_id: int = 0) -> SampleBatch:
+    """Draw the truncated second-chaos series (1/2) sum_k a_k (Z_k^2 - 1).
 
     ``eigs`` is either a plain sequence of eigenvalues or a
     :class:`~levytails.models.QuadraticSpectral`; in the latter case the
-    spectrum's stored tail energy ``remainder_sq`` (plus the energy of any
-    eigenvalues dropped by ``N``) must stay at or below ``_REMAINDER_TOL``
-    = 1e-6 or :class:`TruncationTooCoarse` is raised.  Zero eigenvalues contribute
+    spectrum's stored tail energy ``remainder_sq`` must stay at or below
+    ``_REMAINDER_TOL`` = 1e-6 or :class:`TruncationTooCoarse` is raised.  Zero eigenvalues contribute
     exactly zero and consume no random variates.
 
     The smallest eigenvalues that hold at most ``_GAUSS_TAIL`` of the
@@ -447,7 +425,7 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None,
     each block draws first; the others are drawn exactly, one normal each,
     in index order.  ``meta`` records ``n_exact``, the carried sum a^2
     as ``gauss_sq``, and ``eigs_sha256``, the SHA-256 of the float64 bytes
-    of the (first ``N``) eigenvalues, which tells laws apart in a merge.
+    of the eigenvalues, which tells laws apart in a merge.
     """
     count = _check_count(count)
     # A QuadraticSpectral guards its stored tail energy; a sequence has none.
@@ -455,16 +433,6 @@ def sample_chaos2(eigs, count, rng, *, N: int | None = None,
     guarded = remainder is not None
     a = np.asarray(list(getattr(eigs, "eigs", eigs)), dtype=np.float64)
     remainder = float(remainder or 0.0)
-    if N is not None:
-        N = int(N)
-        if N < 1:
-            raise PreconditionViolated("N must be >= 1")
-        if N > a.size:
-            raise PreconditionViolated(
-                f"N={N} exceeds the {a.size} supplied eigenvalues"
-            )
-        remainder += float(np.sum(a[N:] ** 2))
-        a = a[:N]
     if guarded and remainder > _REMAINDER_TOL:
         raise TruncationTooCoarse(
             f"tail spectral energy {remainder:.3e} exceeds "
@@ -890,8 +858,8 @@ _JUMP_BUDGET = 1e7
 
 
 def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
-                       gauss_smalljump: bool = False, center: str = "unit",
-                       keep_counts: bool = False) -> SampleBatch:
+                       gauss_smalljump: bool = False,
+                       center: str = "unit") -> SampleBatch:
     """Compound-Poisson approximation of the ID law with Levy measure ``model``.
 
     Jumps with |y| > eps arrive Poisson(nu(|y| > eps)) per draw and are
@@ -909,7 +877,9 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
     With ``gauss_smalljump=True`` an independent Gaussian with variance
     int_{|y|<=eps} y^2 nu(dy) stands in for the removed small jumps.
     A rate nu(|y| > eps) of ``_JUMP_BUDGET`` = 1e7 jumps per draw or more
-    raises :class:`BudgetExceeded`.
+    raises :class:`BudgetExceeded`.  ``meta`` names the model's class and,
+    as ``model_params``, its fields, so a merge refuses batches of
+    different laws.
     Radial models are symmetric (sign by fair coin), QuadraticSpectral jumps
     carry their eigenvalue's sign; amplitudes come from closed-form inverses
     where available (Stable) and a tabulated monotone inverse of the exact
@@ -939,13 +909,10 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
 
     # --- assemble draws block by block -------------------------------------
     vals = np.empty(count, dtype=np.float64)
-    all_counts = np.empty(count, dtype=np.int64) if keep_counts else None
 
     def fill(g, rows):
         m = rows.stop - rows.start
         counts = g.poisson(lam, size=m)
-        if keep_counts:
-            all_counts[rows] = counts
         total = int(counts.sum())
         if total:
             amps = draw_amplitudes(g, total)
@@ -965,6 +932,7 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
     meta = {
         "sampler": "id_compound",
         "model": type(model).__name__,
+        "model_params": dataclasses.asdict(model),
         "eps": float(eps),
         "rate": lam,
         "center": center,
@@ -974,6 +942,4 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
         "centering": {"unit": "unit-ball", "mean": "mean", "none": "none"}[center],
         "replicate": 0,
     }
-    if keep_counts:
-        meta["jump_counts"] = all_counts
     return SampleBatch(vals, count, seed, stream_id, meta)

@@ -118,7 +118,6 @@ class SlopeFit:
     stderr: float
     window: tuple
     mode: str = "exponential"
-    theoretical: float | None = None
     n_points: int = 0
 
 
@@ -147,7 +146,6 @@ class VerificationReport:
     points: list
     verdict: str
     bound_params: dict = field(default_factory=dict)
-    slope_fit: SlopeFit | None = None
     estimates: dict = field(default_factory=dict)
     sensitivity: dict | None = None
     decision: dict = field(default_factory=dict)
@@ -159,7 +157,7 @@ class VerificationReport:
                 return obj.item()
             if isinstance(obj, np.ndarray):
                 return obj.tolist()
-            if isinstance(obj, (PointAudit, SlopeFit)):
+            if isinstance(obj, PointAudit):
                 return obj.__dict__
             return str(obj)
 
@@ -171,7 +169,6 @@ class VerificationReport:
             "verdict": self.verdict,
             "params": self.bound_params,
             "points": self.points,
-            "slope_fit": self.slope_fit,
             "estimates": self.estimates,
             "sensitivity": self.sensitivity,
             "decision": self.decision,
@@ -414,7 +411,6 @@ def _audit_points(curve: TailCurve, bound: TailBound, deviations: np.ndarray,
 
 def audit_bound(curve: TailCurve, bound: TailBound, center_estimate,
                 *, center_se: float | None = None,
-                slope_window=None, theoretical_slope: float | None = None,
                 estimates: dict | None = None) -> VerificationReport:
     """Audit one bound against one empirical curve.
 
@@ -476,14 +472,6 @@ def audit_bound(curve: TailCurve, bound: TailBound, center_estimate,
     points, decision = _audit_points(curve, bound, deviations, audit_lo)
     verdict = _overall_verdict(bound.direction, [p.verdict for p in points])
 
-    slope_fit = None
-    if slope_window is not None:
-        try:
-            slope_fit = fit_log_slope(curve, slope_window)
-            slope_fit.theoretical = theoretical_slope
-        except InsufficientTail:
-            slope_fit = None
-
     sensitivity = None
     if center_se is not None and bound.center in ("mean", "shifted_mean"):
         mult = bound.meta.get("shift_mult", 1.0) if transform == "norm" else 1.0
@@ -503,7 +491,6 @@ def audit_bound(curve: TailCurve, bound: TailBound, center_estimate,
         verdict=verdict,
         bound_params={k: v for k, v in bound.meta.items()
                       if isinstance(v, (int, float, str, bool))},
-        slope_fit=slope_fit,
         estimates=dict(estimates) if estimates else {},
         sensitivity=sensitivity,
         decision=decision,

@@ -212,6 +212,31 @@ def test_nonfinite_config_number_rejected(tmp_path, capsys, section, key,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("bound", [
+    {"name": "id_lower"},
+    {"name": "median_linear", "C": 1, "C_prime": 10},
+])
+@pytest.mark.parametrize("model", [
+    None,
+    {"variant": "brownian_square_norm", "T": 1.0},
+    {"variant": "brownian_sample_variance", "T": 1.0},
+])
+def test_levy_measure_bound_without_levy_model(tmp_path, capsys, bound,
+                                               model):
+    # The brownian variants are path functionals: build_model gives None
+    # for them as for a missing section, and one message covers both.
+    cfg = {"task": "bound", "bound": bound,
+           "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4},
+           "out": {"dir": str(tmp_path / "run")}}
+    if model is not None:
+        cfg["model"] = model
+    assert _run(tmp_path, cfg) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert f"bound.name: {bound['name']} needs a Levy-measure model" in err[0]
+    assert not (tmp_path / "run").exists()
+
+
 def test_log_form_finite_at_float_limit_eigenvalues(tmp_path):
     cfg = {
         "task": "bound",

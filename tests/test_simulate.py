@@ -12,9 +12,10 @@ Each sampler is checked against an independent analytic oracle:
 * stable: closed Cauchy and Levy(1/2) distribution functions, regular
   variation x^alpha P(|X|>x) -> sigma/alpha, and the sub-Gaussian route's
   marginal against the direct one-dimensional sampler;
-* compound Poisson: jump counts against the Poisson law, variance against
-  the chaos oracle as eps -> 0, and the full approximation against the
-  exact stochastic-area law through the tabulated radial inverse.
+* compound Poisson: the no-jump frequency e^{-lam} and Campbell's mean of a
+  pure compound-Poisson sum, variance against the chaos oracle as eps -> 0,
+  and the full approximation against the exact stochastic-area law through
+  the tabulated radial inverse.
 """
 
 import hashlib
@@ -220,7 +221,7 @@ LAYOUT_SAMPLERS = {
                                           stream_id=53),
     "id_compound": lambda n: sim.sample_id_compound(
         m.QuadraticSpectral(eigs=(2.0, -0.7)), 1e-2, n, LAYOUT_RC,
-        stream_id=54, keep_counts=True),
+        stream_id=54),
     "id_compound_stable": lambda n: sim.sample_id_compound(
         m.Stable(alpha=1.2, sigma_total=1.0), 0.5, n, LAYOUT_RC,
         stream_id=57, center="mean"),
@@ -278,8 +279,6 @@ def _at_workers(monkeypatch, workers, draw):
 
 def _same_batch(b1, b2):
     assert b1.values.tobytes() == b2.values.tobytes()
-    if "jump_counts" in b1.meta:
-        assert np.array_equal(b1.meta["jump_counts"], b2.meta["jump_counts"])
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_SAMPLERS))
@@ -388,19 +387,6 @@ def test_chaos2_remainder_guard():
     coarse = m.chaos_eigenvalues("energy", 1.0, 3, convention="spectral")
     with pytest.raises(TruncationTooCoarse):
         sim.sample_chaos2(coarse, 100, RC, stream_id=4)
-
-
-def test_chaos2_n_truncation():
-    spec = m.chaos_eigenvalues("energy", 1.0, 50, convention="spectral")
-    with pytest.raises(PreconditionViolated):
-        sim.sample_chaos2(spec, 10, RC, N=51)
-    with pytest.raises(PreconditionViolated):
-        sim.sample_chaos2(spec, 10, RC, N=0)
-    # Dropping eigenvalues moves their energy into the remainder.
-    with pytest.raises(TruncationTooCoarse):
-        sim.sample_chaos2(spec, 10, RC, N=2)
-    batch = sim.sample_chaos2([1.0, 0.5, 0.25], 10, RC, N=2)
-    assert batch.meta["n_eigs"] == 2
 
 
 @pytest.mark.parametrize("kind, T, N, n_exact", [
@@ -746,19 +732,22 @@ def test_compound_preconditions():
 
 def test_compound_pure_cp_poisson_counts():
     # eps > 1 empties the compensation band: a pure compound-Poisson sum
-    # whose jump counts are Poisson(tail_mass(eps)).
-    qs = m.QuadraticSpectral(eigs=(2.0,))
+    # whose jump counts are Poisson(tail_mass(eps)).  Jumps are positive,
+    # so a draw is 0 exactly when no jump fell: P(0) = e^{-lam}.  The mean
+    # is Campbell's int_{y>eps} y nu(dy) = (a/2) e^{-eps/a}.
+    a = 2.0
+    qs = m.QuadraticSpectral(eigs=(a,))
     eps = 1.5
     lam = m.tail_mass(qs, eps)
-    batch = sim.sample_id_compound(qs, eps, 200_000, RC, stream_id=41,
-                                   keep_counts=True)
+    batch = sim.sample_id_compound(qs, eps, 200_000, RC, stream_id=41)
     assert batch.meta["drift"] == 0.0
-    counts = batch.meta["jump_counts"]
-    se_mean = math.sqrt(lam / counts.size)
-    assert abs(counts.mean() - lam) < 4.0 * se_mean
-    # Var of the count variance estimate: Poisson kurtosis, ~lam(1+2lam)/n.
-    se_var = math.sqrt(lam * (1.0 + 2.0 * lam) / counts.size)
-    assert abs(counts.var() - lam) < 4.0 * se_var
+    n = batch.count
+    p0 = math.exp(-lam)
+    se_p0 = math.sqrt(p0 * (1.0 - p0) / n)
+    assert abs(np.mean(batch.values == 0.0) - p0) < 4.0 * se_p0
+    se_mean = math.sqrt(batch.values.var() / n)
+    assert abs(batch.values.mean() - 0.5 * a * math.exp(-eps / a)) < (
+        4.0 * se_mean)
 
 
 def test_compound_single_eigenvalue_variance():
@@ -856,32 +845,52 @@ def test_compound_deterministic():
     assert np.array_equal(b1.values, b2.values)
 
 
-def test_merge_batches_concatenates_jump_counts(tmp_path):
-    # eps > 1: a pure compound-Poisson sum, 0 exactly where no jump fell,
-    # so the merged counts can be checked against the merged values.
-    qs = m.QuadraticSpectral(eigs=(2.0,))
-    b50 = sim.sample_id_compound(qs, 1.5, 50, RC, stream_id=60,
-                                 keep_counts=True)
-    b70 = sim.sample_id_compound(qs, 1.5, 70, RC, stream_id=61,
-                                 keep_counts=True)
-    want = np.concatenate([b50.meta["jump_counts"], b70.meta["jump_counts"]])
-    loaded = []
-    for b in (b50, b70):
-        path = str(tmp_path / f"{b.stream_id}.bin")
-        sim.save_batch(b, path)
-        loaded.append(sim.load_batch(path))
-    for pair in ([b50, b70], [b70, b50], loaded, loaded[::-1]):
-        merged = sim.merge_batches(pair)
-        counts = merged.meta["jump_counts"]
-        assert merged.count == 120 and np.array_equal(counts, want)
-        assert np.array_equal(merged.values == 0.0, counts == 0)
-    for ext in (".bin", ".csv"):
-        path = str(tmp_path / f"merged{ext}")
-        sim.save_batch(merged, path)
-        assert np.array_equal(sim.load_batch(path).meta["jump_counts"], want)
-    without = sim.sample_id_compound(qs, 1.5, 30, RC, stream_id=62)
-    with pytest.raises(InvalidProfile, match="jump counts"):
-        sim.merge_batches([b50, without])
+def test_compound_header_names_model_params():
+    # Mirrored spectra at center="none": same class, rate and drift, but
+    # means +1 and -1, so the merge must refuse them.
+    plus = sim.sample_id_compound(m.QuadraticSpectral((2.0,)), 1e-3, 1000,
+                                  RC, stream_id=62, center="none")
+    minus = sim.sample_id_compound(m.QuadraticSpectral((-2.0,)), 1e-3, 1000,
+                                   RC, stream_id=63, center="none")
+    assert plus.meta["model_params"] == {"eigs": (2.0,), "remainder_sq": 0.0}
+    with pytest.raises(InvalidProfile, match="parameters"):
+        sim.merge_batches([plus, minus])
+
+
+@pytest.mark.parametrize("ext", [".bin", ".csv"])
+def test_compound_saved_batch_merges_with_fresh(tmp_path, ext):
+    model = m.QuadraticSpectral((2.0, -0.7))
+    saved = sim.sample_id_compound(model, 1e-2, 100, RC, stream_id=64)
+    path = str(tmp_path / f"saved{ext}")
+    sim.save_batch(saved, path)
+    fresh = sim.sample_id_compound(model, 1e-2, 50, RC, stream_id=65)
+    merged = sim.merge_batches([fresh, sim.load_batch(path)])
+    assert merged.values.tobytes() == np.concatenate(
+        [saved.values, fresh.values]).tobytes()
+    # A file written before the header named its model's fields still loads.
+    old_meta = {k: v for k, v in saved.meta.items() if k != "model_params"}
+    sim.save_batch(sim.SampleBatch(saved.values, saved.count, saved.seed,
+                                   saved.stream_id, old_meta), path)
+    back = sim.load_batch(path)
+    assert "model_params" not in back.meta
+    assert back.values.tobytes() == saved.values.tobytes()
+
+
+@pytest.mark.parametrize("rng", [20260816, np.int64(20260816),
+                                 np.random.default_rng(1)],
+                         ids=["int", "np_int", "generator"])
+def test_samplers_take_only_an_rng_contract(rng):
+    draws = [
+        lambda: sim.sample_chaos2([1.0], 5, rng, stream_id=1),
+        lambda: sim.sample_brownian_quadratic("square_norm", 1.0, 100, 5, rng),
+        lambda: sim.sample_levy_area(1.0, 1024, 5, rng),
+        lambda: sim.sample_stable(1.2, 1, "uniform", 5, rng),
+        lambda: sim.sample_id_compound(m.QuadraticSpectral((2.0,)), 0.5, 5,
+                                       rng),
+    ]
+    for draw in draws:
+        with pytest.raises(PreconditionViolated, match="RngContract"):
+            draw()
 
 
 def test_chaos2_header_digests_its_eigenvalues(tmp_path):
@@ -891,9 +900,6 @@ def test_chaos2_header_digests_its_eigenvalues(tmp_path):
         np.array([1.0], dtype="<f8").tobytes()).hexdigest()
     with pytest.raises(InvalidProfile, match="parameters"):
         sim.merge_batches([one, two])
-    # The digest covers the eigenvalues drawn with, the first N.
-    cut = sim.sample_chaos2([1.0, 5.0], 10, sim.RngContract(7), N=1)
-    assert cut.meta["eigs_sha256"] == one.meta["eigs_sha256"]
     # A batch file written before the digest was recorded still loads.
     old_meta = {k: v for k, v in one.meta.items() if k != "eigs_sha256"}
     path = str(tmp_path / "old.bin")

@@ -17,8 +17,10 @@ from levytails import (
     empirical_median,
     empirical_tail,
     fit_log_slope,
+    levy_area_bound,
     quad_euclid_iid_bound,
     sample_chaos2,
+    sample_levy_area,
     verify,
 )
 from levytails.errors import (
@@ -310,13 +312,11 @@ def test_audit_sensitivity_and_estimates(exp_million):
 def test_audit_report_serialization(exp_million):
     curve = empirical_tail(exp_million, np.linspace(0.5, 6.0, 12))
     bound = TailBound(name="half-rate", fn=lambda x: math.exp(-x / 2))
-    report = audit_bound(curve, bound, 0.0, slope_window=(0.5, 6.0),
-                         theoretical_slope=-1.0)
+    report = audit_bound(curve, bound, 0.0)
     doc = json.loads(report.to_json())
     assert doc["verdict"] == "PASS"
     assert doc["bound"] == "half-rate"
     assert len(doc["points"]) == 12
-    assert doc["slope_fit"]["theoretical"] == -1.0
     rows = report.csv_rows()
     assert rows[0] == "x,p_hat,ci_lo,ci_hi,bound,verdict"
     assert len(rows) == 13
@@ -371,6 +371,38 @@ def test_quad_euclid_iid_bound_holds_where_it_is_informative():
             assert report.decision["informative_points"] >= 3, (b, n)
             assert all(p.verdict != "VIOLATION" for p in report.points), (
                 b, n)
+
+
+def test_levy_area_euclid_bound_holds_where_it_is_informative():
+    """levy_area_bound(variant="euclid") on the norm of n independent areas
+    (T = pi, 4096 steps, 5e4 draws each on its own stream), audited from
+    where the bound drops below 1 to the depth with 50 exceedances.
+
+    The bound falls below 1 at x = 3.17, 1.48 and 0.29 for b = 0.9, 0.95
+    and 0.99, while the 50-exceedance depth of ||S|| - 2 E||S|| shrinks
+    with n: 4.8 at n = 1, 1.3 at n = 10 and -10.2 at n = 100.  So n >= 10
+    has no window for b <= 0.95, and n = 100 none at all.
+    """
+    rng = RngContract(20261019)
+    columns = np.column_stack([
+        sample_levy_area(math.pi, 4096, 50_000, rng, stream_id=j).values
+        for j in range(10)])
+    mean_abs = float(np.abs(columns).mean())
+    scan = np.linspace(0.01, 10.0, 1000)
+    for n, b in ((1, 0.9), (1, 0.95), (10, 0.99)):
+        bound = levy_area_bound(math.pi, n=n, b=b, variant="euclid",
+                                mean_abs=mean_abs)
+        x0 = next(x for x in scan if bound(float(x)) < 1.0)
+        values = columns[:, :n]
+        center = float(np.linalg.norm(values, axis=1).mean())
+        dev, meta = deviation_values(values, bound, center)
+        x50 = float(np.sort(dev)[-50])
+        assert x50 > x0, (n, b)
+        report = audit_bound(
+            empirical_tail(dev, np.linspace(x0, x50, 10), meta=meta),
+            bound, center)
+        assert report.decision["informative_points"] >= 3, (n, b)
+        assert all(p.verdict != "VIOLATION" for p in report.points), (n, b)
 
 
 # ----------------------------------------------------------------------
