@@ -7,19 +7,21 @@ Usage::
 The config file is one JSON object.  Recognized keys:
 
     task    "bound" | "simulate" | "verify" | "sweep"
-    model   {"variant": "stable" | "quadratic" | "levy_area" |
-                        "log_kernel" | "gauss_kernel" |
-                        "brownian_square_norm" | "brownian_sample_variance",
-             "alpha": float,                   (stable)
-             "sigma_total": float,             (stable/log_kernel/gauss_kernel)
-             "T": float,                       (levy_area/brownian_*)
-             "eigs": [floats]                  (quadratic, explicit spectrum)
-             "generator": {"kind": "energy"|"centered", "T": float,
-                           "N": int, "convention": "spectral"|"pathwise"}}
-                                               (quadratic, closed-form spectrum;
-                                                N is capped at 10**6)
-    bound   {"name": <catalog name>, ...parameters}   (see the table in
-            _BOUND_KEYS; "dev_nico" is accepted as an alias of "bennett")
+    model   {"variant": <variant>, ...}  stable, levy_area, log_kernel and
+            gauss_kernel take their model class's fields, all numbers
+            (alpha, sigma_total; T; sigma_total; sigma_total);
+            brownian_square_norm and brownian_sample_variance take "T";
+            quadratic takes exactly one of "eigs": [floats] and
+            "generator": {"kind": "energy"|"centered", "T": float, "N": int
+            (capped at 10**6), "convention": "spectral"|"pathwise"}
+    bound   {"name": <name>, ...keys}  An omitted key takes the default of
+            the catalog function it feeds; K, alpha2, C and C_prime are
+            required, and "dev_nico" is an alias of "bennett".  Keys:
+              bennett K alpha2 | two_regime K alpha2 alpha3 alpha4 variant
+              quad_wiener lip_c form target | quad_euclid mean_abs b
+              quad_wiener_lower target b T n | median_linear C C_prime
+              levy_area variant n lip_c b mean_abs | id_lower (none)
+              stable_median lip_c variant epsilon b
     grid    {"x_lo": float, "x_hi": float, "points": int}
             (deviation units; verify audits are capped at 20 points)
     mc      {"count": int, "steps": int, "seed": int, "stream": int}
@@ -51,11 +53,13 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import itertools
 import json
 import math
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -151,11 +155,9 @@ def _is_finite_number(val) -> bool:
         return False
 
 
-def _num(section: dict, key: str, path: str, default=_MISSING):
+def _num(section: dict, key: str, path: str) -> float:
     if key not in section:
-        if default is _MISSING:
-            raise ConfigError(f"{_loc(path, key)}: required")
-        return default
+        raise ConfigError(f"{_loc(path, key)}: required")
     val = section[key]
     if not _is_finite_number(val):
         raise ConfigError(
@@ -196,22 +198,8 @@ def _str(section: dict, key: str, path: str, default=_MISSING, choices=None):
     return val
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays and tuples for json."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def _dump_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2)
-                    + "\n")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -221,35 +209,26 @@ def _dump_json(doc: dict, path: Path) -> None:
 _MODEL_VARIANTS = ("stable", "quadratic", "levy_area", "log_kernel",
                    "gauss_kernel", "brownian_square_norm",
                    "brownian_sample_variance")
+# Levy models whose config section is the class's fields, each a number.
+_MODEL_CLASSES = {"stable": Stable, "levy_area": LevyArea,
+                  "log_kernel": LogKernel, "gauss_kernel": GaussKernel}
 
 
 def build_model(model_cfg: dict):
     """Config section -> Levy model object (None for the brownian path
     functionals, which are samplers rather than Levy measures)."""
     variant = _str(model_cfg, "variant", "model", choices=_MODEL_VARIANTS)
-    allowed = {"variant"}
-    if variant == "stable":
-        allowed |= {"alpha", "sigma_total"}
-        _check_keys(model_cfg, allowed, "model")
-        return Stable(alpha=_num(model_cfg, "alpha", "model"),
-                      sigma_total=_num(model_cfg, "sigma_total", "model"))
-    if variant in ("log_kernel", "gauss_kernel"):
-        allowed |= {"sigma_total"}
-        _check_keys(model_cfg, allowed, "model")
-        cls = LogKernel if variant == "log_kernel" else GaussKernel
-        return cls(sigma_total=_num(model_cfg, "sigma_total", "model"))
-    if variant == "levy_area":
-        allowed |= {"T"}
-        _check_keys(model_cfg, allowed, "model")
-        return LevyArea(T=_num(model_cfg, "T", "model"))
-    if variant in ("brownian_square_norm", "brownian_sample_variance"):
-        allowed |= {"T"}
-        _check_keys(model_cfg, allowed, "model")
+    if variant in _MODEL_CLASSES:
+        cls = _MODEL_CLASSES[variant]
+        names = [f.name for f in dataclasses.fields(cls)]
+        _check_keys(model_cfg, {"variant", *names}, "model")
+        return cls(**{key: _num(model_cfg, key, "model") for key in names})
+    if variant != "quadratic":  # a brownian path functional
+        _check_keys(model_cfg, {"variant", "T"}, "model")
         _num(model_cfg, "T", "model")  # validate presence/type
         return None
     # quadratic: explicit eigs XOR generator
-    allowed |= {"eigs", "generator"}
-    _check_keys(model_cfg, allowed, "model")
+    _check_keys(model_cfg, {"variant", "eigs", "generator"}, "model")
     has_eigs = "eigs" in model_cfg
     has_gen = "generator" in model_cfg
     if has_eigs == has_gen:
@@ -279,30 +258,66 @@ def build_model(model_cfg: dict):
 # Bound construction
 # ----------------------------------------------------------------------
 
+_pos_int = partial(_int, minimum=1)
+
+
+def _one_of(*choices):
+    return partial(_str, choices=choices)
+
+
+# bound name -> {key: reader}. A key the section omits is not passed on, so
+# it takes the catalog function's default; only _REQUIRED keys must be set.
 _BOUND_KEYS = {
-    "bennett": {"K", "alpha2"},
-    "quad_wiener": {"form", "target", "lip_c"},
-    "quad_wiener_lower": {"b", "target", "T", "n"},
-    "quad_euclid": {"b", "mean_abs"},
-    "levy_area": {"variant", "n", "lip_c", "b", "mean_abs"},
-    "id_lower": set(),
-    "median_linear": {"C", "C_prime"},
-    "stable_median": {"variant", "epsilon", "b", "lip_c"},
-    "two_regime": {"variant", "K", "alpha2", "alpha3", "alpha4"},
+    "bennett": {"K": _num, "alpha2": _num},
+    "quad_wiener": {"lip_c": _num,
+                    "form": _one_of("exact_h", "log_form", "min_form"),
+                    "target": _one_of("lipschitz", "sup")},
+    "quad_wiener_lower": {"target": _one_of("inf_norm", "sup", "area"),
+                          "b": _num, "T": _num, "n": _pos_int},
+    "quad_euclid": {"mean_abs": _num, "b": _num},
+    "levy_area": {"variant": _one_of("lipschitz", "euclid"), "n": _pos_int,
+                  "lip_c": _num, "b": _num, "mean_abs": _num},
+    "id_lower": {},
+    "median_linear": {"C": _num, "C_prime": _num},
+    "stable_median": {"lip_c": _num,
+                      "variant": _one_of("general", "uniform", "sharp",
+                                         "near2_exp", "near2_log"),
+                      "epsilon": _num, "b": _num},
+    "two_regime": {"K": _num, "alpha2": _num, "alpha3": _num, "alpha4": _num,
+                   "variant": _one_of("third_moment", "fourth_moment")},
 }
+_REQUIRED = {"K", "alpha2", "C", "C_prime"}
 _BOUND_ALIASES = {"dev_nico": "bennett"}
 
-# build_model returns None without a model section and for the brownian
-# variants, which are path functionals rather than Levy measures.
+# The model each bound reads: a variant, or any Levy-measure model. The
+# latter excludes None, which build_model returns without a model section
+# and for the brownian variants (path functionals, not Levy measures).
+_BOUND_MODEL = {"quad_wiener": "quadratic", "quad_wiener_lower": "quadratic",
+                "quad_euclid": "quadratic", "levy_area": "levy_area",
+                "stable_median": "stable", "id_lower": "any",
+                "median_linear": "any"}
 _NEEDS_LEVY_MODEL = "needs a Levy-measure model (model.variant one of {})".format(
     ", ".join(v for v in _MODEL_VARIANTS if not v.startswith("brownian_")))
 
 
-def _quad_spec(model, mean_abs=None) -> QuadraticSpec:
-    if not isinstance(model, QuadraticSpectral):
+def _bound_model(name: str, model, bound_cfg: dict):
+    """The model the bound reads, checked; None if it reads none."""
+    variant = _BOUND_MODEL.get(name)
+    if variant is None or (name == "quad_wiener_lower"
+                           and bound_cfg.get("target") == "area"):
+        return None
+    if variant == "any" and model is None:
+        raise ConfigError(f"bound.name: {name} {_NEEDS_LEVY_MODEL}")
+    cls = _MODEL_CLASSES.get(variant, QuadraticSpectral)
+    if variant != "any" and not isinstance(model, cls):
         raise ConfigError(
-            "bound.name: this bound needs model.variant = quadratic")
-    return QuadraticSpec(eigs_per_component=(model.eigs,), mean_abs=mean_abs)
+            f"bound.name: {name} needs model.variant = {variant}")
+    return model
+
+
+def _routed(kwargs: dict, key: str) -> dict:
+    """The key, if the section set it, moved out of kwargs."""
+    return {key: kwargs.pop(key)} if key in kwargs else {}
 
 
 def build_bound(bound_cfg: dict, model):
@@ -313,76 +328,32 @@ def build_bound(bound_cfg: dict, model):
         raise ConfigError(
             f"bound.name: unknown bound {bound_cfg['name']!r} "
             f"(catalog: {', '.join(sorted(_BOUND_KEYS))})")
-    _check_keys(bound_cfg, _BOUND_KEYS[name] | {"name"}, "bound")
+    readers = _BOUND_KEYS[name]
+    _check_keys(bound_cfg, {"name", *readers}, "bound")
+    model = _bound_model(name, model, bound_cfg)
+    kw = {key: read(bound_cfg, key, "bound") for key, read in readers.items()
+          if key in bound_cfg or key in _REQUIRED}
     if name == "bennett":
-        return bennett_bound(_num(bound_cfg, "K", "bound"),
-                             _num(bound_cfg, "alpha2", "bound"))
-    if name == "quad_wiener":
-        return quad_wiener_bound(
-            _quad_spec(model),
-            lip_c=_num(bound_cfg, "lip_c", "bound", default=1.0),
-            form=_str(bound_cfg, "form", "bound", default="exact_h",
-                      choices=("exact_h", "log_form", "min_form")),
-            target=_str(bound_cfg, "target", "bound", default="lipschitz",
-                        choices=("lipschitz", "sup")))
-    if name == "quad_wiener_lower":
-        target = _str(bound_cfg, "target", "bound", default="inf_norm",
-                      choices=("inf_norm", "sup", "area"))
-        b = _num(bound_cfg, "b", "bound", default=0.5)
-        if target == "area":
-            return quad_wiener_lower(
-                None, b=b, target=target,
-                T=_num(bound_cfg, "T", "bound"),
-                n=_int(bound_cfg, "n", "bound", default=1, minimum=1))
-        return quad_wiener_lower(_quad_spec(model), b=b, target=target)
-    if name == "quad_euclid":
-        return quad_euclid_iid_bound(
-            _quad_spec(model, _num(bound_cfg, "mean_abs", "bound",
-                                   default=None)),
-            b=_num(bound_cfg, "b", "bound", default=0.5))
-    if name == "levy_area":
-        if not isinstance(model, LevyArea):
-            raise ConfigError(
-                "bound.name: levy_area needs model.variant = levy_area")
-        variant = _str(bound_cfg, "variant", "bound", default="lipschitz",
-                       choices=("lipschitz", "euclid"))
-        return levy_area_bound(
-            model.T,
-            n=_int(bound_cfg, "n", "bound", default=1, minimum=1),
-            lip_c=_num(bound_cfg, "lip_c", "bound", default=1.0),
-            b=_num(bound_cfg, "b", "bound", default=None),
-            variant=variant,
-            mean_abs=_num(bound_cfg, "mean_abs", "bound", default=None))
+        return bennett_bound(**kw)
+    if name == "two_regime":
+        return two_regime_bound(**kw)
     if name == "id_lower":
-        if model is None:
-            raise ConfigError(f"bound.name: id_lower {_NEEDS_LEVY_MODEL}")
         return id_lower_curve(model)
     if name == "median_linear":
-        if model is None:
-            raise ConfigError(f"bound.name: median_linear {_NEEDS_LEVY_MODEL}")
-        return median_bound_linear(model, _num(bound_cfg, "C", "bound"),
-                                   _num(bound_cfg, "C_prime", "bound"))
+        return median_bound_linear(model, **kw)
+    if name == "levy_area":
+        return levy_area_bound(model.T, **kw)
     if name == "stable_median":
-        if not isinstance(model, Stable):
-            raise ConfigError(
-                "bound.name: stable_median needs model.variant = stable")
-        spec = StableSpec(alpha=model.alpha, sigma_total=model.sigma_total,
-                          lip_c=_num(bound_cfg, "lip_c", "bound", default=1.0))
         return stable_median_bound(
-            spec,
-            variant=_str(bound_cfg, "variant", "bound", default="general",
-                         choices=("general", "uniform", "sharp",
-                                  "near2_exp", "near2_log")),
-            epsilon=_num(bound_cfg, "epsilon", "bound", default=None),
-            b=_num(bound_cfg, "b", "bound", default=None))
-    # two_regime
-    return two_regime_bound(
-        _num(bound_cfg, "K", "bound"),
-        _num(bound_cfg, "alpha2", "bound"),
-        alpha3=_num(bound_cfg, "alpha3", "bound", default=None),
-        alpha4=_num(bound_cfg, "alpha4", "bound", default=None),
-        variant=_str(bound_cfg, "variant", "bound", default="third_moment",
-                     choices=("third_moment", "fourth_moment")))
+            StableSpec(model.alpha, model.sigma_total,
+                       **_routed(kw, "lip_c")), **kw)
+    spec = None if model is None else QuadraticSpec(
+        (model.eigs,), **_routed(kw, "mean_abs"))
+    if name == "quad_wiener":
+        return quad_wiener_bound(spec, **kw)
+    if name == "quad_wiener_lower":
+        return quad_wiener_lower(spec, **kw)
+    return quad_euclid_iid_bound(spec, **kw)
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +488,6 @@ def _run_verify(cfg: dict, out_dir: Path, phase: dict) -> int:
     batch = _run_sampler(model_cfg, model, mc)
     phase["op"] = "verify/center"
     values = batch.values
-    estimates = {}
     center_se = None
     if bound.center == "median":
         med = empirical_median(batch)

@@ -2,10 +2,9 @@
 
 Everything here is built on numpy ``Generator`` streams derived from a single
 64-bit root seed through ``SeedSequence``: a batch is reproducible
-bit-for-bit from ``(root_seed, stream_id, replicate, parameters)``, and
-distinct ``(stream_id, replicate)`` pairs give statistically independent,
-collision-free streams, so batches produced concurrently can be merged in
-any order.
+bit-for-bit from ``(root_seed, stream_id, parameters)``, and distinct
+``stream_id`` values give statistically independent, collision-free streams,
+so batches produced concurrently can be merged in any order.
 
 Samplers
 --------
@@ -107,14 +106,13 @@ _MAX_SEED = 2 ** 64
 class RngContract:
     """Reproducible stream factory.
 
-    ``stream(stream_id, replicate)`` returns a fresh ``numpy.random.Generator``
-    on an SFC64 bit generator seeded from the key
-    ``(root_seed, stream_id, replicate)`` through ``SeedSequence``, which
-    hashes distinct keys into independent, collision-free states.  So
-    concurrent batches can be drawn on disjoint ``stream_id`` values and
-    merged later without any ordering constraint.  The generator is fixed
-    (batch files do not record one); SFC64 fills normals about twice as
-    fast as PCG64.
+    ``stream(stream_id)`` returns a fresh ``numpy.random.Generator`` on an
+    SFC64 bit generator seeded from the key ``(root_seed, stream_id, 0)``
+    through ``SeedSequence``, which hashes distinct keys into independent,
+    collision-free states.  So concurrent batches can be drawn on disjoint
+    ``stream_id`` values and merged later without any ordering constraint.
+    The generator is fixed (batch files do not record one); SFC64 fills
+    normals about twice as fast as PCG64.
     """
 
     root_seed: int
@@ -125,11 +123,12 @@ class RngContract:
         if not (0 <= int(self.root_seed) < _MAX_SEED):
             raise PreconditionViolated("root_seed must fit in 64 bits")
 
-    def stream(self, stream_id: int = 0, replicate: int = 0) -> np.random.Generator:
-        if stream_id < 0 or replicate < 0:
-            raise PreconditionViolated("stream_id and replicate must be >= 0")
-        ss = np.random.SeedSequence((int(self.root_seed), int(stream_id),
-                                     int(replicate)))
+    def stream(self, stream_id: int = 0) -> np.random.Generator:
+        if stream_id < 0:
+            raise PreconditionViolated("stream_id must be >= 0")
+        # The trailing 0 is the replicate index streams once took; keeping
+        # it in the key keeps every stream's draws as they were.
+        ss = np.random.SeedSequence((int(self.root_seed), int(stream_id), 0))
         return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -177,8 +176,10 @@ class SampleBatch:
             raise EmptyBatch("batch contains no samples")
 
 
-# Meta entries that identify or count one batch's draws rather than the law
-# they were drawn from; every other entry must agree across a merge.
+# Meta entries that identify one batch's draws rather than the law they were
+# drawn from; every other entry must agree across a merge. Batch files
+# written before streams lost their replicate index still carry
+# "replicate": 0.
 _PER_BATCH_META = ("replicate", "merged_stream_ids")
 
 
@@ -194,9 +195,12 @@ def merge_batches(batches) -> SampleBatch:
     """Merge batches drawn on disjoint streams of one root seed.
 
     All inputs must come from one sampler with one parameter set and have
-    the same value shape per draw; ``InvalidProfile`` otherwise.  The result
-    is independent of the order in which the inputs are passed: segments are
-    concatenated sorted by ``(stream_id, replicate)``.
+    the same value shape per draw, and no stream may be held by two inputs
+    (a merged input holds every stream in its ``merged_stream_ids``);
+    ``InvalidProfile`` otherwise.  The result is independent of the order in
+    which the inputs are passed: segments are concatenated sorted by their
+    lowest stream id, and ``merged_stream_ids`` lists every stream in the
+    order of the values.
     """
     batches = list(batches)
     if not batches:
@@ -217,13 +221,14 @@ def merge_batches(batches) -> SampleBatch:
         if _law_params(b) != params:
             raise InvalidProfile(
                 "cannot merge batches drawn with different parameters")
-    keys = [(b.stream_id, b.meta.get("replicate", 0)) for b in batches]
-    if len(set(keys)) != len(keys):
-        raise InvalidProfile("duplicate (stream_id, replicate) in merge")
-    order = sorted(range(len(batches)), key=lambda i: keys[i])
+    held = [b.meta.get("merged_stream_ids", [b.stream_id]) for b in batches]
+    streams = [s for ids in held for s in ids]
+    if len(set(streams)) != len(streams):
+        raise InvalidProfile("cannot merge: a stream is held by two inputs")
+    order = sorted(range(len(batches)), key=lambda i: min(held[i]))
     values = np.concatenate([batches[i].values for i in order], axis=0)
     meta = dict(batches[order[0]].meta)
-    meta["merged_stream_ids"] = [batches[i].stream_id for i in order]
+    meta["merged_stream_ids"] = [s for i in order for s in held[i]]
     return SampleBatch(
         values=values,
         count=values.shape[0],
@@ -471,7 +476,6 @@ def sample_chaos2(eigs, count, rng, *, stream_id: int = 0) -> SampleBatch:
         "remainder_sq": remainder,
         "eigs_sha256": hashlib.sha256(a.astype("<f8").tobytes()).hexdigest(),
         "centering": "mean",
-        "replicate": 0,
     }
     return SampleBatch(vals, count, seed, stream_id, meta)
 
@@ -531,7 +535,6 @@ def sample_brownian_quadratic(kind: str, T: float, steps: int, count, rng, *,
         "T": float(T),
         "steps": steps,
         "centering": "mean",
-        "replicate": 0,
     }
     return SampleBatch(vals, count, seed, stream_id, meta)
 
@@ -644,7 +647,6 @@ def sample_levy_area(T: float, steps: int, count, rng, *,
         "steps": steps,
         "method": method,
         "centering": "mean",
-        "replicate": 0,
     }
     return SampleBatch(vals, count, seed, stream_id, meta)
 
@@ -843,7 +845,6 @@ def sample_stable(alpha: float, n: int, spherical, count, rng, *,
             (np.atleast_1d(xi).tolist(), float(wgt)) for xi, wgt in atoms
         ],
         "centering": centering,
-        "replicate": 0,
     }
     return SampleBatch(vals, count, seed, stream_id, meta)
 
@@ -940,6 +941,5 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
         "gauss_smalljump": gauss_smalljump,
         "smalljump_var": small_var,
         "centering": {"unit": "unit-ball", "mean": "mean", "none": "none"}[center],
-        "replicate": 0,
     }
     return SampleBatch(vals, count, seed, stream_id, meta)

@@ -1,4 +1,5 @@
-"""The public contract's settable options, listed by name.
+"""The public contract's settable options and the CLI config schema,
+listed by name.
 
 A settable option is a parameter with a default of a callable in
 ``levytails.__all__`` (functions and dataclass constructors), as
@@ -6,9 +7,15 @@ A settable option is a parameter with a default of a callable in
 change: update ``OPTIONS`` and the count in ROADMAP.md together.
 """
 
+import dataclasses
 import inspect
+import re
+
+import pytest
 
 import levytails
+from levytails import cli
+from levytails.errors import ConfigError
 
 OPTIONS = {
     "HFunction": ["t_end", "h_sup", "name"],
@@ -60,3 +67,64 @@ def test_settable_options_are_the_listed_61():
     assert found == listed, (
         f"added: {sorted(found - listed)}; removed: {sorted(listed - found)}")
     assert len(listed) == 61
+
+
+# The command-line config schema, listed by name. A model section holds the
+# model class's fields; a bound section feeds the catalog function below
+# (lip_c of stable_median goes to StableSpec, mean_abs of quad_euclid to
+# QuadraticSpec). Renaming a model field or a catalog parameter fails here.
+MODEL_KEYS = {
+    "stable": ["alpha", "sigma_total"],
+    "quadratic": ["eigs", "generator"],
+    "levy_area": ["T"],
+    "log_kernel": ["sigma_total"],
+    "gauss_kernel": ["sigma_total"],
+    "brownian_square_norm": ["T"],
+    "brownian_sample_variance": ["T"],
+}
+BOUND_KEYS = {
+    "bennett": ("bennett_bound", ["K", "alpha2"]),
+    "quad_wiener": ("quad_wiener_bound", ["lip_c", "form", "target"]),
+    "quad_wiener_lower": ("quad_wiener_lower", ["target", "b", "T", "n"]),
+    "quad_euclid": ("quad_euclid_iid_bound", ["mean_abs", "b"]),
+    "levy_area": ("levy_area_bound",
+                  ["variant", "n", "lip_c", "b", "mean_abs"]),
+    "id_lower": ("id_lower_curve", []),
+    "median_linear": ("median_bound_linear", ["C", "C_prime"]),
+    "stable_median": ("stable_median_bound",
+                      ["lip_c", "variant", "epsilon", "b"]),
+    "two_regime": ("two_regime_bound",
+                   ["K", "alpha2", "alpha3", "alpha4", "variant"]),
+}
+ROUTED = {("stable_median", "lip_c"): "StableSpec",
+          ("quad_euclid", "mean_abs"): "QuadraticSpec"}
+
+
+def _allowed_keys(build, section, *args):
+    """The keys a CLI section accepts, as its unknown-key error lists them."""
+    with pytest.raises(ConfigError, match="unknown key") as exc:
+        build({**section, "not_a_key": 1}, *args)
+    return set(re.search(r"\(allowed: (.*)\)$", str(exc.value))
+               .group(1).split(", "))
+
+
+def test_cli_model_sections_are_the_listed_keys():
+    assert list(cli._MODEL_VARIANTS) == list(MODEL_KEYS)
+    for variant, keys in MODEL_KEYS.items():
+        assert _allowed_keys(cli.build_model, {"variant": variant}) == \
+            {"variant", *keys}, variant
+    for variant, cls in cli._MODEL_CLASSES.items():
+        assert [f.name for f in dataclasses.fields(cls)] == \
+            MODEL_KEYS[variant]
+
+
+def test_cli_bound_keys_are_the_listed_parameters():
+    assert set(cli._BOUND_KEYS) == set(BOUND_KEYS)
+    for name, (func, keys) in BOUND_KEYS.items():
+        assert list(cli._BOUND_KEYS[name]) == keys, name
+        assert _allowed_keys(cli.build_bound, {"name": name}, None) == \
+            {"name", *keys}, name
+        for key in keys:
+            target = ROUTED.get((name, key), func)
+            params = inspect.signature(getattr(levytails, target)).parameters
+            assert key in params, f"{name}.{key} is no parameter of {target}"

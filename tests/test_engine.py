@@ -354,6 +354,23 @@ def test_chernoff_divergent_is_tagged_minus_inf():
     assert chernoff_min(h, 2.0) == -math.inf
 
 
+def test_chernoff_at_h_sup_with_infinite_domain():
+    # x = h_sup: the objective int_0^t h - t x is -(1 - e^{-t}) -> -1 for
+    # h = 1 - e^{-t}, and -log(1 + t) -> -inf for h = 1 - 1/(1 + t).
+    bounded = HFunction(lambda t: -math.expm1(-t), h_sup=1.0, name="1-e^-t")
+    assert chernoff_min(bounded, 1.0) == pytest.approx(-1.0, rel=1e-9)
+    divergent = HFunction(lambda t: t / (1.0 + t), h_sup=1.0, name="t/(1+t)")
+    assert chernoff_min(divergent, 1.0) == -math.inf
+
+
+def test_chernoff_at_and_beyond_h_sup_on_finite_domain():
+    # h = t on [0, 2): the infimum sits at the boundary t_end (1 - 1e-12),
+    # where the objective is t^2/2 - t x.
+    h = HFunction(lambda t: t, t_end=2.0, h_sup=2.0, name="t on [0, 2)")
+    assert chernoff_min(h, 2.0) == pytest.approx(-2.0, rel=1e-9)
+    assert chernoff_min(h, 3.0) == pytest.approx(-3.999999999998, rel=1e-12)
+
+
 def test_duality_random_h_family():
     """|chernoff_min + entropy_integral| <= 1e-7 (1 + |entropy|)."""
     rng = np.random.default_rng(101)

@@ -69,10 +69,8 @@ def test_rng_contract_reproducible_and_stream_separated():
     a1 = sim.RngContract(42).stream(3).standard_normal(8)
     a2 = sim.RngContract(42).stream(3).standard_normal(8)
     b = sim.RngContract(42).stream(4).standard_normal(8)
-    c = sim.RngContract(42).stream(3, replicate=1).standard_normal(8)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
-    assert not np.array_equal(a1, c)
 
 
 def test_rng_contract_validation():
@@ -100,6 +98,47 @@ def test_merge_batches_order_independent():
         sim.merge_batches([b1, sim.sample_chaos2([1.0], 10, sim.RngContract(8))])
     with pytest.raises(InvalidProfile):
         sim.merge_batches([b1, b1])
+
+
+def test_merge_of_merged_batches_tracks_every_stream():
+    r = sim.RngContract(1)
+    b0, b1, b2 = (sim.sample_chaos2([1.0], 3, r, stream_id=i)
+                  for i in range(3))
+    m02 = sim.merge_batches([b0, b2])
+    assert m02.meta["merged_stream_ids"] == [0, 2]
+    # stream 2 is held by both inputs
+    with pytest.raises(InvalidProfile, match="stream"):
+        sim.merge_batches([m02, b2])
+    with pytest.raises(InvalidProfile, match="stream"):
+        sim.merge_batches([b2, sim.merge_batches([b1, b2])])
+    # every stream is listed, in the order of the values, for either order
+    for inputs in ([b1, m02], [m02, b1]):
+        merged = sim.merge_batches(inputs)
+        assert merged.meta["merged_stream_ids"] == [0, 2, 1]
+        assert merged.stream_id == 0
+        assert merged.values.tobytes() == np.concatenate(
+            [b0.values, b2.values, b1.values]).tobytes()
+
+
+def test_batch_file_with_replicate_entry_merges_with_new_batch(tmp_path):
+    # Batch headers once carried "replicate": 0; such a file still loads
+    # and merges with a batch drawn now, in either order.
+    old = sim.sample_chaos2([1.0], 100, sim.RngContract(7), stream_id=0)
+    assert "replicate" not in old.meta
+    path = str(tmp_path / "old.bin")
+    sim.save_batch(sim.SampleBatch(old.values, old.count, old.seed,
+                                   old.stream_id,
+                                   {**old.meta, "replicate": 0}), path)
+    back = sim.load_batch(path)
+    assert back.meta["replicate"] == 0
+    new = sim.sample_chaos2([1.0], 150, sim.RngContract(7), stream_id=1)
+    for inputs in ([back, new], [new, back]):
+        merged = sim.merge_batches(inputs)
+        assert merged.meta["merged_stream_ids"] == [0, 1]
+        assert merged.values.tobytes() == np.concatenate(
+            [old.values, new.values]).tobytes()
+    with pytest.raises(InvalidProfile, match="stream"):
+        sim.merge_batches([back, old])
 
 
 def test_merge_batches_refuses_mixed_laws(tmp_path):
