@@ -24,6 +24,7 @@ their HFunction in meta["h"] so the construction can be cross-checked.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,9 +64,19 @@ _E = math.e
 # Two-regime parameter sets this close (relative) to the precondition
 # boundary are rejected: the crossover equation for s0 degenerates there.
 _BOUNDARY_MARGIN = 1e-6
+# log of the largest finite float: math.exp overflows above it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# The exact_h h sums its spectrum as a head, the eigenvalues with
+# |a_k| > top/_TAIL_RATIO (top = max |a_k|), term by term, plus a tail,
+# the rest, as a power series in u = c t top < 1 with _TAIL_TERMS moment
+# coefficients fixed at build time.  Every tail term has c t |a_k| <
+# 1/_TAIL_RATIO, so truncating its geometric series after _TAIL_TERMS
+# terms drops less than 64^-10/(1 - 1/64) ~ 9e-19 of the tail sum.
+_TAIL_RATIO = 64.0
+_TAIL_TERMS = 10
 # np.add.reduce sums float64 arrays pairwise from this length up and term
-# by term below it, so the exact_h h of a shorter spectrum sums in a
-# plain-float loop: the same float, without numpy's fixed cost per call.
+# by term below it, so a head shorter than this sums in a plain-float
+# loop: the same float, without numpy's fixed cost per call.
 _PAIRWISE_SUM_MIN = 8
 
 
@@ -508,7 +519,13 @@ def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
     form="exact_h"   engine bound for
                      h(t) = (1/2) sum_{i,k} c t (a_k^i)^2 / (1 - c t |a_k^i|)
                      on [0, 1/(c a));  a -> a_+ and positive eigenvalues
-                     only under target="sup".
+                     only under target="sup".  The eigenvalues with
+                     |a_k| > a/64 (the head) are summed term by term; the
+                     rest (the tail) add c t sum_{m<10} mu_m (c t a)^m,
+                     mu_m = sum_tail (a_k^2/2)(|a_k|/a)^m fixed at build
+                     time, which leaves out under 64^-10/(1 - 1/64)
+                     ~ 9e-19 of the tail sum.  A spectrum with no tail
+                     gives the direct sum's floats.
     form="log_form"  exp(-x/(ac) + (2S/(a^2 c)) log(1 + a x/(2S))) with
                      S = sum_i ||f_2^i||^2, evaluated through the
                      scale-free ratio r = S/a^2 = (1/4) sum (a_k^i/a)^2,
@@ -542,30 +559,52 @@ def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
                            for v in comp], dtype=float)
         if target == "sup":
             flat = flat[flat > 0.0]
-        half_sq = 0.5 * (flat * flat)
         ab = np.abs(flat)
         top = float(ab.max())
-        pairs = (tuple(zip(half_sq.tolist(), ab.tolist()))
-                 if flat.size < _PAIRWISE_SUM_MIN else None)
+        head = ab > top / _TAIL_RATIO
+        ab_head = ab[head]
+        half_sq = 0.5 * (ab_head * ab_head)
+        pairs = (tuple(zip(half_sq.tolist(), ab_head.tolist()))
+                 if ab_head.size < _PAIRWISE_SUM_MIN else None)
+        # Tail moments mu_m = sum (a_k^2/2) (|a_k|/top)^m, m < _TAIL_TERMS;
+        # the ratio is at most 1/64, so no power overflows at any scale.
+        tail = ab[~head]
+        has_tail = tail.size > 0
+        mus = [0.0] * _TAIL_TERMS
+        if has_tail:
+            ratio = tail / top
+            terms = 0.5 * (tail * tail)
+            for m in range(_TAIL_TERMS):
+                mus[m] = float(np.add.reduce(terms))
+                terms *= ratio
+        m0, m1, m2, m3, m4, m5, m6, m7, m8, m9 = mus
 
         def ev(t: float) -> float:
-            # (1/2) sum a_k^2 / (1/(ct) - |a_k|): in plain floats for a
-            # small spectrum, else in one vector pass (np.add.reduce is
-            # ndarray.sum without its Python wrapper); both give the same
-            # float. Every gap is at least 1/(ct) - top: h is +inf where
-            # rounding near t_end closes that, and 0 where ct underflows.
+            # (1/2) sum a_k^2 / (1/(ct) - |a_k|) over the head, in plain
+            # floats for a short one, else in one vector pass (np.add.reduce
+            # is ndarray.sum without its Python wrapper); both give the same
+            # float.  Every gap is at least 1/(ct) - top: h is +inf where
+            # rounding near t_end closes that, and 0, as the direct sum
+            # gives, where ct underflows or 1/(ct) overflows.
             ct = c * t
-            if not ct > 0.0:
+            inv = 1.0 / ct if ct > 0.0 else math.inf
+            if not inv < math.inf:
                 return 0.0
-            inv = 1.0 / ct
             if not inv > top:
                 return math.inf
             if pairs is None:
-                return float(np.add.reduce(half_sq / (inv - ab)))
-            total = 0.0
-            for hs, ak in pairs:
-                total += hs / (inv - ak)
-            return total
+                total = float(np.add.reduce(half_sq / (inv - ab_head)))
+            else:
+                total = 0.0
+                for hs, ak in pairs:
+                    total += hs / (inv - ak)
+            if not has_tail:
+                return total
+            # The tail's ct sum_m mu_m u^m by Horner's rule, unrolled: the
+            # loop over the ten terms cost a fifth of the call.
+            u = ct * top
+            return total + ct * (m0 + u * (m1 + u * (m2 + u * (m3 + u * (
+                m4 + u * (m5 + u * (m6 + u * (m7 + u * (m8 + u * m9)))))))))
 
         h = HFunction(eval_fn=ev, t_end=1.0 / (c * a), h_sup=math.inf,
                       name=f"quad_h[{target}]")
@@ -866,20 +905,27 @@ def median_bound_linear(model, C: float, C_prime: float) -> TailBound:
 
 def _two_regime(K: float, denom: float, x0: float, gauss_coef: float,
                 pois_alpha2: float, variant: str, s0: float) -> TailBound:
-    """Assemble the two branches; K0 glues them continuously at x0."""
-    K0 = math.exp(-x0 * x0 / (gauss_coef * denom)
-                  - _bennett_exponent(K, pois_alpha2, x0))
+    """Assemble the two branches; K0 glues them continuously at x0.
+
+    K0 is carried as its log, which can pass the float range (2 868 at
+    K = 1, alpha2 = 100, alpha3 = 1) while the glued value stays tiny;
+    meta["K0"] is then +inf."""
+    log_K0 = (-x0 * x0 / (gauss_coef * denom)
+              - _bennett_exponent(K, pois_alpha2, x0))
+    K0 = math.exp(log_K0) if log_K0 < _LOG_FLOAT_MAX else math.inf
 
     def raw(x: float) -> float:
         if x <= x0:
             return math.exp(-x * x / (gauss_coef * denom))
-        return min(1.0, K0 * math.exp(_bennett_exponent(K, pois_alpha2, x)))
+        return min(1.0, math.exp(log_K0
+                                 + _bennett_exponent(K, pois_alpha2, x)))
 
     fn = _guard(0.0, math.inf, "two_regime", raw)
     return TailBound(
         name=f"two_regime[{variant}]", fn=fn, center="mean",
         regime_fn=lambda x: "gaussian" if x <= x0 else "poisson",
-        meta={"s0": s0, "x0": x0, "K0": K0, "variant": variant,
+        meta={"s0": s0, "x0": x0, "K0": K0, "log_K0": log_K0,
+              "variant": variant,
               "transform": "value"})
 
 

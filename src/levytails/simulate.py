@@ -599,6 +599,7 @@ def _area_recursive(gen, T: float, steps: int, out: np.ndarray) -> None:
     s = np.zeros(count, dtype=np.float64)
     zeta = np.empty(count, dtype=np.float64)
     tmp = np.empty(count, dtype=np.float64)
+    x = np.empty(count, dtype=np.float64)
     for j in range(L):
         dt_fine = T / float(2 ** (j + 1))
         gen.standard_normal(out=zeta)
@@ -607,8 +608,14 @@ def _area_recursive(gen, T: float, steps: int, out: np.ndarray) -> None:
         np.sqrt(tmp, out=tmp)
         tmp *= zeta
         s += tmp
-        x = gen.chisquare(2.0 ** (j + 1) - 1.0, size=count)
-        x += np.square(zeta)
+        if j == L - 1:
+            break                       # the finest level's Q is not read
+        # X ~ chi^2(2^(j+1) - 1) drawn as numpy's chisquare draws it:
+        # twice a standard gamma of half the degrees of freedom.
+        gen.standard_gamma(2.0 ** j - 0.5, out=x)
+        x *= 2.0
+        np.square(zeta, out=tmp)
+        x += tmp
         q *= 0.5
         q += dt_fine * x
     np.multiply(s, 0.5, out=out)

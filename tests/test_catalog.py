@@ -19,6 +19,8 @@ from math import exp, log, pi, sqrt
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levytails import catalog as c
 from levytails import models as m
@@ -430,6 +432,82 @@ def test_quad_exact_h_small_spectrum_sums_as_numpy(n, target):
                     seed, lip, t)
 
 
+def _direct_exact_h(eigs, ct):
+    """The exact_h h summed term by term, as (1/2) a^2 / (1/(ct) - |a|);
+    every term is 0 where 1/(ct) is infinite."""
+    if not ct > 0.0:
+        return 0.0
+    inv = 1.0 / ct
+    if inv == math.inf:
+        return 0.0
+    if not inv > max(abs(a) for a in eigs):
+        return math.inf
+    return math.fsum(0.5 * (a * a) / (inv - abs(a)) for a in eigs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 600),
+       shape=st.sampled_from(["decaying", "flat", "signed"]),
+       power=st.floats(0.5, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-100.0, 100.0),
+       target=st.sampled_from(["lipschitz", "sup"]),
+       lip=st.floats(0.1, 10.0),
+       fractions=st.lists(st.one_of(
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.9, 1.0, exclude_max=True)), min_size=1, max_size=8))
+def test_quad_exact_h_head_and_tail_series_match_direct_sum(
+        n, shape, power, seed, log_scale, target, lip, fractions):
+    """The head sum plus the tail's moment series agrees with the direct
+    sum within 2e-15 relative, over spectra from 1 to 600 eigenvalues at
+    scales 1e-100 to 1e100 and t across (0, t_end).  Values below the
+    normal float range round absolutely, to 5e-324 a term, hence the
+    1e-320 absolute floor."""
+    rng = np.random.default_rng(seed)
+    if shape == "flat":
+        eigs = rng.uniform(0.5, 1.5, n)
+    else:
+        eigs = np.arange(1, n + 1) ** -power * rng.uniform(0.9, 1.1, n)
+    if shape == "signed":
+        eigs[1:] *= rng.choice([-1.0, 1.0], n - 1)
+    eigs = eigs * 10.0 ** log_scale
+    tb = c.quad_wiener_bound(c.QuadraticSpec((tuple(eigs),)), lip_c=lip,
+                             form="exact_h", target=target)
+    h, lip_c = tb.meta["h"], tb.meta["lip_c"]
+    used = [float(a) for a in eigs if target == "lipschitz" or a > 0.0]
+    for f in fractions:
+        t = f * h.t_end
+        want = _direct_exact_h(used, lip_c * t)
+        if want == math.inf:
+            assert h(t) == math.inf
+        else:
+            assert h(t) == pytest.approx(want, rel=2e-15, abs=1e-320), (
+                f, t)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 60, 500])
+@pytest.mark.parametrize("target", ["lipschitz", "sup"])
+def test_quad_exact_h_without_tail_is_the_one_pass_sum(n, target):
+    """A spectrum with every |a_k| > top/64 has no tail series: h is the
+    float of the one-pass numpy sum, out to t_end (1 - 2^-52)."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        eigs = rng.uniform(0.05, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        eigs[0] = 3.0
+        tb = c.quad_wiener_bound(c.QuadraticSpec((tuple(eigs),)),
+                                 lip_c=0.7, form="exact_h", target=target)
+        h, lip_c = tb.meta["h"], tb.meta["lip_c"]
+        used = eigs if target == "lipschitz" else eigs[eigs > 0.0]
+        half_sq, ab = 0.5 * (used * used), np.abs(used)
+        ts = [h.t_end * u for u in (1e-9, 0.01, 0.3, 0.7, 0.99)]
+        ts += [h.t_end * (1.0 - 2.0 ** -k) for k in (10, 20, 40, 52)]
+        for t in ts:
+            inv = 1.0 / (lip_c * t)
+            want = (float(np.add.reduce(half_sq / (inv - ab)))
+                    if inv > ab.max() else math.inf)
+            assert h(t) == want, (seed, t)
+
+
 def test_quad_sup_target_uses_positive_spectrum():
     spec = c.QuadraticSpec(((0.5, -0.9),))
     tb = c.quad_wiener_bound(spec, lip_c=3.0, form="exact_h", target="sup")
@@ -691,6 +769,27 @@ def test_two_regime_overflow_is_a_precondition_error():
     # root runs e^{sK} into overflow: a library error, not OverflowError.
     with pytest.raises(PreconditionViolated, match="crossover"):
         c.two_regime_bound(1e308, 1.0, alpha3=1e-300)
+
+
+def test_two_regime_glue_constant_beyond_float_range():
+    # K = 1, alpha2 = 100, alpha3 = 1: log K0 = 2 868 at x0 = 1 280, so K0
+    # itself overflows; the Poisson branch is exp(log K0 + exponent).
+    tb = c.two_regime_bound(1.0, 100.0, alpha3=1.0)
+    x0, log_K0 = tb.meta["x0"], tb.meta["log_K0"]
+    assert log_K0 == pytest.approx(2868.23, rel=1e-5)
+    assert tb.meta["K0"] == math.inf
+    # continuity at x0, in log space: both branches have log -x0^2/396.
+    assert log_K0 + c._bennett_exponent(1.0, 2.0, x0) == pytest.approx(
+        -x0 * x0 / 396.0, rel=1e-13)
+    xs = np.concatenate([np.geomspace(1e-2, x0, 40),
+                         x0 * np.array([1.0 + 1e-12, 1.001, 1.5, 10.0])])
+    values, _, valid = tb.evaluate_grid(xs)
+    assert np.all(valid)
+    assert np.all(np.isfinite(values))
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) <= 0.0)
+    assert values[0] == pytest.approx(exp(-1e-4 / 396.0), rel=1e-15)
+    assert tb(x0) == tb(x0 * (1.0 + 1e-12)) == 0.0
 
 
 def test_two_regime_gaussian_branch_is_literal():
