@@ -78,6 +78,16 @@ _TAIL_TERMS = 10
 # by term below it, so a head shorter than this sums in a plain-float
 # loop: the same float, without numpy's fixed cost per call.
 _PAIRWISE_SUM_MIN = 8
+# The exact_h Legendre transform x' u - G(u) (see _quad_legendre) is
+# summed as a power series in u for u <= _SERIES_U, where the closed
+# form's terms -log(1 - u r) - u r would cancel: _SERIES_TERMS terms leave
+# out less than 2 u^28/(1 - u) < 4e-17 of it, relative.
+_SERIES_U = 0.25
+_SERIES_TERMS = 28
+_NEWTON_MAXITER = 100
+# Above this x/top, 1/(1 - u) nears the float limit; the Newton start is
+# then the root to within the float's precision, and is used as it is.
+_NEWTON_XMAX = 1e300
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +141,8 @@ class QuadraticSpec:
     Component i is J_2(f_2^i) = (1/2) sum_k a_k^i ((Z_k^i)^2 - 1) with
     eigenvalues a_k^i (signed).  mean_abs optionally holds a Monte Carlo
     estimate of E|J_2(f_2)| (single component, for the i.i.d. norm bound).
+    The flattened spectrum, a_max, a_plus and f2_norms are computed once
+    here and held as private attributes, not fields.
     """
 
     eigs_per_component: tuple
@@ -143,11 +155,18 @@ class QuadraticSpec:
             raise InvalidProfile("need at least one component")
         if any(len(comp) == 0 for comp in comps):
             raise InvalidProfile("every component needs eigenvalues")
-        if any(not math.isfinite(a) for comp in comps for a in comp):
+        flat = np.array([a for comp in comps for a in comp], dtype=float)
+        if not np.all(np.isfinite(flat)):
             raise InvalidProfile("eigenvalues must be finite")
         object.__setattr__(self, "eigs_per_component", comps)
         if self.mean_abs is not None and not (self.mean_abs > 0.0):
             raise InvalidProfile(f"mean_abs must be > 0, got {self.mean_abs!r}")
+        flat.flags.writeable = False
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_a_max", float(np.abs(flat).max()))
+        object.__setattr__(self, "_a_plus", max(0.0, float(flat.max())))
+        object.__setattr__(self, "_f2_norms", tuple(
+            0.25 * sum(a * a for a in comp) for comp in comps))
 
     @property
     def n(self) -> int:
@@ -156,19 +175,17 @@ class QuadraticSpec:
     @property
     def a_max(self) -> float:
         """Overall spectral radius max_{i,k} |a_k^i|."""
-        return max(abs(a) for comp in self.eigs_per_component for a in comp)
+        return self._a_max
 
     @property
     def a_plus(self) -> float:
         """Largest positive eigenvalue across components (0 if none)."""
-        pos = [a for comp in self.eigs_per_component for a in comp if a > 0.0]
-        return max(pos) if pos else 0.0
+        return self._a_plus
 
     @property
     def f2_norms(self) -> tuple:
         """Per-component ||f_2^i||^2 = (1/4) sum_k (a_k^i)^2."""
-        return tuple(0.25 * sum(a * a for a in comp)
-                     for comp in self.eigs_per_component)
+        return self._f2_norms
 
     @property
     def f2_total(self) -> float:
@@ -507,6 +524,119 @@ def bounded_support_norm_bound(beta: float, R: float, second_moment: float,
 # Quadratic Wiener functionals
 # ----------------------------------------------------------------------
 
+def _quad_legendre(r: np.ndarray, mus: list, top: float, c: float):
+    """x -> int_0^x h^{-1} for the exact_h h, in closed form.
+
+    r holds |a_k|/top over the head and mus the tail moments mu_m of the
+    h.  In u = c t top and x' = x/top, h(t) = top g(u) and its
+    antiderivative is H(t) = G(u)/c, with nu_m = mu_m/top^2 and
+
+        g(u) = sum_head (r_k^2/2) u/(1 - u r_k) + u sum_m nu_m u^m,
+        G(u) = (1/2) sum_head [-log(1 - u r_k) - u r_k]
+               + sum_m nu_m u^(m+2)/(m+2),
+
+    the chaos cumulant with |a_k| in place of a_k.  g(u) = x' is solved by
+    Newton's method from the right, starting at u0 = 2x'/(1 + 2x'), where
+    the top term alone reaches x'; g is convex and increasing, so the
+    iterates fall monotonically.  The gap e = 1 - u = (1/(ct) - top) c t
+    is carried beside u, and every denominator is formed from it as
+    1 - u r_k = e + u (1 - r_k): beyond x' ~ 1e16, where u rounds to 1,
+    the points stay exact.  The value is (x' u - G(u))/c.  Every quantity
+    is dimensionless, so no tolerance depends on the scale.  For
+    u <= 1/4, x' u - G(u) is summed instead as u (x' - g(u)) plus the
+    series sum_{m<28} ((m+1)/(m+2)) N_m u^(m+2), N_m = sum_head
+    (r_k^2/2) r_k^m + nu_m, whose terms are all positive.  Heads under 8
+    terms are summed in plain floats, longer ones in numpy.
+    """
+    half_r2 = 0.5 * (r * r)
+    d = 1.0 - r
+    nus = [mu / top / top for mu in mus]
+    has_tail = any(nus)
+    moments = half_r2 @ np.vander(r, _SERIES_TERMS, increasing=True)
+    moments[:_TAIL_TERMS] += nus
+    series = [(m + 1) / (m + 2) * v
+              for m, v in enumerate(moments.tolist())][::-1]
+    g_tail = nus[::-1]
+    big_g_tail = [v / (m + 2) for m, v in enumerate(nus)][::-1]
+    terms = (list(zip(half_r2.tolist(), r.tolist(), d.tolist()))
+             if r.size < _PAIRWISE_SUM_MIN else None)
+
+    def slope(u: float, e: float) -> tuple[float, float]:
+        # (g(u), e^2 g'(u)) with e = 1 - u; the factor e^2 keeps the
+        # derivative finite deep in the tail, where g'(u) ~ 1/(2 e^2).
+        if terms is not None:
+            g = ge2 = 0.0
+            for hk, _, dk in terms:
+                q = 1.0 / (e + u * dk)
+                eq = e * q
+                g += hk * q
+                ge2 += hk * eq * eq
+            g *= u
+        else:
+            q = 1.0 / (e + u * d)
+            eq = e * q
+            g = u * float(np.add.reduce(half_r2 * q))
+            ge2 = float(np.add.reduce(half_r2 * eq * eq))
+        if has_tail:
+            p = dp = 0.0
+            for nu in g_tail:
+                dp = dp * u + p
+                p = p * u + nu
+            g += u * p
+            ge2 += (p + u * dp) * e * e
+        return g, ge2
+
+    def big_g(u: float, e: float) -> float:
+        # G(u) with e = 1 - u; log(1 - u r_k) is log1p(-u r_k) up to 1/2
+        # and log(e + u (1 - r_k)) above, where 1 - u r_k is the gap.
+        if terms is not None:
+            total = 0.0
+            for _, rk, dk in terms:
+                y = u * rk
+                total += (math.log1p(-y) if y <= 0.5
+                          else math.log(e + u * dk)) + y
+        else:
+            y = u * r
+            total = float(np.add.reduce(np.where(
+                y <= 0.5, np.log1p(-np.minimum(y, 0.5)), np.log(e + u * d))
+                + y))
+        value = -0.5 * total
+        if has_tail:
+            p = 0.0
+            for v in big_g_tail:
+                p = p * u + v
+            value += u * u * p
+        return value
+
+    def legendre(x: float) -> float:
+        xp = x / top
+        if not xp < math.inf:
+            return math.inf
+        u, e = xp / (0.5 + xp), 0.5 / (0.5 + xp)
+        if xp > _NEWTON_XMAX:
+            # The start's u is within 1e-300 (times the multiplicity of
+            # top) of the root, and the value is stationary in u.
+            return (xp * u - big_g(u, e)) / c
+        g, ge2 = slope(u, e)
+        for _ in range(_NEWTON_MAXITER):
+            step = (g - xp) * e * (e / ge2)
+            if not step > 0.0:
+                break
+            u_next, e_next = u - step, e + step
+            if not u_next > 0.0 or (u_next == u and e_next == e):
+                break
+            u, e = u_next, e_next
+            g, ge2 = slope(u, e)
+        if u <= _SERIES_U:
+            p = 0.0
+            for v in series:
+                p = p * u + v
+            return (u * (xp - g) + u * u * p) / c
+        return (xp * u - big_g(u, e)) / c
+
+    return legendre
+
+
 def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
                       form: str = "exact_h",
                       target: str = "lipschitz") -> TailBound:
@@ -525,7 +655,16 @@ def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
                      mu_m = sum_tail (a_k^2/2)(|a_k|/a)^m fixed at build
                      time, which leaves out under 64^-10/(1 - 1/64)
                      ~ 9e-19 of the tail sum.  A spectrum with no tail
-                     gives the direct sum's floats.
+                     gives the direct sum's floats.  The h carries its
+                     Legendre transform in closed form, h.legendre: with
+                     u = c t a and x' = x/a, Newton's method solves
+                     h/a = g(u) = x' from the right, starting at
+                     u0 = 2x'/(1 + 2x') where the top term alone reaches
+                     x', and carries the gap 1 - u beside u; the exponent
+                     is (x' u - G(u))/c with G(u) = (1/2) sum_head
+                     [-log(1 - u |a_k|/a) - u |a_k|/a] plus the tail
+                     series' antiderivative (see _quad_legendre).  No
+                     quadrature, and no tolerance that depends on scale.
     form="log_form"  exp(-x/(ac) + (2S/(a^2 c)) log(1 + a x/(2S))) with
                      S = sum_i ||f_2^i||^2, evaluated through the
                      scale-free ratio r = S/a^2 = (1/4) sum (a_k^i/a)^2,
@@ -555,12 +694,11 @@ def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
             "transform": "value"}
 
     if form == "exact_h":
-        flat = np.asarray([v for comp in spec.eigs_per_component
-                           for v in comp], dtype=float)
+        flat = spec._flat
         if target == "sup":
             flat = flat[flat > 0.0]
         ab = np.abs(flat)
-        top = float(ab.max())
+        top = a
         head = ab > top / _TAIL_RATIO
         ab_head = ab[head]
         half_sq = 0.5 * (ab_head * ab_head)
@@ -607,7 +745,8 @@ def quad_wiener_bound(spec: QuadraticSpec, lip_c: float = 1.0,
                 m4 + u * (m5 + u * (m6 + u * (m7 + u * (m8 + u * m9)))))))))
 
         h = HFunction(eval_fn=ev, t_end=1.0 / (c * a), h_sup=math.inf,
-                      name=f"quad_h[{target}]")
+                      name=f"quad_h[{target}]",
+                      legendre=_quad_legendre(ab_head / top, mus, top, c))
         base = tail_bound_from_h(h)
         return replace(base, name=f"quad_wiener[exact_h,{target}]",
                        meta={**meta, "h": h})

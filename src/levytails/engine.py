@@ -12,15 +12,16 @@ The same exponent arises as the Chernoff infimum
 and the engine computes it along two numerically independent routes:
 
 * the Legendre route (tail_bound_from_h, scalar and grid, and
-  chernoff_min): one root t* of h(t*) = x per point, then
+  chernoff_min): h.legendre(x) where the h supplies that closed form of
+  int_0^x h^{-1}; otherwise one root t* of h(t*) = x per point, then
   int_0^x h^{-1} = int_0^{t*} (x - h(u)) du, a quadrature of h itself
   with a nonnegative integrand; on a grid each root is bracketed from the
   previous one and the integral is accumulated segment by segment;
 * the inverse route (entropy_integral, evaluate_entropy_grid): quadrature
   of the pointwise inverse h^{-1}, one cold root solve at the top point,
   then each node solved inside the bracket of its solved neighbours. It
-  is slower and serves as the reference the Legendre route is checked
-  against.
+  never calls h.legendre. It is slower and serves as the reference the
+  Legendre route is checked against.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -63,13 +64,17 @@ class HFunction:
     """A nondecreasing function h on [0, t_end) with h(0) = 0.
 
     h_sup is the left limit h(t_end-); it bounds the range of validity of
-    the induced tail bound. Both t_end and h_sup may be +inf.
+    the induced tail bound. Both t_end and h_sup may be +inf. legendre,
+    when set, is the closed form x -> int_0^x h^{-1} = x t* - H(t*) for
+    0 < x < h_sup, with h(t*) = x and H the antiderivative of h; the
+    Legendre route calls it instead of solving and integrating.
     """
 
     eval_fn: Callable[[float], float]
     t_end: float = math.inf
     h_sup: float = math.inf
     name: str = "h"
+    legendre: Callable[[float], float] | None = None
 
     def __call__(self, t: float) -> float:
         return float(self.eval_fn(t))
@@ -538,11 +543,14 @@ def chernoff_min(h: HFunction, x: float) -> float:
     x >= h_sup the infimum is approached at t -> t_end: with t_end = +inf
     it is -inf (returned as a float, not raised); with finite t_end it is
     the boundary value. The result is always <= 0 (t -> 0 gives 0).
+    Below h_sup, h.legendre(x) gives the minimum where h supplies it.
     """
     x = float(x)
     if not (x > 0.0):
         raise OutOfRange(f"x must be positive, got {x!r}")
     if x < h.h_sup:
+        if h.legendre is not None:
+            return min(-h.legendre(x), 0.0)
         return min(-_legendre_step(h, x, 0.0, 0.0, 0.0)[2], 0.0)
     if math.isinf(h.t_end):
         # h is bounded by h_sup <= x, so the objective decays at least
@@ -568,11 +576,14 @@ def chernoff_min(h: HFunction, x: float) -> float:
 def _legendre_grid(h: HFunction, xs: np.ndarray) -> np.ndarray:
     """int_0^x h^{-1} at every x of xs (any order, duplicates allowed).
 
-    Walks the sorted points with _legendre_step, each root bracketed from
-    the previous one and its held h value, and sums the nonnegative
+    h.legendre(x) at every point where h supplies it. Otherwise walks the
+    sorted points with _legendre_step, each root bracketed from the
+    previous one and its held h value, and sums the nonnegative
     increments. The point whose root solve raises OutOfRange, and every
     point above it, get NaN.
     """
+    if h.legendre is not None:
+        return np.array([h.legendre(x) for x in xs.tolist()], dtype=float)
     totals = np.full(xs.size, np.nan)
     acc = x_prev = t_prev = v_prev = 0.0
     for i in np.argsort(xs, kind="stable"):
@@ -595,9 +606,10 @@ def tail_bound_from_h(h: HFunction) -> TailBound:
     center="mean", direction="upper", validity (0, h_sup), regime
     "entropy" (a label free of commas, unlike the names callers give the
     bound). Both the scalar fn (exp of chernoff_min) and evaluate_grid
-    take the Legendre route: one root solve per point; the grid brackets
-    each root from the previous point's and sums the integral segment by
-    segment.
+    take the Legendre route: h.legendre where h supplies it, else one
+    root solve per point; the grid brackets each root from the previous
+    point's and sums the integral segment by segment. Both take math.exp
+    of the exponent (numpy's exp can differ from it in the last bit).
     """
     return TailBound(
         name=f"entropy[{h.name}]",
@@ -608,7 +620,8 @@ def tail_bound_from_h(h: HFunction) -> TailBound:
         valid_hi=h.h_sup,
         regime_fn=lambda x: "entropy",
         meta={"h_name": h.name},
-        grid_fn=lambda xs: np.exp(-_legendre_grid(h, xs)),
+        grid_fn=lambda xs: np.array(
+            [math.exp(-v) for v in _legendre_grid(h, xs).tolist()]),
     )
 
 
@@ -628,8 +641,9 @@ def evaluate_entropy_grid(h: HFunction, xs: Sequence[float]) -> np.ndarray:
     if not xs.size:
         return np.empty(0)
     order = np.argsort(xs, kind="stable")
-    edges = np.concatenate(([0.0], xs[order]))
-    nodes = _InverseNodes(h, float(edges[-1]))
+    # Python floats, so that every node and Brent iterate below is one too.
+    edges = [0.0] + xs[order].tolist()
+    nodes = _InverseNodes(h, edges[-1])
     totals = np.empty(xs.size)
     totals[order] = np.cumsum([
         _gauss_kronrod(nodes, a, b, nodes.drop_below)

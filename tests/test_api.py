@@ -18,7 +18,7 @@ from levytails import cli
 from levytails.errors import ConfigError
 
 OPTIONS = {
-    "HFunction": ["t_end", "h_sup", "name"],
+    "HFunction": ["t_end", "h_sup", "name", "legendre"],
     "TailBound": ["center", "direction", "valid_lo", "valid_hi", "regime_fn",
                   "meta", "grid_fn"],
     "FunctionalProfile": ["beta", "lip_c", "n"],
@@ -60,13 +60,13 @@ def _settable_options():
     return found
 
 
-def test_settable_options_are_the_listed_61():
+def test_settable_options_are_the_listed_62():
     listed = {f"{name}.{opt}" for name, opts in OPTIONS.items()
               for opt in opts}
     found = _settable_options()
     assert found == listed, (
         f"added: {sorted(found - listed)}; removed: {sorted(listed - found)}")
-    assert len(listed) == 61
+    assert len(listed) == 62
 
 
 # The command-line config schema, listed by name. A model section holds the

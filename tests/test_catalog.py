@@ -14,6 +14,7 @@ formula or independent bisection), never read back from the module.
 
 import math
 import warnings
+from dataclasses import replace
 from math import exp, log, pi, sqrt
 
 import mpmath
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from levytails import catalog as c
 from levytails import models as m
-from levytails.engine import HFunction, tail_bound_from_h
+from levytails.engine import HFunction, chernoff_min, tail_bound_from_h
 from levytails.errors import (
     Divergent,
     EmptySpectrum,
@@ -32,6 +33,7 @@ from levytails.errors import (
     MissingEstimate,
     OutOfRange,
     PreconditionViolated,
+    QuadratureFailure,
 )
 
 
@@ -506,6 +508,151 @@ def test_quad_exact_h_without_tail_is_the_one_pass_sum(n, target):
             want = (float(np.add.reduce(half_sq / (inv - ab)))
                     if inv > ab.max() else math.inf)
             assert h(t) == want, (seed, t)
+
+
+def _exact_h_legendre_oracle(used, lip_c, x, digits=50):
+    """int_0^x h^{-1} for the exact_h h of the eigenvalues used, at the
+    given digits: Newton's method on g(u) = x/top from u0 = 2x'/(1 + 2x'), in
+    the gap e = 1 - u (1 - u r = e r + 1 - r), which 50 digits hold
+    however small it is, at 50 digits; then x' u - G(u), over c.  The untruncated sum
+    stands in for the h's tail series, which leaves out under 1e-18 of
+    it.  G cancels for small u, losing about -log10(u) digits, so small
+    x needs that many more digits."""
+    with mpmath.workdps(digits):
+        ab = [abs(mpmath.mpf(a)) for a in used]
+        top = max(ab)
+        rs = [a / top for a in ab]
+        xp = mpmath.mpf(x) / top
+        e = 1 / (1 + 2 * xp)
+        for _ in range(200):
+            u = 1 - e
+            g = slope = 0
+            for r in rs:
+                gap = e * r + (1 - r)
+                g += r * r / 2 * u / gap
+                slope += r * r / 2 / gap ** 2
+            step = (g - xp) / slope
+            if not step > min(e, u) * mpmath.mpf(10) ** -45:
+                break
+            e += step
+        u = 1 - e
+        big_g = sum(-mpmath.log(e * r + (1 - r)) - u * r for r in rs) / 2
+        return float((xp * u - big_g) / lip_c)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(1, 600),
+       shape=st.sampled_from(["decaying", "flat", "signed"]),
+       power=st.floats(0.5, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       target=st.sampled_from(["lipschitz", "sup"]),
+       log_c=st.floats(-3.0, 20.0),
+       log_ctop=st.floats(-2.0, 2.0),
+       log_x=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=5,
+                      unique=True))
+def test_quad_exact_h_closed_form_legendre_matches_gauss_kronrod(
+        n, shape, power, seed, target, log_c, log_ctop, log_x):
+    """h.legendre, the closed form of int_0^x h^{-1}, against the
+    Gauss-Kronrod Legendre route (the same h without it) for x/top up to
+    1e4, within 1e-12 relative (absolute below 1, where the bound value
+    is what it moves), and against a 50-digit oracle beyond, within 1e-12
+    relative.  lip_c runs over 1e-3 to 1e20 and x over (1e-300, 1e300)
+    top; the spectrum is scaled to c top in [1e-2, 1e2], where the
+    Gauss-Kronrod route's absolute tolerances (1e-15 in t, 1e-14 in the
+    exponent) do not bite.  The bound values are finite in [0, 1] and do
+    not increase, and the scalar fn gives the grid's floats."""
+    rng = np.random.default_rng(seed)
+    if shape == "flat":
+        eigs = rng.uniform(0.5, 1.5, n)
+    else:
+        eigs = np.arange(1, n + 1) ** -power * rng.uniform(0.9, 1.1, n)
+    if shape == "signed":
+        eigs[1:] *= rng.choice([-1.0, 1.0], n - 1)
+    lip = 10.0 ** log_c
+    top = eigs.max() if target == "sup" else np.abs(eigs).max()
+    eigs = eigs * (10.0 ** log_ctop / (top * (lip if target == "lipschitz"
+                                              else 1.0)))
+    tb = c.quad_wiener_bound(c.QuadraticSpec((tuple(eigs),)), lip_c=lip,
+                             form="exact_h", target=target)
+    h, lip_c, top = tb.meta["h"], tb.meta["lip_c"], tb.meta["a"]
+    used = [float(a) for a in eigs if target == "lipschitz" or a > 0.0]
+    quadrature = replace(h, legendre=None)
+    # Points a rounding apart may order their values either way.
+    kept = []
+    for lx in sorted(log_x):
+        if not kept or lx - kept[-1] > 1e-6:
+            kept.append(lx)
+    xs = top * 10.0 ** np.asarray(kept)
+    values, _, valid = tb.evaluate_grid(xs)
+    assert np.all(valid) and np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) <= 0.0)
+    for lx, x, v in zip(kept, xs.tolist(), values.tolist()):
+        assert tb(x) == v
+        got = h.legendre(x)
+        assert v == math.exp(-got)
+        if lx <= 4.0:
+            try:
+                want = -chernoff_min(quadrature, x)
+            except (OutOfRange, QuadratureFailure):
+                continue
+            assert abs(got - want) <= 1e-12 * max(1.0, want), (x, got, want)
+        else:
+            want = _exact_h_legendre_oracle(used, lip_c, x)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (
+                x, got, want)
+
+
+@pytest.mark.parametrize("lam", [1e-150, 1e-20, 1e12, 1e15, 1e16, 1e20,
+                                 1e150])
+def test_quad_exact_h_is_scale_equivariant(lam):
+    """Scaling the spectrum by lam and x with it leaves the exact_h bound
+    where it was, on the grid and pointwise, within 1e-12 relative; the
+    closed form computes in x/top and c t top only."""
+    eigs = m.chaos_eigenvalues("energy", 1.0, 500).eigs
+    base = c.quad_wiener_bound(c.QuadraticSpec((tuple(eigs),)),
+                               form="exact_h")
+    scaled = c.quad_wiener_bound(
+        c.QuadraticSpec((tuple(lam * a for a in eigs),)), form="exact_h")
+    xs = np.linspace(0.05, 40.0, 30)
+    want, _, ok = base.evaluate_grid(xs)
+    got, _, valid = scaled.evaluate_grid(lam * xs)
+    assert np.all(ok) and np.all(valid)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    for x, v in zip(xs.tolist(), want.tolist()):
+        assert scaled(lam * x) == pytest.approx(v, rel=1e-12, abs=0.0)
+
+
+def test_quad_exact_h_deep_tail_is_exact():
+    """Far in the tail, where c t top rounds to 1, the closed form keeps
+    the gap: the exponent matches the 50-digit oracle, and the bound is
+    0, not a QuadratureFailure or OutOfRange.  Near 0 it keeps its
+    relative precision."""
+    eigs = (1.0, -0.5, 0.25)
+    tb = c.quad_wiener_bound(c.QuadraticSpec((eigs,)), form="exact_h")
+    h = tb.meta["h"]
+    for x in (1e8, 1e15, 1e16, 1e17, 1e100, 1e300, 1e308):
+        assert h.legendre(x) == pytest.approx(
+            _exact_h_legendre_oracle(eigs, 1.0, x), rel=1e-14, abs=0.0)
+        assert tb(x) == 0.0
+    # Near 0 the exponent, about x^2/(2 S c) with S = sum a_k^2/2, keeps
+    # its relative precision too.
+    for x in (1e-300, 1e-30, 1e-8, 1e-2, 0.2, 0.9):
+        assert h.legendre(x) == pytest.approx(
+            _exact_h_legendre_oracle(eigs, 1.0, x, digits=360), rel=1e-14,
+            abs=0.0)
+    # x/top beyond the float range: the exponent is +inf as a float too.
+    tiny = c.quad_wiener_bound(c.QuadraticSpec(((1e-10,),)), form="exact_h")
+    assert tiny.meta["h"].legendre(1e300) == math.inf
+    assert tiny(1e300) == 0.0
+    # With a large c the same gaps carry a bound value far from 0.
+    big = c.quad_wiener_bound(c.QuadraticSpec((eigs,)), lip_c=1e20,
+                              form="exact_h")
+    xs = [1e18, 1e19, 1e20, 1e21]
+    values, _, valid = big.evaluate_grid(xs)
+    assert np.all(valid)
+    for x, v in zip(xs, values.tolist()):
+        want = math.exp(-_exact_h_legendre_oracle(eigs, 1e20, x))
+        assert v == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_quad_sup_target_uses_positive_spectrum():

@@ -69,6 +69,25 @@ def test_bound_task_model_dependent(tmp_path):
     assert all(0.0 < float(r[1]) <= 1.0 for r in rows)
 
 
+def test_bound_task_exact_h_deep_tail(tmp_path):
+    """x up to 1e9 times the top eigenvalue: every row is valid, the curve
+    does not increase, and it reaches 0."""
+    cfg = {
+        "task": "bound",
+        "model": {"variant": "quadratic", "eigs": [1.0, -0.5, 0.25]},
+        "bound": {"name": "quad_wiener", "form": "exact_h"},
+        "grid": {"x_lo": 1.0, "x_hi": 1e9, "points": 5},
+        "out": {"dir": str(tmp_path / "run")},
+    }
+    assert _run(tmp_path, cfg) == 0
+    _, rows = _read_csv(tmp_path / "run" / "bound_curve.csv")
+    assert len(rows) == 5 and all(r[3] == "1" for r in rows)
+    values = [float(r[1]) for r in rows]
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert values[-1] == 0.0
+
+
 # ----------------------------------------------------------------------
 # config validation
 # ----------------------------------------------------------------------

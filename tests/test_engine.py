@@ -617,3 +617,50 @@ def test_inverse_route_budget_failure_is_linear(monkeypatch):
     assert time.perf_counter() - t0 < 20.0
     assert len(sizes) > 2 ** 16 - 30
     assert max(sizes) <= 2000
+
+
+# ----------------------------------------------------------------------
+# A closed-form Legendre transform: HFunction.legendre
+# ----------------------------------------------------------------------
+
+def test_legendre_route_takes_the_closed_form_and_inverse_route_never():
+    # h(t) = 2t: int_0^x h^{-1} = x^2/4.
+    calls = []
+
+    def closed(x):
+        calls.append(x)
+        return x * x / 4.0
+
+    h = HFunction(lambda t: 2.0 * t, legendre=closed, name="linear[2]")
+    tb = tail_bound_from_h(h)
+    xs = np.linspace(0.1, 3.0, 7)
+    values, _, valid = tb.evaluate_grid(xs)
+    assert np.all(valid)
+    for x, v in zip(xs.tolist(), values.tolist()):
+        assert tb(x) == v == math.exp(-(x * x / 4.0))
+    assert chernoff_min(h, 1.5) == -0.5625
+    assert len(calls) == 15
+    assert entropy_integral(h, 1.5) == pytest.approx(0.5625, rel=1e-12)
+    assert evaluate_entropy_grid(h, xs) == pytest.approx(xs * xs / 4.0,
+                                                         rel=1e-12)
+    assert len(calls) == 15
+
+
+def test_engine_hands_h_python_floats_only():
+    """Both routes evaluate h at Python floats, never at numpy scalars,
+    whatever array type the grid arrives in."""
+    def spy(t):
+        assert type(t) is float, type(t)
+        return math.expm1(t)
+
+    h = HFunction(spy, name="float spy")
+    xs = np.linspace(0.2, 5.0, 9)
+    want = [exp_entropy(1.0, 1.0, x) for x in xs.tolist()]
+    assert evaluate_entropy_grid(h, xs) == pytest.approx(want, rel=1e-9)
+    assert evaluate_entropy_grid(h, xs.tolist()) == pytest.approx(want,
+                                                                  rel=1e-9)
+    assert entropy_integral(h, xs[3]) == pytest.approx(want[3], rel=1e-9)
+    assert -chernoff_min(h, xs[3]) == pytest.approx(want[3], rel=1e-9)
+    values, _, valid = tail_bound_from_h(h).evaluate_grid(xs)
+    assert np.all(valid)
+    assert -np.log(values) == pytest.approx(want, rel=1e-9)
