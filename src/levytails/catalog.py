@@ -545,38 +545,29 @@ def _quad_legendre(r: np.ndarray, mus: list, top: float, c: float):
     is dimensionless, so no tolerance depends on the scale.  For
     u <= 1/4, x' u - G(u) is summed instead as u (x' - g(u)) plus the
     series sum_{m<28} ((m+1)/(m+2)) N_m u^(m+2), N_m = sum_head
-    (r_k^2/2) r_k^m + nu_m, whose terms are all positive.  Heads under 8
-    terms are summed in plain floats, longer ones in numpy.
+    (r_k^2/2) r_k^m + nu_m, whose terms are all positive.  The head is
+    summed term by term in plain floats.
     """
-    half_r2 = 0.5 * (r * r)
-    d = 1.0 - r
     nus = [mu / top / top for mu in mus]
     has_tail = any(nus)
-    moments = half_r2 @ np.vander(r, _SERIES_TERMS, increasing=True)
+    moments = (0.5 * (r * r)) @ np.vander(r, _SERIES_TERMS, increasing=True)
     moments[:_TAIL_TERMS] += nus
     series = [(m + 1) / (m + 2) * v
               for m, v in enumerate(moments.tolist())][::-1]
     g_tail = nus[::-1]
     big_g_tail = [v / (m + 2) for m, v in enumerate(nus)][::-1]
-    terms = (list(zip(half_r2.tolist(), r.tolist(), d.tolist()))
-             if r.size < _PAIRWISE_SUM_MIN else None)
+    terms = [(0.5 * (rk * rk), rk, 1.0 - rk) for rk in r.tolist()]
 
     def slope(u: float, e: float) -> tuple[float, float]:
         # (g(u), e^2 g'(u)) with e = 1 - u; the factor e^2 keeps the
         # derivative finite deep in the tail, where g'(u) ~ 1/(2 e^2).
-        if terms is not None:
-            g = ge2 = 0.0
-            for hk, _, dk in terms:
-                q = 1.0 / (e + u * dk)
-                eq = e * q
-                g += hk * q
-                ge2 += hk * eq * eq
-            g *= u
-        else:
-            q = 1.0 / (e + u * d)
+        g = ge2 = 0.0
+        for hk, _, dk in terms:
+            q = 1.0 / (e + u * dk)
             eq = e * q
-            g = u * float(np.add.reduce(half_r2 * q))
-            ge2 = float(np.add.reduce(half_r2 * eq * eq))
+            g += hk * q
+            ge2 += hk * eq * eq
+        g *= u
         if has_tail:
             p = dp = 0.0
             for nu in g_tail:
@@ -589,17 +580,11 @@ def _quad_legendre(r: np.ndarray, mus: list, top: float, c: float):
     def big_g(u: float, e: float) -> float:
         # G(u) with e = 1 - u; log(1 - u r_k) is log1p(-u r_k) up to 1/2
         # and log(e + u (1 - r_k)) above, where 1 - u r_k is the gap.
-        if terms is not None:
-            total = 0.0
-            for _, rk, dk in terms:
-                y = u * rk
-                total += (math.log1p(-y) if y <= 0.5
-                          else math.log(e + u * dk)) + y
-        else:
-            y = u * r
-            total = float(np.add.reduce(np.where(
-                y <= 0.5, np.log1p(-np.minimum(y, 0.5)), np.log(e + u * d))
-                + y))
+        total = 0.0
+        for _, rk, dk in terms:
+            y = u * rk
+            total += (math.log1p(-y) if y <= 0.5
+                      else math.log(e + u * dk)) + y
         value = -0.5 * total
         if has_tail:
             p = 0.0

@@ -511,12 +511,11 @@ def test_quad_exact_h_without_tail_is_the_one_pass_sum(n, target):
 
 
 def _exact_h_legendre_oracle(used, lip_c, x, digits=50):
-    """int_0^x h^{-1} for the exact_h h of the eigenvalues used, at the
-    given digits: Newton's method on g(u) = x/top from u0 = 2x'/(1 + 2x'), in
-    the gap e = 1 - u (1 - u r = e r + 1 - r), which 50 digits hold
-    however small it is, at 50 digits; then x' u - G(u), over c.  The untruncated sum
-    stands in for the h's tail series, which leaves out under 1e-18 of
-    it.  G cancels for small u, losing about -log10(u) digits, so small
+    """int_0^x h^{-1} for the exact_h h of the eigenvalues used: Newton's
+    method on g(u) = x/top from u0 = 2x'/(1 + 2x') in the gap e = 1 - u
+    (1 - u r = e r + 1 - r) at the given digits, then (x' u - G(u))/c.
+    The untruncated sum stands in for the h's tail series, which leaves
+    out under 1e-18 of it.  G cancels for small u, losing about -log10(u) digits, so small
     x needs that many more digits."""
     with mpmath.workdps(digits):
         ab = [abs(mpmath.mpf(a)) for a in used]
