@@ -22,6 +22,8 @@ The config file is one JSON object.  Recognized keys:
               quad_wiener_lower target b T n | median_linear C C_prime
               levy_area variant n lip_c b mean_abs | id_lower (none)
               stable_median lip_c variant epsilon b
+            A key that the chosen target or variant never reads is
+            refused (e.g. quad_wiener_lower's T and n outside "area").
     grid    {"x_lo": float, "x_hi": float, "points": int}
             (deviation units; verify audits are capped at 20 points)
     mc      {"count": int, "steps": int, "seed": int, "stream": int}
@@ -54,6 +56,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -287,6 +290,19 @@ _BOUND_KEYS = {
                    "variant": _one_of("third_moment", "fourth_moment")},
 }
 _REQUIRED = {"K", "alpha2", "C", "C_prime"}
+# bound name -> (catalog function, the key that picks its target or variant,
+# {key: the choices that read it}); under another choice the key is refused.
+_VARIANT_READS = {
+    "quad_wiener": (quad_wiener_bound, "target", {"lip_c": ("lipschitz",)}),
+    "quad_wiener_lower": (quad_wiener_lower, "target",
+                          {"T": ("area",), "n": ("area",)}),
+    "levy_area": (levy_area_bound, "variant", {"b": ("euclid",),
+                  "mean_abs": ("euclid",), "lip_c": ("lipschitz",)}),
+    "stable_median": (stable_median_bound, "variant", {
+        "epsilon": ("near2_exp", "near2_log"), "b": ("near2_log",)}),
+    "two_regime": (two_regime_bound, "variant",
+                   {"alpha4": ("fourth_moment",)}),
+}
 _BOUND_ALIASES = {"dev_nico": "bennett"}
 
 # The model each bound reads: a variant, or any Levy-measure model. The
@@ -333,6 +349,14 @@ def build_bound(bound_cfg: dict, model):
     model = _bound_model(name, model, bound_cfg)
     kw = {key: read(bound_cfg, key, "bound") for key, read in readers.items()
           if key in bound_cfg or key in _REQUIRED}
+    func, by, reads = _VARIANT_READS.get(name, (None, None, {}))
+    for key in bound_cfg:
+        if key not in reads:
+            continue
+        choice = kw.get(by) or inspect.signature(func).parameters[by].default
+        if choice not in reads[key]:
+            raise ConfigError(f"bound.{key}: {name} with {by} {choice!r} "
+                              "never reads it")
     if name == "bennett":
         return bennett_bound(**kw)
     if name == "two_regime":

@@ -536,41 +536,18 @@ def _legendre_step(h: HFunction, x: float, x_prev: float, t_prev: float,
 
 
 def chernoff_min(h: HFunction, x: float) -> float:
-    """min over t in (0, t_end) of int_0^t h(u) du - t*x.
+    """min over t in (0, t_end) of int_0^t h(u) du - t*x, for 0 < x < h_sup.
 
-    For x < h_sup the minimizer solves h(t) = x, and the minimum is minus
-    int_0^t (x - h(u)) du (the one-point case of the Legendre route). For
-    x >= h_sup the infimum is approached at t -> t_end: with t_end = +inf
-    it is -inf (returned as a float, not raised); with finite t_end it is
-    the boundary value. The result is always <= 0 (t -> 0 gives 0).
-    Below h_sup, h.legendre(x) gives the minimum where h supplies it.
+    The minimizer solves h(t) = x, and the minimum is minus
+    int_0^t (x - h(u)) du (the one-point case of the Legendre route), or
+    minus h.legendre(x) where h supplies it. The result is always <= 0
+    (t -> 0 gives 0). Raises OutOfRange outside 0 < x < h_sup, the range
+    in which the deviation bound holds.
     """
-    x = float(x)
-    if not (x > 0.0):
-        raise OutOfRange(f"x must be positive, got {x!r}")
-    if x < h.h_sup:
-        if h.legendre is not None:
-            return min(-h.legendre(x), 0.0)
-        return min(-_legendre_step(h, x, 0.0, 0.0, 0.0)[2], 0.0)
-    if math.isinf(h.t_end):
-        # h is bounded by h_sup <= x, so the objective decays at least
-        # linearly with slope h_sup - x <= 0; the infimum is -inf whenever
-        # x exceeds h_sup (and for x == h_sup it is the negative of a
-        # possibly divergent integral; report -inf unless it is provably
-        # finite within the probe horizon).
-        if x > h.h_sup:
-            return -math.inf
-        t, g_prev = 1.0, 0.0
-        while t <= 1e9:
-            g = _gauss_kronrod(h, 0.0, t) - t * x
-            if g < -1e12:
-                return -math.inf
-            if abs(g - g_prev) <= 1e-12 * (1.0 + abs(g)):
-                return min(g, 0.0)
-            g_prev, t = g, t * 4.0
-        return -math.inf
-    t_edge = h.t_end * (1.0 - 1e-12)
-    return min(_gauss_kronrod(h, 0.0, t_edge) - t_edge * x, 0.0)
+    x = _level(h, x, "x")
+    if h.legendre is not None:
+        return min(-h.legendre(x), 0.0)
+    return min(-_legendre_step(h, x, 0.0, 0.0, 0.0)[2], 0.0)
 
 
 def _legendre_grid(h: HFunction, xs: np.ndarray) -> np.ndarray:
@@ -613,7 +590,7 @@ def tail_bound_from_h(h: HFunction) -> TailBound:
     """
     return TailBound(
         name=f"entropy[{h.name}]",
-        fn=lambda x: math.exp(chernoff_min(h, _level(h, x, "x"))),
+        fn=lambda x: math.exp(chernoff_min(h, x)),
         center="mean",
         direction="upper",
         valid_lo=0.0,

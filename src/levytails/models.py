@@ -1,6 +1,6 @@
 """Levy-measure model families and their moment/tail functionals.
 
-Six variants, all immutable:
+Five variants, all immutable:
 
   * Stable(alpha, sigma_total)   radial density r^{-1-alpha}, spherical
                                  mass sigma_total
@@ -13,8 +13,6 @@ Six variants, all immutable:
   * LevyArea(T)                  density 1/(2|y| sinh(pi |y|/T)) on R; the
                                  Levy measure of the stochastic area of a
                                  planar Brownian motion on [0, T]
-  * BoundedSupport(R_support, abs_moments)
-                                 only moment information is known
 
 Radial models carry only the total spherical mass: every bound downstream
 uses nothing else. Direction information lives in the simulators.
@@ -48,8 +46,8 @@ quadrature blow up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from scipy.special import exp1, gammainc, polygamma, psi, zeta
@@ -58,7 +56,6 @@ from .engine import _brent
 from .errors import (
     Divergent,
     EmptySpectrum,
-    MissingEstimate,
     OutOfRange,
     PreconditionViolated,
     QuadratureFailure,
@@ -390,65 +387,8 @@ class LevyArea(_LevyMeasure):
         return self.T / (2.0 * math.pi) * math.log(1.0 / math.tanh(z))
 
 
-@dataclass(frozen=True)
-class BoundedSupport(_LevyMeasure):
-    """A measure known only through its support radius and the absolute
-    moments int |y|^k nu(dy), k in {1,2,3,4} (not all need be present)."""
-
-    R_support: float
-    abs_moments: Mapping[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (self.R_support > 0.0):
-            raise PreconditionViolated("R_support must be > 0")
-        moments = dict(self.abs_moments)
-        if any(k not in (1, 2, 3, 4) for k in moments):
-            raise PreconditionViolated("abs_moments keys must be in {1,2,3,4}")
-        if any(v < 0.0 for v in moments.values()):
-            raise PreconditionViolated("abs_moments must be >= 0")
-        object.__setattr__(self, "abs_moments", moments)
-
-    def moment(self, k: int) -> float:
-        try:
-            return float(self.abs_moments[k])
-        except KeyError:
-            raise MissingEstimate(f"abs moment k={k} not supplied") from None
-
-    def tail_mass(self, R: float) -> float:
-        if R >= self.R_support:
-            return 0.0
-        raise MissingEstimate(
-            "tail mass below the support radius is not determined by moments")
-
-    def truncated_abs_moment(self, k: int, R: float) -> float:
-        if R >= self.R_support:
-            return self.moment(k)
-        raise MissingEstimate(
-            "truncated moments below the support radius are not determined")
-
-    def exp_weighted_moment(self, k: int, t: float, R: float, side: str):
-        raise MissingEstimate(
-            "exponentially weighted moments are not determined by the "
-            "stored moments")
-
-    def exp_abscissa(self, side: str = "abs") -> float:
-        return math.inf
-
-    def tail_first_abs_moment(self) -> float:
-        raise MissingEstimate("no first-moment formula for BoundedSupport")
-
-    def compensation(self, eps: float, R: float) -> float:
-        raise MissingEstimate(_MOMENTS_ONLY)
-
-    def amplitude_sampler(self, eps: float, lam: float):
-        raise MissingEstimate(_MOMENTS_ONLY)
-
-
-_MOMENTS_ONLY = ("BoundedSupport carries moments only, not a density; "
-                 "it cannot drive a jump sampler")
-
 LevyModel = Union[Stable, LogKernel, GaussKernel, QuadraticSpectral,
-                  LevyArea, BoundedSupport]
+                  LevyArea]
 
 
 # ----------------------------------------------------------------------

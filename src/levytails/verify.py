@@ -117,7 +117,6 @@ class SlopeFit:
     estimate: float
     stderr: float
     window: tuple
-    mode: str = "exponential"
     n_points: int = 0
 
 
@@ -503,14 +502,12 @@ def audit_bound(curve: TailCurve, bound: TailBound, center_estimate,
 # ---------------------------------------------------------------------------
 
 
-def fit_log_slope(curve: TailCurve, window, mode: str = "exponential",
-                  ) -> SlopeFit:
-    """Weighted least squares of log p_hat inside ``window = (x_lo, x_hi)``.
+def fit_log_slope(curve: TailCurve, window) -> SlopeFit:
+    """Weighted least squares of log p_hat against x inside
+    ``window = (x_lo, x_hi)``: the rate of an exponential tail.
 
     Weights come from the confidence-band widths mapped to log space
-    (width / (2 z_{0.99}) as the per-point standard error).  With
-    ``mode="polynomial"`` the regressor is log x instead of x, recovering
-    the exponent of a polynomial tail.
+    (width / (2 z_{0.99}) as the per-point standard error).
 
     The reported stderr is NOT the independent-points formula: exceedance
     counts at nested thresholds are positively correlated -- conditionally
@@ -520,13 +517,9 @@ def fit_log_slope(curve: TailCurve, window, mode: str = "exponential",
     that covariance; the naive formula understates the sampling error by
     about a factor of two on typical grids.
     """
-    if mode not in ("exponential", "polynomial"):
-        raise PreconditionViolated(f"unknown slope mode {mode!r}")
     x_lo, x_hi = float(window[0]), float(window[1])
     mask = ((curve.x_grid >= x_lo) & (curve.x_grid <= x_hi)
             & (curve.p_hat > 0.0))
-    if mode == "polynomial":
-        mask &= curve.x_grid > 0.0
     n_pts = int(np.count_nonzero(mask))
     if n_pts < 5:
         raise InsufficientTail(
@@ -544,21 +537,20 @@ def fit_log_slope(curve: TailCurve, window, mode: str = "exponential",
                          (np.log(hi) - np.log(lo)) / 2.0,
                          np.log(hi) - np.log(p))
     se = np.maximum(width / _Z99, 1e-12)
-    t = np.log(x) if mode == "polynomial" else x
     w = 1.0 / se ** 2
     sw = w.sum()
-    t_bar = (w * t).sum() / sw
+    x_bar = (w * x).sum() / sw
     y_bar = (w * y).sum() / sw
-    s_tt = (w * (t - t_bar) ** 2).sum()
-    slope = float((w * (t - t_bar) * (y - y_bar)).sum() / s_tt)
+    s_xx = (w * (x - x_bar) ** 2).sum()
+    slope = float((w * (x - x_bar) * (y - y_bar)).sum() / s_xx)
     # Sandwich variance: slope = sum_j c_j y_j, cov(y_i, y_j) = var_min.
     # Writing var_j as a cumulative sum of nonnegative increments along
     # the grid, var(slope) = sum_l dvar_l * (suffix sum of c from l)^2.
-    c = w * (t - t_bar) / s_tt
+    c = w * (x - x_bar) / s_xx
     var_pt = se ** 2
     dvar = np.diff(var_pt, prepend=0.0)
     dvar = np.maximum(dvar, 0.0)
     suffix = np.cumsum(c[::-1])[::-1]
     stderr = float(math.sqrt((dvar * suffix ** 2).sum()))
     return SlopeFit(estimate=slope, stderr=stderr, window=(x_lo, x_hi),
-                    mode=mode, n_points=n_pts)
+                    n_points=n_pts)

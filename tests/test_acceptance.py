@@ -299,8 +299,7 @@ def test_criterion_6_log_tail_slopes(chaos_data, area_data):
         dev = data["batch"].values - data["mean"]
         grid = _tail_grid(dev, 1e-2, 1e-5, 15)
         curve = empirical_tail(dev, grid)
-        fit = fit_log_slope(curve, (grid[0] * 0.999, grid[-1] * 1.001),
-                            mode="exponential")
+        fit = fit_log_slope(curve, (grid[0] * 0.999, grid[-1] * 1.001))
         rel = abs(fit.estimate - expected) / abs(expected)
         ok = ok and rel <= tol
         results.append(f"{label}: fitted {fit.estimate:.4f} vs {expected:.4f}"

@@ -1,5 +1,5 @@
-"""The public contract's settable options and the CLI config schema,
-listed by name.
+"""The public contract's settable options, its consumers and the CLI
+config schema, listed by name.
 
 A settable option is a parameter with a default of a callable in
 ``levytails.__all__`` (functions and dataclass constructors), as
@@ -7,9 +7,12 @@ A settable option is a parameter with a default of a callable in
 change: update ``OPTIONS`` and the count in ROADMAP.md together.
 """
 
+import ast
 import dataclasses
 import inspect
 import re
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -38,13 +41,12 @@ OPTIONS = {
     "sample_id_compound": ["stream_id", "gauss_smalljump", "center"],
     "sample_levy_area": ["stream_id"],
     "sample_stable": ["stream_id", "sigma_total", "atoms"],
-    "SlopeFit": ["mode", "n_points"],
+    "SlopeFit": ["n_points"],
     "TailCurve": ["meta"],
     "VerificationReport": ["bound_params", "estimates", "sensitivity",
                            "decision", "curve"],
     "audit_bound": ["center_se", "estimates"],
     "empirical_tail": ["meta"],
-    "fit_log_slope": ["mode"],
 }
 
 
@@ -60,13 +62,135 @@ def _settable_options():
     return found
 
 
-def test_settable_options_are_the_listed_62():
+def test_settable_options_are_the_listed_60():
     listed = {f"{name}.{opt}" for name, opts in OPTIONS.items()
               for opt in opts}
     found = _settable_options()
     assert found == listed, (
         f"added: {sorted(found - listed)}; removed: {sorted(listed - found)}")
-    assert len(listed) == 62
+    assert len(listed) == 60
+
+
+# Each public name's consumer outside the unit tests: the CLI, a bench
+# workload or an acceptance criterion (a file), an audit test
+# ("file::test"), or another public name whose source uses it and which
+# has a consumer itself. A name added to __all__ needs an entry here or in
+# AWAITING_CONSUMER.
+ROOT = Path(__file__).resolve().parent.parent
+CONSUMER_FILES = ("src/levytails/cli.py", "bench/workloads.py",
+                  "tests/test_acceptance.py")
+CLI, BENCH, ACCEPTANCE = CONSUMER_FILES
+CONSUMERS = {
+    "HFunction": BENCH,
+    "TailBound": "tail_bound_from_h",
+    "chernoff_min": BENCH,
+    "entropy_integral": BENCH,
+    "evaluate_entropy_grid": BENCH,
+    "tail_bound_from_h": BENCH,
+    "FunctionalProfile": BENCH,
+    "QuadraticSpec": CLI,
+    "StableSpec": CLI,
+    "asymptotic_slope": ACCEPTANCE,
+    "bennett_bound": CLI,
+    "dimension_free_bound": "tests/test_verify.py::"
+                            "test_dimension_free_bound_holds_on_iid_chaoses",
+    "id_lower_bound": "id_lower_curve",
+    "id_lower_curve": CLI,
+    "levy_area_bound": CLI,
+    "median_bound_linear": CLI,
+    "product_h": BENCH,
+    "quad_euclid_iid_bound": CLI,
+    "quad_wiener_bound": CLI,
+    "quad_wiener_lower": CLI,
+    "stable_median_bound": CLI,
+    "two_regime_bound": CLI,
+    "RngContract": CLI,
+    "SampleBatch": "sample_chaos2",
+    "load_batch": BENCH,
+    "sample_brownian_quadratic": CLI,
+    "sample_chaos2": CLI,
+    "sample_id_compound": BENCH,
+    "sample_levy_area": CLI,
+    "sample_stable": CLI,
+    "save_batch": CLI,
+    "SlopeFit": "fit_log_slope",
+    "TailCurve": "empirical_tail",
+    "VerificationReport": "audit_bound",
+    "audit_bound": CLI,
+    "deviation_values": CLI,
+    "empirical_median": CLI,
+    "empirical_tail": CLI,
+    "fit_log_slope": ACCEPTANCE,
+}
+# Public names with no consumer yet, each with the ROADMAP item that is to
+# give it one (or remove it).
+AWAITING_CONSUMER = {
+    "invert_h": "item 13",
+    "bounded_support_norm_bound": "item 13",
+    "median_bound_general": "item 12",
+    "merge_batches": "item 13",
+}
+
+
+def _uses(tree, name):
+    return any(isinstance(node, ast.Name) and node.id == name
+               or isinstance(node, ast.Attribute) and node.attr == name
+               for node in ast.walk(tree))
+
+
+def _consumer_tree(consumer):
+    """The syntax tree in which a CONSUMERS entry must use its name."""
+    if consumer in levytails.__all__:
+        source = inspect.getsource(getattr(levytails, consumer))
+        return ast.parse(textwrap.dedent(source))
+    path, _, test = consumer.partition("::")
+    assert path in CONSUMER_FILES or (
+        path.startswith("tests/") and test.startswith("test_")), consumer
+    tree = ast.parse((ROOT / path).read_text())
+    if not test:
+        return tree
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == test)
+
+
+def test_every_public_name_has_a_consumer():
+    public = set(levytails.__all__)
+    assert not set(CONSUMERS) & set(AWAITING_CONSUMER)
+    assert set(CONSUMERS) | set(AWAITING_CONSUMER) == public, (
+        f"unmapped: {sorted(public - set(CONSUMERS) - set(AWAITING_CONSUMER))}"
+        f"; not public: "
+        f"{sorted((set(CONSUMERS) | set(AWAITING_CONSUMER)) - public)}")
+    for name, consumer in CONSUMERS.items():
+        assert consumer != name and consumer not in AWAITING_CONSUMER, name
+        assert _uses(_consumer_tree(consumer), name), (
+            f"{consumer} does not use {name}")
+
+
+# No module of the package imports a name it never uses. __init__ only
+# re-exports; a name a module lists in its own __all__ counts as used.
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in (ROOT / "src" / "levytails").glob("*.py")
+    if path.name != "__init__.py"))
+def test_no_unused_imports(module):
+    tree = ast.parse((ROOT / "src" / "levytails" / module).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                for elt in node.value.elts}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in used | exported)
+    assert not unused, f"{module} imports unused {unused}"
 
 
 # The command-line config schema, listed by name. A model section holds the

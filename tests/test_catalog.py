@@ -840,8 +840,6 @@ def test_id_lower_monotone_and_vanishing():
     mod = m.Stable(alpha=1.2, sigma_total=2.0)
     vals = [c.id_lower_bound(mod, x) for x in (0.5, 1.0, 4.0, 16.0)]
     assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
-    bs = m.BoundedSupport(R_support=2.0, abs_moments={2: 0.4})
-    assert c.id_lower_bound(bs, 1.5) == 0.0  # no jump can reach 2x = 3
 
 
 # ----------------------------------------------------------------------

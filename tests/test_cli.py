@@ -177,6 +177,67 @@ def test_mc_count_cap_enforced(tmp_path, capsys, monkeypatch, task, flags):
     assert not (tmp_path / "run").exists()
 
 
+_QUADRATIC = {"variant": "quadratic", "eigs": [1.0, 0.5]}
+_AREA = {"variant": "levy_area", "T": 1.0}
+_STABLE = {"variant": "stable", "alpha": 1.2, "sigma_total": 1.0}
+
+
+# (bound section, model, key the chosen target or variant never reads,
+# the choice the error names); the section without the key runs clean.
+_UNREAD_KEYS = [
+    ({"name": "quad_wiener", "target": "sup"}, _QUADRATIC, "lip_c", "sup"),
+    ({"name": "quad_wiener_lower"}, _QUADRATIC, "T", "inf_norm"),
+    ({"name": "quad_wiener_lower", "target": "sup"}, _QUADRATIC, "T", "sup"),
+    ({"name": "quad_wiener_lower", "target": "inf_norm"}, _QUADRATIC, "n",
+     "inf_norm"),
+    ({"name": "quad_wiener_lower", "target": "sup"}, _QUADRATIC, "n", "sup"),
+    ({"name": "levy_area"}, _AREA, "b", "lipschitz"),
+    ({"name": "levy_area", "variant": "lipschitz"}, _AREA, "mean_abs",
+     "lipschitz"),
+    ({"name": "levy_area", "variant": "euclid", "b": 0.9, "mean_abs": 0.5},
+     _AREA, "lip_c", "euclid"),
+    ({"name": "stable_median"}, _STABLE, "epsilon", "general"),
+    ({"name": "stable_median", "variant": "uniform"}, _STABLE, "epsilon",
+     "uniform"),
+    ({"name": "stable_median", "variant": "sharp"}, _STABLE, "epsilon",
+     "sharp"),
+    ({"name": "stable_median", "variant": "general"}, _STABLE, "b",
+     "general"),
+    ({"name": "stable_median", "variant": "uniform"}, _STABLE, "b",
+     "uniform"),
+    ({"name": "stable_median", "variant": "sharp"}, _STABLE, "b", "sharp"),
+    ({"name": "stable_median", "variant": "near2_exp", "epsilon": 0.5},
+     _STABLE, "b", "near2_exp"),
+    ({"name": "two_regime", "K": 1.0, "alpha2": 1.0, "alpha3": 0.1},
+     None, "alpha4", "third_moment"),
+    ({"name": "two_regime", "K": 1.0, "alpha2": 1.0, "alpha3": 0.1,
+      "variant": "third_moment"}, None, "alpha4", "third_moment"),
+]
+
+
+@pytest.mark.parametrize("bound, model, key, choice", _UNREAD_KEYS, ids=[
+    f"{bound['name']}-{key}-{choice}"
+    + ("" if choice in bound.values() else "(default)")
+    for bound, _, key, choice in _UNREAD_KEYS])
+def test_bound_key_unread_by_its_variant_rejected(tmp_path, capsys, bound,
+                                                  model, key, choice):
+    cfg = {"task": "bound", "bound": bound,
+           "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4},
+           "out": {"dir": str(tmp_path / "run")}}
+    if model is not None:
+        cfg["model"] = model
+    assert _run(tmp_path, cfg) == 0
+    capsys.readouterr()
+    cfg["bound"] = {**bound, key: 4}
+    cfg["out"]["dir"] = str(tmp_path / "refused")
+    assert _run(tmp_path, cfg) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert f"bound.{key}: {bound['name']}" in err[0]
+    assert repr(choice) in err[0]
+    assert not (tmp_path / "refused").exists()
+
+
 @pytest.mark.parametrize("bound, model", [
     ({"name": "bennett", "K": math.inf, "alpha2": 1.0}, None),
     ({"name": "quad_wiener", "form": "log_form"},

@@ -16,7 +16,6 @@ from levytails import models as m
 from levytails.errors import (
     Divergent,
     EmptySpectrum,
-    MissingEstimate,
     OutOfRange,
     PreconditionViolated,
 )
@@ -41,8 +40,8 @@ def test_tail_mass_vanishes_at_infinity():
 
 @pytest.mark.parametrize("mod", [
     m.Stable(0.7, 2.0), m.LogKernel(1.0), m.GaussKernel(1.0),
-    m.QuadraticSpectral((1.0, -0.5)), m.LevyArea(math.pi), m.LevyArea(0.7),
-    m.BoundedSupport(2.0, {2: 1.0})], ids=lambda mod: type(mod).__name__)
+    m.QuadraticSpectral((1.0, -0.5)), m.LevyArea(math.pi), m.LevyArea(0.7)],
+    ids=lambda mod: type(mod).__name__)
 def test_tail_mass_and_envelope_zero_at_infinite_radius(mod):
     assert m.tail_mass(mod, math.inf) == 0.0
     assert m.gamma_envelope(mod, math.inf) == 0.0
@@ -230,16 +229,6 @@ def test_quadratic_spectral_truncated_moment_oracle():
     assert m.truncated_abs_moment(mod, 3, 1.5) == pytest.approx(oracle, rel=1e-8)
 
 
-def test_bounded_support_moments():
-    mod = m.BoundedSupport(R_support=2.0, abs_moments={1: 3.0, 2: 5.0})
-    assert m.truncated_abs_moment(mod, 2, 2.0) == 5.0
-    assert m.truncated_abs_moment(mod, 2, math.inf) == 5.0
-    with pytest.raises(MissingEstimate):
-        m.truncated_abs_moment(mod, 3, math.inf)
-    with pytest.raises(MissingEstimate):
-        m.truncated_abs_moment(mod, 2, 1.0)
-
-
 # ----------------------------------------------------------------------
 # exp_weighted_moment
 # ----------------------------------------------------------------------
@@ -390,5 +379,3 @@ def test_constructor_validation():
         m.QuadraticSpectral((0.0, 0.0))
     with pytest.raises(PreconditionViolated):
         m.LevyArea(T=0.0)
-    with pytest.raises(PreconditionViolated):
-        m.BoundedSupport(R_support=1.0, abs_moments={5: 1.0})

@@ -39,7 +39,6 @@ from levytails.errors import (
     BudgetExceeded,
     Divergent,
     InvalidProfile,
-    MissingEstimate,
     PreconditionViolated,
     TruncationTooCoarse,
 )
@@ -762,8 +761,6 @@ def test_compound_preconditions():
         sim.sample_id_compound(qs, 0.0, 10, RC)
     with pytest.raises(PreconditionViolated):
         sim.sample_id_compound(qs, 0.5, 10, RC, center="left")
-    with pytest.raises(MissingEstimate):
-        sim.sample_id_compound(m.BoundedSupport(R_support=2.0), 0.5, 10, RC)
     with pytest.raises(BudgetExceeded):
         sim.sample_id_compound(m.Stable(alpha=1.2, sigma_total=1.0), 1e-7,
                                10, RC)
