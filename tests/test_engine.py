@@ -349,24 +349,40 @@ def test_chernoff_nonpositive():
         assert chernoff_min(h, float(rng.uniform(0.01, 10.0))) <= 0.0
 
 
-def test_chernoff_refuses_at_and_beyond_h_sup():
+def _assert_chernoff_refused_at_and_beyond_h_sup(h):
     """chernoff_min holds on 0 < x < h_sup, the range of the deviation
     bound, and raises OutOfRange wherever entropy_integral does."""
-    hs = [exp_h(-1.0, 1.0),
-          HFunction(lambda t: -math.expm1(-t), h_sup=1.0, name="1-e^-t"),
-          HFunction(lambda t: t / (1.0 + t), h_sup=1.0, name="t/(1+t)"),
-          HFunction(lambda t: t, t_end=2.0, h_sup=2.0, name="t on [0, 2)")]
-    for h in hs:
-        inside = 0.5 * h.h_sup
-        assert chernoff_min(h, inside) == pytest.approx(
-            -entropy_integral(h, inside), rel=1e-7)
-        for x in (h.h_sup, math.nextafter(h.h_sup, math.inf),
-                  1.5 * h.h_sup, math.inf, math.nan, 0.0, -1.0):
-            for fn in (chernoff_min, entropy_integral):
-                with pytest.raises(OutOfRange):
-                    fn(h, x)
+    inside = 0.5 * h.h_sup
+    assert chernoff_min(h, inside) == pytest.approx(
+        -entropy_integral(h, inside), rel=1e-7)
+    for x in (h.h_sup, math.nextafter(h.h_sup, math.inf),
+              1.5 * h.h_sup, math.inf, math.nan, 0.0, -1.0):
+        for fn in (chernoff_min, entropy_integral):
             with pytest.raises(OutOfRange):
-                tail_bound_from_h(h)(x)
+                fn(h, x)
+        with pytest.raises(OutOfRange):
+            tail_bound_from_h(h)(x)
+
+
+def test_chernoff_divergent_is_tagged_minus_inf():
+    # Past sup h = 1 the Chernoff objective runs to -inf; chernoff_min
+    # tags that x as out of range, as entropy_integral does.
+    _assert_chernoff_refused_at_and_beyond_h_sup(exp_h(-1.0, 1.0))
+
+
+def test_chernoff_at_h_sup_with_infinite_domain():
+    # At x = h_sup the objective tends to -1 for h = 1 - e^{-t} and to
+    # -inf for h = 1 - 1/(1 + t); both lie outside the bound's range.
+    _assert_chernoff_refused_at_and_beyond_h_sup(
+        HFunction(lambda t: -math.expm1(-t), h_sup=1.0, name="1-e^-t"))
+    _assert_chernoff_refused_at_and_beyond_h_sup(
+        HFunction(lambda t: t / (1.0 + t), h_sup=1.0, name="t/(1+t)"))
+
+
+def test_chernoff_at_and_beyond_h_sup_on_finite_domain():
+    # h = t on [0, 2): the infimum would sit at the boundary t_end.
+    _assert_chernoff_refused_at_and_beyond_h_sup(
+        HFunction(lambda t: t, t_end=2.0, h_sup=2.0, name="t on [0, 2)"))
 
 
 def test_duality_random_h_family():
