@@ -23,6 +23,12 @@ and the engine computes it along two numerically independent routes:
   never calls h.legendre. It is slower and serves as the reference the
   Legendre route is checked against.
 
+Both routes integrate by one adaptive Gauss-Kronrod 7-15 sweep
+(_gauss_kronrod). A panel whose K15 and G7 sums disagree is confirmed by
+its halves before it is bisected: first the halves' Gauss nodes, then
+their Kronrod nodes, each halves' sum compared with the panel's K15. A NaN
+value of h that a route meets raises OutOfRange naming the point.
+
 All functions are pure; there is no shared mutable state.
 """
 
@@ -160,15 +166,37 @@ _G7_W = (0.129484966168869693, 0.279705391489276668, 0.381830050505118945,
 _K15_X = tuple(-x for x in _K15_X[:7]) + _K15_X[::-1]
 _K15_W = _K15_W[:7] + _K15_W[::-1]
 _G7_W = _G7_W[:3] + _G7_W[::-1]
+_G7_X = _K15_X[1::2]
+_KRONROD_X = _K15_X[0::2]  # the 8 nodes the Kronrod rule adds
+
+
+def _sums(fv: list, c: float, r: float) -> tuple[float, float]:
+    """The Kronrod-15 and Gauss-7 estimates from the 15 values fv at the
+    ascending nodes c + r x of a panel. Raises ValueError naming the first
+    node where f is NaN when the K15 sum is NaN."""
+    k15 = r * sum(w * v for w, v in zip(_K15_W, fv))
+    if k15 != k15:
+        for x, v in zip(_K15_X, fv):
+            if v != v:
+                raise _nan_at(c + r * x)
+    return k15, r * sum(w * v for w, v in zip(_G7_W, fv[1::2]))
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float):
     """The Kronrod-15 and Gauss-7 estimates of int_a^b f (15 evaluations)."""
     c = 0.5 * (a + b)
     r = 0.5 * (b - a)
-    fv = [f(c + r * x) for x in _K15_X]
-    return (r * sum(w * v for w, v in zip(_K15_W, fv)),
-            r * sum(w * v for w, v in zip(_G7_W, fv[1::2])))
+    return _sums([f(c + r * x) for x in _K15_X], c, r)
+
+
+def _charge(evals: int, n: int, a: float, b: float) -> int:
+    """evals + n, or QuadratureFailure once that exceeds the budget."""
+    evals += n
+    if evals > _MAX_EVALS:
+        raise QuadratureFailure(
+            f"adaptive Gauss-Kronrod exceeded {_MAX_EVALS} integrand "
+            f"evaluations on [{a!r}, {b!r}]")
+    return evals
 
 
 def _gauss_kronrod(f: Callable[[float], float], a: float, b: float,
@@ -178,10 +206,19 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float,
     The first K15 estimate on [a, b] sets the absolute tolerance
     _QUAD_REL_TOL * |estimate| + _QUAD_ABS_FLOOR. A panel is accepted when
     its K15 and G7 estimates agree within its tolerance (or it is narrower
-    than 1e-15 (b - a)); otherwise it is bisected and each half gets half
-    the tolerance. Panels are accepted left to right, and accepted(b0) is
-    told the right end b0 of each: f is never evaluated left of it again.
-    Raises QuadratureFailure once more than 2^20 integrand evaluations
+    than 1e-15 (b - a)). Otherwise its halves confirm it before it is
+    bisected: the 7 Gauss nodes of each half are evaluated, and the
+    panel's K15 is accepted if the two halves' G7 sum agrees with it
+    within the panel's tolerance; else their 8 Kronrod nodes each, and
+    the halves' K15 sum is accepted if it agrees with the panel's K15
+    within that tolerance; else each half goes on with half the
+    tolerance. |K15 - G7| measures the error of the Gauss sum, not of
+    K15, so the parent/child test (Gander & Gautschi 2000) stops sooner,
+    and it evaluates f only at nodes that plain bisection would.
+    Panels are accepted left to right, and accepted(b0) is told the
+    right end b0 of each: f is never evaluated left of it again.
+    Raises ValueError, naming the point, once a panel's K15 sum is NaN,
+    and QuadratureFailure once more than 2^20 integrand evaluations
     would be spent.
     """
     if b <= a:
@@ -195,19 +232,30 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float,
     stack = [(a, b, k15, g7, _QUAD_REL_TOL * abs(k15) + _QUAD_ABS_FLOOR)]
     while stack:
         a0, b0, k0, g0, tol0 = stack.pop()
-        if abs(k0 - g0) <= tol0 or b0 - a0 <= min_width:
-            total += k0
-            if accepted is not None:
-                accepted(b0)
-            continue
-        evals += 30
-        if evals > _MAX_EVALS:
-            raise QuadratureFailure(
-                f"adaptive Gauss-Kronrod exceeded {_MAX_EVALS} integrand "
-                f"evaluations on [{a!r}, {b!r}]")
-        m = 0.5 * (a0 + b0)
-        stack.append((m, b0, *_gk15(f, m, b0), 0.5 * tol0))
-        stack.append((a0, m, *_gk15(f, a0, m), 0.5 * tol0))
+        # Written as not (... <= tol0) so that a NaN difference fails.
+        if not (abs(k0 - g0) <= tol0 or b0 - a0 <= min_width):
+            m = 0.5 * (a0 + b0)
+            # (c, r, values) of each half; the Gauss values come first.
+            halves = [(0.5 * (a1 + b1), 0.5 * (b1 - a1), [0.0] * 15)
+                      for a1, b1 in ((a0, m), (m, b0))]
+            evals = _charge(evals, 14, a, b)
+            for c, r, fv in halves:
+                fv[1::2] = [f(c + r * x) for x in _G7_X]
+            g_halves = sum(r * sum(w * v for w, v in zip(_G7_W, fv[1::2]))
+                           for c, r, fv in halves)
+            if not abs(g_halves - k0) <= tol0:
+                evals = _charge(evals, 16, a, b)
+                for c, r, fv in halves:
+                    fv[0::2] = [f(c + r * x) for x in _KRONROD_X]
+                left, right = [_sums(fv, c, r) for c, r, fv in halves]
+                if not abs(left[0] + right[0] - k0) <= tol0:
+                    stack.append((m, b0, *right, 0.5 * tol0))
+                    stack.append((a0, m, *left, 0.5 * tol0))
+                    continue
+                k0 = left[0] + right[0]
+        total += k0
+        if accepted is not None:
+            accepted(b0)
     return total
 
 
@@ -464,7 +512,9 @@ def entropy_integral(h: HFunction, x: float) -> float:
     one cold solve, and every quadrature node below it one Brent solve
     inside the bracket of its solved neighbours (see _InverseNodes); the
     quadrature itself is the hand-rolled adaptive Gauss-Kronrod 7-15 with
-    a budget of 2^20 evaluations.
+    a budget of 2^20 evaluations, in which a panel's halves may confirm it
+    (their G7, then their K15 sum, against its K15) before it is bisected,
+    so no node is solved that plain bisection would not solve.
     """
     x = _level(h, x, "x")
     nodes = _InverseNodes(h, x)
@@ -527,12 +577,16 @@ def _legendre_step(h: HFunction, x: float, x_prev: float, t_prev: float,
         (x - x_prev) t_prev + int_{t_prev}^t (x - h(u)) du,
 
     whose terms are nonnegative for any nondecreasing h, convex or not,
-    so nothing cancels. Raises OutOfRange when h stays below x.
+    so nothing cancels. Raises OutOfRange when h stays below x or is NaN
+    at a quadrature node, as the inverse route does.
     """
     t, v = _solve_inverse(h, x, t_prev, v_prev)
     ev = h.eval_fn
-    return t, v, (x - x_prev) * t_prev + _gauss_kronrod(
-        lambda u: x - float(ev(u)), t_prev, t)
+    try:
+        area = _gauss_kronrod(lambda u: x - float(ev(u)), t_prev, t)
+    except ValueError as exc:  # a NaN value of h below the root
+        raise OutOfRange(str(exc)) from exc
+    return t, v, (x - x_prev) * t_prev + area
 
 
 def chernoff_min(h: HFunction, x: float) -> float:
@@ -556,8 +610,8 @@ def _legendre_grid(h: HFunction, xs: np.ndarray) -> np.ndarray:
     h.legendre(x) at every point where h supplies it. Otherwise walks the
     sorted points with _legendre_step, each root bracketed from the
     previous one and its held h value, and sums the nonnegative
-    increments. The point whose root solve raises OutOfRange, and every
-    point above it, get NaN.
+    increments. The point whose step raises OutOfRange (h stays below it,
+    or is NaN at a node), and every point above it, get NaN.
     """
     if h.legendre is not None:
         return np.array([h.legendre(x) for x in xs.tolist()], dtype=float)

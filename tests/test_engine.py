@@ -13,6 +13,7 @@ Oracles are closed forms computed independently of the engine:
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -79,6 +80,107 @@ def test_quadrature_budget_raises_on_oscillation():
         _gauss_kronrod(f, 0.0, 1.0)
     assert calls <= 2 ** 20
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_quadrature_stops_at_the_first_nan_panel():
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return math.nan
+
+    with pytest.raises(ValueError, match="NaN"):
+        _gauss_kronrod(f, 0.0, 1.0)
+    assert calls <= 15
+
+
+def _bisection_sweep(f, a, b):
+    """int_a^b f by plain bisection: a panel whose |K15 - G7| exceeds its
+    tolerance is always split, both halves evaluated in full. The sweep
+    _gauss_kronrod ran before its halves could confirm a panel."""
+    k15, g7 = _gk15(f, a, b)
+    min_width = 1e-15 * (b - a)
+    total = 0.0
+    stack = [(a, b, k15, g7,
+              engine._QUAD_REL_TOL * abs(k15) + engine._QUAD_ABS_FLOOR)]
+    while stack:
+        a0, b0, k0, g0, tol0 = stack.pop()
+        if abs(k0 - g0) <= tol0 or b0 - a0 <= min_width:
+            total += k0
+            continue
+        m = 0.5 * (a0 + b0)
+        stack.append((m, b0, *_gk15(f, m, b0), 0.5 * tol0))
+        stack.append((a0, m, *_gk15(f, a0, m), 0.5 * tol0))
+    return total
+
+
+def _polynomial(draw):
+    coef = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=23))
+    a = draw(st.floats(-1.0, 0.0))
+    b = draw(st.floats(a + 1e-2, 1.0))
+    # |f| <= 1 on [-1, 1].
+    c = [v / len(coef) for v in coef]
+
+    def f(x):
+        y = 0.0
+        for v in reversed(c):
+            y = y * x + v
+        return y
+
+    exact = math.fsum(v * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+                      for k, v in enumerate(c))
+    return f, a, b, exact
+
+
+def _left_pole(draw):
+    p = draw(st.floats(0.0, 1.0))
+    q = draw(st.floats(1e-2, 1.0))
+    d = draw(st.floats(1e-3, 1.0))
+    b = draw(st.floats(0.1, 2.0))
+    return lambda x: p + q / (x + d), 0.0, b, p * b + q * math.log1p(b / d)
+
+
+def _sqrt(draw):
+    b = draw(st.floats(1e-3, 10.0))
+    return math.sqrt, 0.0, b, 2.0 / 3.0 * b * math.sqrt(b)
+
+
+def _step(draw):
+    # No rule sees a step in the gap between a panel's end and its
+    # outermost node (0.43% of its width), and a step at a random float
+    # falls into that gap of some deep panel: both sweeps then miss it by
+    # up to 1e-8. A step at k/128 is never in it, and from the seventh
+    # bisection on it lies on a panel end.
+    p = draw(st.integers(1, 127)) / 128.0
+    return lambda x: 0.0 if x < p else 1.0, 0.0, 1.0, 1.0 - p
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       family=st.sampled_from([_polynomial, _left_pole, _sqrt, _step]))
+def test_gauss_kronrod_never_evaluates_more_than_the_bisection_sweep(data,
+                                                                     family):
+    f, a, b, exact = family(data.draw)
+    bisection, sweep, events = _Counted(f), _Counted(f), []
+
+    def logged(x):
+        events.append(("eval", x))
+        return sweep(x)
+
+    _bisection_sweep(bisection, a, b)
+    got = _gauss_kronrod(logged, a, b,
+                         lambda end: events.append(("accepted", end)))
+    assert not Counter(sweep.args) - Counter(bisection.args)
+    assert abs(got - exact) <= 1e-11 * abs(exact) + 1e-14
+    ends = [x for kind, x in events if kind == "accepted"]
+    assert all(e0 < e1 for e0, e1 in zip(ends, ends[1:]))
+    assert ends[-1] == b
+    last = a
+    for kind, x in events:
+        assert x >= last
+        if kind == "accepted":
+            last = x
 
 
 # ----------------------------------------------------------------------
@@ -588,6 +690,40 @@ def test_inverse_route_call_ceiling():
     want = 2.0 * math.log(2.0) - 1.0
     assert entropy_integral(h, 1.0) == pytest.approx(want, rel=1e-13)
     assert len(h_fn.args) <= 90
+
+
+@pytest.mark.parametrize("f, ceiling", [(0.1, 78), (0.667, 170),
+                                        (0.95, 450)])
+def test_inverse_route_halves_confirm_panels_call_ceiling(f, ceiling):
+    # A 5-eigenvalue exact_h spectrum at x = h(f t_end). Plain bisection
+    # took 78 / 228 / 674 calls at f = 0.1 / 0.667 / 0.95; with the halves
+    # confirming a panel before it is split, 78 / 157 / 405 (at f = 0.1
+    # the first panel is accepted, as before).
+    exact = quad_wiener_bound(QuadraticSpec(((0.7, -1.2, 0.9, 1.1, -0.6),)),
+                              form="exact_h").meta["h"]
+    h_fn = _Counted(exact.eval_fn)
+    h = HFunction(h_fn, t_end=exact.t_end, h_sup=exact.h_sup)
+    x = exact(f * exact.t_end)
+    assert abs(entropy_integral(h, x) + chernoff_min(exact, x)) <= 1e-12
+    assert len(h_fn.args) <= ceiling
+
+
+def test_legendre_route_reports_a_nan_of_h_as_the_inverse_route_does():
+    # h is NaN on (0.30, 0.31): the first panel of int_0^0.5 (0.5 - h) has
+    # a node at 0.3019..., the inverse route a node solved there.
+    h_fn = _Counted(lambda t: math.nan if 0.30 < t < 0.31 else t)
+    h = HFunction(h_fn, name="nan on (0.30, 0.31)")
+    for route in (chernoff_min, entropy_integral):
+        h_fn.args.clear()
+        with pytest.raises(OutOfRange, match="NaN"):
+            route(h, 0.5)
+        assert len(h_fn.args) <= 200, route
+    # The grid fails at 0.5 and at every point above it.
+    tb = tail_bound_from_h(h)
+    assert tb.evaluate_grid([0.7, 0.5])[2].tolist() == [False, False]
+    with pytest.raises(OutOfRange, match="NaN"):
+        tb(0.5)
+    assert tb(0.2) == pytest.approx(math.exp(-0.02), rel=1e-12)
 
 
 def test_inverse_route_raises_on_nan_and_decreasing_h():
