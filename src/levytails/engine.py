@@ -27,7 +27,8 @@ Both routes integrate by one adaptive Gauss-Kronrod 7-15 sweep
 (_gauss_kronrod). A panel whose K15 and G7 sums disagree is confirmed by
 its halves before it is bisected: first the halves' Gauss nodes, then
 their Kronrod nodes, each halves' sum compared with the panel's K15. A NaN
-value of h that a route meets raises OutOfRange naming the point.
+value of h that a route meets raises OutOfRange naming the point, and so
+does an infinite value that the Legendre route integrates.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -173,12 +174,12 @@ _KRONROD_X = _K15_X[0::2]  # the 8 nodes the Kronrod rule adds
 def _sums(fv: list, c: float, r: float) -> tuple[float, float]:
     """The Kronrod-15 and Gauss-7 estimates from the 15 values fv at the
     ascending nodes c + r x of a panel. Raises ValueError naming the first
-    node where f is NaN when the K15 sum is NaN."""
+    node where f is NaN or infinite when the K15 sum is."""
     k15 = r * sum(w * v for w, v in zip(_K15_W, fv))
-    if k15 != k15:
+    if not math.isfinite(k15):
         for x, v in zip(_K15_X, fv):
-            if v != v:
-                raise _nan_at(c + r * x)
+            if not math.isfinite(v):
+                raise _not_finite_at(c + r * x, v)
     return k15, r * sum(w * v for w, v in zip(_G7_W, fv[1::2]))
 
 
@@ -217,8 +218,8 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float,
     and it evaluates f only at nodes that plain bisection would.
     Panels are accepted left to right, and accepted(b0) is told the
     right end b0 of each: f is never evaluated left of it again.
-    Raises ValueError, naming the point, once a panel's K15 sum is NaN,
-    and QuadratureFailure once more than 2^20 integrand evaluations
+    Raises ValueError, naming the point, once a panel's K15 sum is NaN or
+    infinite, and QuadratureFailure once more than 2^20 integrand evaluations
     would be spent.
     """
     if b <= a:
@@ -263,9 +264,9 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float,
 # Inversion
 # ----------------------------------------------------------------------
 
-def _nan_at(x: float) -> ValueError:
-    return ValueError(f"The function value at x={x} is NaN; "
-                      "solver cannot continue.")
+def _not_finite_at(x: float, v: float) -> ValueError:
+    return ValueError(f"The function value at x={x} is "
+                      f"{'NaN' if v != v else v}; solver cannot continue.")
 
 
 def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
@@ -288,9 +289,9 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
     xpre, xcur = a, b
     vpre, vcur = float(fa), float(fb)
     if vpre != vpre:
-        raise _nan_at(xpre)
+        raise _not_finite_at(xpre, vpre)
     if vcur != vcur:
-        raise _nan_at(xcur)
+        raise _not_finite_at(xcur, vcur)
     fpre, fcur = vpre - level, vcur - level
     if fpre == 0.0:
         return xpre, vpre
@@ -359,7 +360,7 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
             xcur += delta if sbis > 0 else -delta
         vcur = float(f(xcur))
         if vcur != vcur:
-            raise _nan_at(xcur)
+            raise _not_finite_at(xcur, vcur)
         fcur = vcur - level
         afcur = -fcur if fcur < 0.0 else fcur
     raise RuntimeError(
@@ -578,13 +579,13 @@ def _legendre_step(h: HFunction, x: float, x_prev: float, t_prev: float,
 
     whose terms are nonnegative for any nondecreasing h, convex or not,
     so nothing cancels. Raises OutOfRange when h stays below x or is NaN
-    at a quadrature node, as the inverse route does.
+    (as the inverse route does) or infinite at a quadrature node.
     """
     t, v = _solve_inverse(h, x, t_prev, v_prev)
     ev = h.eval_fn
     try:
         area = _gauss_kronrod(lambda u: x - float(ev(u)), t_prev, t)
-    except ValueError as exc:  # a NaN value of h below the root
+    except ValueError as exc:  # a NaN or infinite value of h below the root
         raise OutOfRange(str(exc)) from exc
     return t, v, (x - x_prev) * t_prev + area
 

@@ -323,12 +323,15 @@ class QuadraticSpectral(_LevyMeasure):
             sel = np.searchsorted(cum_w, g.random(total) * cum_w[-1])
             sel = np.minimum(sel, len(a) - 1)
             u = _interior_uniform(g, total)
+            picked = np.flatnonzero(np.bincount(sel, minlength=len(a)))
+            if len(picked) == 1:
+                k = picked[0]
+                amps = _invert_radial(*tables[k], u * weights[k])
+                return amps * np.sign(a[k])
             amps = np.empty(total, dtype=np.float64)
-            for k in np.unique(sel):
+            for k in picked:
                 mask = sel == k
-                log_y, log_m = tables[k]
-                amps[mask] = _invert_radial(log_y, log_m,
-                                            u[mask] * weights[k])
+                amps[mask] = _invert_radial(*tables[k], u[mask] * weights[k])
             return amps * np.sign(a)[sel]
 
         return draw
@@ -516,11 +519,22 @@ def _radial_inverse_table(tail_fn, eps: float, lam: float):
 
 
 def _invert_radial(log_y, log_m, targets: np.ndarray) -> np.ndarray:
-    """Map tail-mass targets to radii through the tabulated inverse."""
-    # np.interp needs increasing x: negate the (decreasing) log masses.
-    log_t = np.log(targets)
-    out = np.interp(-log_t, -log_m, log_y)
-    return np.exp(out)
+    """Map tail-mass targets to radii through the tabulated inverse.
+
+    The radius of target t is exp(interp(-log t, -log_m, log_y)): np.interp
+    needs increasing abscissae, so the (decreasing) log masses are negated.
+    The targets are looked up in ascending order of -log t and the radii
+    scattered back to the targets' positions.  Each point's interpolation
+    does not depend on the order of the queries, so the radii are those of
+    the lookup in the given order, bit for bit; on ascending queries
+    np.interp finds each node next to the previous one instead of by a
+    binary search over the whole table.
+    """
+    neg_log_t = -np.log(targets)
+    order = np.argsort(neg_log_t)
+    out = np.empty_like(neg_log_t)
+    out[order] = np.interp(neg_log_t[order], -log_m, log_y)
+    return np.exp(out, out=out)
 
 
 # ----------------------------------------------------------------------

@@ -226,13 +226,27 @@ def _values_1d(batch) -> np.ndarray:
     return values
 
 
+def _refuse_nan(ordered: np.ndarray, name: str) -> None:
+    """Raise if a sorted sample holds NaN; np.sort puts NaN last."""
+    if ordered.size and np.isnan(ordered[-1]):
+        nans = np.count_nonzero(np.isnan(ordered))
+        raise PreconditionViolated(
+            f"{name}: the sample holds {nans} NaN value(s)")
+
+
 def empirical_tail(batch, x_grid, *, meta: dict | None = None) -> TailCurve:
     """Exceedance curve p_hat(x) = #{v >= x}/count with exact 99% bands.
 
     ``batch`` is a SampleBatch or a plain 1-D array of scalar samples;
     vector batches must first be reduced to the deviation variable with
     :func:`deviation_values`.  Grid points beyond the observed support are
-    allowed (they simply get p_hat = 0 with its band).
+    allowed (they simply get p_hat = 0 with its band).  A sample that holds
+    NaN is refused: NaN has no place in the order the counts rest on.
+
+    Only the values not below ``x_grid[0]`` are sorted: a value below it
+    lies below every grid point, so the counts #{v >= x} are those of the
+    whole sorted sample.  NaN is not below anything, so it stays in the
+    sorted part, at its end.
     """
     values = _values_1d(batch)
     if values.ndim != 1:
@@ -246,9 +260,10 @@ def empirical_tail(batch, x_grid, *, meta: dict | None = None) -> TailCurve:
     if np.any(np.diff(x_grid) <= 0.0):
         raise PreconditionViolated("x_grid must be strictly increasing")
     n = values.size
-    ordered = np.sort(values)
-    # #{v >= x} by binary search on the sorted sample.
-    k = n - np.searchsorted(ordered, x_grid, side="left")
+    tail = np.sort(np.compress(~(values < x_grid[0]), values))
+    _refuse_nan(tail, "empirical_tail")
+    # #{v >= x} by binary search on the sorted tail.
+    k = tail.size - np.searchsorted(tail, x_grid, side="left")
     p_hat = k / n
     ci_lo, ci_hi = _clopper_pearson(k, n)
     curve_meta = {"transform": "raw", "center": 0.0, "shift": 0.0}
@@ -276,11 +291,13 @@ def deviation_values(batch, bound: TailBound, center_estimate: float):
                 "transform 'value' needs scalar samples"
             )
     elif transform == "abs":
-        out = np.abs(values - center)
+        out = values - center
+        np.abs(out, out=out)
         if out.ndim != 1:
             raise PreconditionViolated("transform 'abs' needs scalar samples")
     elif transform == "abs_inf":
-        out = np.abs(values - center)
+        out = values - center
+        np.abs(out, out=out)
         if out.ndim == 2:
             out = out.max(axis=1)
         elif out.ndim != 1:
@@ -297,7 +314,12 @@ def deviation_values(batch, bound: TailBound, center_estimate: float):
 
 
 def empirical_median(batch) -> dict:
-    """Median with an exact 99% order-statistic confidence interval."""
+    """Median with an exact 99% order-statistic confidence interval.
+
+    One sort gives all three numbers: the median is the middle order
+    statistic, or (a + b) / 2 of the two middle ones for even n, which is
+    np.median's float.  A sample that holds NaN is refused.
+    """
     values = _values_1d(batch)
     if values.ndim != 1:
         raise PreconditionViolated("empirical_median wants scalar samples")
@@ -305,6 +327,10 @@ def empirical_median(batch) -> dict:
     if n < 100:
         raise PreconditionViolated("empirical_median requires count >= 100")
     ordered = np.sort(values)
+    _refuse_nan(ordered, "empirical_median")
+    half = n // 2
+    median = (ordered[half] if n % 2 else
+              (ordered[half - 1] + ordered[half]) / 2.0)
     # P(v_(j) <= m <= v_(k)) from the binomial(n, 1/2) law of the rank of
     # the true median; two-sided 99%.
     j = _binom_ppf(0.005, n)
@@ -312,7 +338,7 @@ def empirical_median(batch) -> dict:
     j = max(j - 1, 0)
     k = min(k + 1, n - 1)
     return {
-        "median": float(np.median(ordered)),
+        "median": float(median),
         "ci_lo": float(ordered[j]),
         "ci_hi": float(ordered[k]),
         "count": n,

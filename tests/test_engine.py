@@ -95,6 +95,27 @@ def test_quadrature_stops_at_the_first_nan_panel():
     assert calls <= 15
 
 
+@pytest.mark.parametrize("inf", [-math.inf, math.inf])
+def test_quadrature_stops_at_the_first_infinite_panel(inf):
+    # K15 = G7 = inf on the first panel, so |K15 - G7| is NaN: without the
+    # stop the sweep bisects until the 2^20 budget runs out.
+    f = _Counted(lambda x: inf if x < 0.3 else 0.0)
+    with pytest.raises(ValueError, match=f"x=0.00427.* is {inf}"):
+        _gauss_kronrod(f, 0.0, 1.0)
+    assert len(f.args) <= 15
+
+
+def test_legendre_route_reports_an_infinite_h_as_out_of_range():
+    # h is +inf on (0.30, 0.31): the integrand 0.5 - h of the Legendre
+    # route is -inf at a node there. It used to sum to -inf and come back
+    # as the bound value 0.
+    h_fn = _Counted(lambda t: math.inf if 0.30 < t < 0.31 else t)
+    h = HFunction(h_fn, name="inf on (0.30, 0.31)")
+    with pytest.raises(OutOfRange, match="-inf"):
+        chernoff_min(h, 0.5)
+    assert len(h_fn.args) <= 200
+
+
 def _bisection_sweep(f, a, b):
     """int_a^b f by plain bisection: a panel whose |K15 - G7| exceeds its
     tolerance is always split, both halves evaluated in full. The sweep

@@ -29,8 +29,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import erfc
+from scipy.special import erfc, exp1
 
 from levytails import exact
 from levytails import models as m
@@ -857,6 +859,82 @@ def test_compound_radial_inverse_table_round_trip():
         targets = np.array([m.tail_mass(model, y) for y in y_true])
         y_back = m._invert_radial(log_y, log_m, targets)
         assert np.max(np.abs(y_back / y_true - 1.0)) < 5e-4, type(model).__name__
+
+
+def _unsorted_invert_radial(log_y, log_m, targets):
+    """The table lookup in the targets' own order: the oracle that
+    _invert_radial's ascending-order lookup must equal bit for bit."""
+    return np.exp(np.interp(-np.log(targets), -log_m, log_y))
+
+
+def _masked_spectral_sampler(model, eps, lam):
+    """QuadraticSpectral.amplitude_sampler with one mask and gather per
+    eigenvalue that np.unique finds among the picks, even when one
+    eigenvalue holds every jump: the oracle of the bincount draw."""
+    a = np.asarray(model.eigs, dtype=np.float64)
+    a = a[a != 0.0]
+    weights = 0.5 * exp1(eps / np.abs(a))
+    a = a[weights > 0.0]
+    weights = weights[weights > 0.0]
+    cum_w = np.cumsum(weights)
+    tables = [m._radial_inverse_table(lambda r, ak=ak: 0.5 * exp1(r / ak),
+                                      eps, w_k)
+              for ak, w_k in zip(np.abs(a), weights)]
+
+    def draw(g, total):
+        sel = np.searchsorted(cum_w, g.random(total) * cum_w[-1])
+        sel = np.minimum(sel, len(a) - 1)
+        u = m._interior_uniform(g, total)
+        amps = np.empty(total, dtype=np.float64)
+        for k in np.unique(sel):
+            mask = sel == k
+            log_y, log_m = tables[k]
+            amps[mask] = m._invert_radial(log_y, log_m, u[mask] * weights[k])
+        return amps * np.sign(a)[sel]
+
+    return draw
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 3.0)),
+                min_size=2, max_size=40), st.data())
+def test_invert_radial_equals_the_unsorted_lookup(steps, data):
+    # A random monotone table; targets with ties, at the nodes' masses and
+    # past both ends of the table.
+    log_y = np.cumsum([dy for dy, _ in steps]) - 3.0
+    log_m = 2.0 - np.cumsum([dm for _, dm in steps])
+    nodes = data.draw(st.lists(st.integers(0, len(steps) - 1), max_size=5))
+    pool = data.draw(st.lists(st.floats(log_m[-1] - 5.0, log_m[0] + 5.0),
+                              min_size=1, max_size=10)) + [
+        log_m[j] for j in nodes]
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                               max_size=200))
+    targets = np.exp(np.array(pool)[picks])
+    assert m._invert_radial(log_y, log_m, targets).tobytes() == (
+        _unsorted_invert_radial(log_y, log_m, targets).tobytes())
+
+
+COMPOUND_VARIANTS = {
+    "spectral_one": lambda: sim.sample_id_compound(
+        m.QuadraticSpectral((2.0,)), 1e-4, 20_000, LAYOUT_RC, stream_id=66,
+        center="mean", gauss_smalljump=True),
+    "spectral_several": lambda: sim.sample_id_compound(
+        m.QuadraticSpectral((2.0, -0.7, 0.3)), 1e-3, 20_000, LAYOUT_RC,
+        stream_id=67),
+    **{name: lambda name=name: LAYOUT_SAMPLERS[name](20_000) for name in (
+        "id_compound", "id_compound_area", "id_compound_log",
+        "id_compound_gauss", "id_compound_stable")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOUND_VARIANTS))
+def test_compound_bytes_equal_the_unsorted_lookup(monkeypatch, name):
+    draw = COMPOUND_VARIANTS[name]
+    batch = draw()
+    monkeypatch.setattr(m, "_invert_radial", _unsorted_invert_radial)
+    monkeypatch.setattr(m.QuadraticSpectral, "amplitude_sampler",
+                        _masked_spectral_sampler)
+    assert batch.values.tobytes() == draw().values.tobytes()
 
 
 def test_compound_area_model_matches_exact_law():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from levytails import (
@@ -32,7 +34,7 @@ from levytails.errors import (
     PreconditionViolated,
 )
 from levytails.models import QuadraticSpectral, chaos_eigenvalues
-from levytails.verify import TailCurve
+from levytails.verify import TailCurve, _clopper_pearson
 
 
 def _batch(values, seed=0):
@@ -88,6 +90,55 @@ def test_tail_validation():
         empirical_tail(np.ones((10, 2)), np.array([1.0]))
 
 
+# Samples with ties and +-inf, drawn from a small pool of values.
+_POOL = st.lists(st.one_of(st.floats(-5.0, 5.0), st.sampled_from(
+    [-math.inf, math.inf])), min_size=1, max_size=8)
+
+
+def _pooled(data, pool, min_size, max_size):
+    size = data.draw(st.integers(min_size, max_size))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    picks = np.random.default_rng(seed).integers(0, len(pool), size)
+    return np.array(pool, dtype=np.float64)[picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POOL, st.data())
+def test_tail_counts_equal_the_full_sort(pool, data):
+    values = _pooled(data, pool, 1, 300)
+    finite = values[np.isfinite(values)]
+    lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
+    # Grid points below the minimum, above the maximum, at sample values
+    # and in between.
+    candidates = np.unique(np.concatenate([
+        values, [lo - 1.0, hi + 1.0, -math.inf, math.inf],
+        data.draw(st.lists(st.floats(-6.0, 6.0), max_size=5))]))
+    keep = data.draw(st.lists(st.booleans(), min_size=candidates.size,
+                              max_size=candidates.size))
+    grid = candidates[np.array(keep, dtype=bool)]
+    if grid.size == 0:
+        grid = candidates[:1]
+    curve = empirical_tail(values, grid)
+    n = values.size
+    k = n - np.searchsorted(np.sort(values), grid, side="left")
+    ci_lo, ci_hi = _clopper_pearson(k, n)
+    assert curve.p_hat.tobytes() == (k / n).tobytes()
+    assert curve.ci_lo.tobytes() == ci_lo.tobytes()
+    assert curve.ci_hi.tobytes() == ci_hi.tobytes()
+
+
+def test_tail_and_median_refuse_nan():
+    # Sorted last, a NaN used to count as an exceedance at every grid
+    # point (p_hat 0.25 at x = 5 here) and to make the median NaN.
+    values = [0.1, 0.2, math.nan, 0.3] * 50
+    with pytest.raises(PreconditionViolated, match="50 NaN"):
+        empirical_tail(values, [0.15, 0.25, 5.0])
+    with pytest.raises(PreconditionViolated, match="50 NaN"):
+        empirical_tail(values, [5.0])  # no finite value in the tail
+    with pytest.raises(PreconditionViolated, match="50 NaN"):
+        empirical_median(values)
+
+
 def test_tail_curve_invariants_enforced():
     x = np.array([1.0, 2.0])
     with pytest.raises(PreconditionViolated):
@@ -129,6 +180,24 @@ def test_median_normal_width():
 def test_median_needs_count():
     with pytest.raises(PreconditionViolated):
         empirical_median(_batch(np.arange(50, dtype=np.float64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POOL, st.data())
+def test_median_equals_np_median(pool, data):
+    # Odd and even n; ties, and +-inf among the middle values.
+    values = _pooled(data, pool, 100, 301)
+    est = empirical_median(values)
+    ordered = np.sort(values)
+    n = values.size
+    # Equal as numbers: where 0.0 and -0.0 tie in the middle, the sort and
+    # np.median's partition may put either one there.
+    median, expected = est["median"], float(np.median(values))
+    assert median == expected or (math.isnan(median) and
+                                  math.isnan(expected))
+    j = max(int(stats.binom.ppf(0.005, n, 0.5)) - 1, 0)
+    k = min(int(stats.binom.ppf(0.995, n, 0.5)) + 1, n - 1)
+    assert (est["ci_lo"], est["ci_hi"]) == (ordered[j], ordered[k])
 
 
 # The band and rank quantiles come from scipy.special; scipy.stats, not
