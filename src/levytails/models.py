@@ -323,15 +323,12 @@ class QuadraticSpectral(_LevyMeasure):
             sel = np.searchsorted(cum_w, g.random(total) * cum_w[-1])
             sel = np.minimum(sel, len(a) - 1)
             u = _interior_uniform(g, total)
-            picked = np.flatnonzero(np.bincount(sel, minlength=len(a)))
-            if len(picked) == 1:
-                k = picked[0]
-                amps = _invert_radial(*tables[k], u * weights[k])
-                return amps * np.sign(a[k])
             amps = np.empty(total, dtype=np.float64)
-            for k in picked:
+            for k in np.unique(sel):
                 mask = sel == k
-                amps[mask] = _invert_radial(*tables[k], u[mask] * weights[k])
+                log_y, log_m = tables[k]
+                amps[mask] = _invert_radial(log_y, log_m,
+                                            u[mask] * weights[k])
             return amps * np.sign(a)[sel]
 
         return draw

@@ -260,7 +260,8 @@ def empirical_tail(batch, x_grid, *, meta: dict | None = None) -> TailCurve:
     if np.any(np.diff(x_grid) <= 0.0):
         raise PreconditionViolated("x_grid must be strictly increasing")
     n = values.size
-    tail = np.sort(np.compress(~(values < x_grid[0]), values))
+    tail = np.compress(~(values < x_grid[0]), values)
+    tail.sort()
     _refuse_nan(tail, "empirical_tail")
     # #{v >= x} by binary search on the sorted tail.
     k = tail.size - np.searchsorted(tail, x_grid, side="left")

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import erfc, exp1
+from scipy.special import erfc
 
 from levytails import exact
 from levytails import models as m
@@ -867,34 +867,6 @@ def _unsorted_invert_radial(log_y, log_m, targets):
     return np.exp(np.interp(-np.log(targets), -log_m, log_y))
 
 
-def _masked_spectral_sampler(model, eps, lam):
-    """QuadraticSpectral.amplitude_sampler with one mask and gather per
-    eigenvalue that np.unique finds among the picks, even when one
-    eigenvalue holds every jump: the oracle of the bincount draw."""
-    a = np.asarray(model.eigs, dtype=np.float64)
-    a = a[a != 0.0]
-    weights = 0.5 * exp1(eps / np.abs(a))
-    a = a[weights > 0.0]
-    weights = weights[weights > 0.0]
-    cum_w = np.cumsum(weights)
-    tables = [m._radial_inverse_table(lambda r, ak=ak: 0.5 * exp1(r / ak),
-                                      eps, w_k)
-              for ak, w_k in zip(np.abs(a), weights)]
-
-    def draw(g, total):
-        sel = np.searchsorted(cum_w, g.random(total) * cum_w[-1])
-        sel = np.minimum(sel, len(a) - 1)
-        u = m._interior_uniform(g, total)
-        amps = np.empty(total, dtype=np.float64)
-        for k in np.unique(sel):
-            mask = sel == k
-            log_y, log_m = tables[k]
-            amps[mask] = m._invert_radial(log_y, log_m, u[mask] * weights[k])
-        return amps * np.sign(a)[sel]
-
-    return draw
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 3.0)),
                 min_size=2, max_size=40), st.data())
@@ -932,8 +904,6 @@ def test_compound_bytes_equal_the_unsorted_lookup(monkeypatch, name):
     draw = COMPOUND_VARIANTS[name]
     batch = draw()
     monkeypatch.setattr(m, "_invert_radial", _unsorted_invert_radial)
-    monkeypatch.setattr(m.QuadraticSpectral, "amplitude_sampler",
-                        _masked_spectral_sampler)
     assert batch.values.tobytes() == draw().values.tobytes()
 
 
