@@ -813,9 +813,8 @@ def quad_wiener_lower(spec: QuadraticSpec | None = None, b: float = 0.5,
         raise OutOfRange(f"unknown target {target!r}")
 
     # The expression decreases strictly on (0, inf): solve raw(x) = 1/4.
-    threshold = models._bracket_root(
-        lambda x: 0.25 - raw(x), 1e-12 * scale, scale, xtol=1e-15,
-        rtol=1e-12, failure=OutOfRange("quad_lower: never falls to 1/4"))
+    threshold = models._bracket_root(lambda x: 0.25 - raw(x), scale, failure=(
+        OutOfRange("quad_lower: never falls to 1/4")))
     fn = _guard(0.0, math.inf, "quad_lower", raw)
     return TailBound(name=f"quad_lower[{target}]", fn=fn, center="mean",
                      direction="lower", valid_lo=threshold,
@@ -968,17 +967,15 @@ def median_bound_general(model, beta_fn, C: float) -> TailBound:
         raise InvalidProfile(f"C must be > 0, got {C!r}")
     one_plus = 1.0 + C * _E
 
-    def inv(u: float) -> float:
-        return models._bracket_root(
-            lambda r: beta_fn(r) - u, 1e-12, 1.0, xtol=1e-15, rtol=1e-12,
-            failure=OutOfRange(
-                f"median_bound_general: could not bracket level {u!r}"))
-
     r0 = models.inverse_gamma(model, 1.0 / (2.0 * one_plus))
     valid_lo = 2.0 * beta_fn(r0)
 
     def raw(x: float) -> float:
-        return one_plus * models.gamma_envelope(model, inv(x / 4.0))
+        u = x / 4.0
+        r = models._bracket_root(lambda r: beta_fn(r) - u, 1.0, failure=(
+            OutOfRange(f"median_bound_general: cannot bracket level {u!r}")))
+        # beta^{-1}(u) = 0 where beta(0+) >= u: the bound is vacuous.
+        return one_plus * models.gamma_envelope(model, r) if r else math.inf
 
     fn, regime = _clamped(_guard(valid_lo, math.inf,
                                  "median_bound_general", raw), "envelope")
@@ -1002,13 +999,12 @@ def median_bound_linear(model, C: float, C_prime: float) -> TailBound:
     def gamma_exact(R: float) -> float:
         return -math.expm1(-models.tail_mass(model, R))
 
-    # Generalized inverse: R with nu(|y| > R) = -log(1 - q), or the low end
-    # of the search when the total mass stays below that level.
+    # Generalized inverse: R with nu(|y| > R) = -log(1 - q), or 0.0 (and
+    # valid_lo = 0) when the total mass stays below that level.
     q = 1.0 / (2.0 * one_plus)
     target = -math.log1p(-q)
     r0 = models._bracket_root(
-        lambda r: target - models.tail_mass(model, r), 1e-9, 1.0,
-        xtol=1e-15, rtol=1e-12, halvings=200,
+        lambda r: target - models.tail_mass(model, r), 1.0,
         failure=OutOfRange(f"median_linear: tail mass stays above {target!r}"))
     valid_lo = 2.0 * C_prime * r0
 
@@ -1095,11 +1091,10 @@ def two_regime_bound(K: float, alpha2: float, alpha3: float | None = None,
             return math.expm1(s * K) / (s * K) - rhs
 
         denom = alpha2 - alpha3 / K
-        # s0 is g's positive root (g < 0 near 0 and increasing); should g
-        # be >= 0 down to the search's low end, s0 is taken as that end.
-        s0 = models._bracket_root(
-            g, 1e-8 / K, 1.0 / K, xtol=1e-15, rtol=1e-13, halvings=80,
-            failure=PreconditionViolated("crossover equation has no root"))
+        # s0 is g's positive root: g increases from g(0+) = 1 - rhs < 0,
+        # so the search never returns its generalized inverse 0.0.
+        s0 = models._bracket_root(g, 1.0 / K, failure=PreconditionViolated(
+            "crossover equation has no root"))
         return _two_regime(K, denom, 2.0 * s0 * denom, 4.0,
                            2.0 * alpha3 / K, variant, s0)
 
@@ -1126,9 +1121,8 @@ def two_regime_bound(K: float, alpha2: float, alpha3: float | None = None,
     def g(s: float) -> float:
         return (alpha4 / K ** 3) * math.expm1(s * K) - s * denom
 
-    s0 = models._bracket_root(
-        g, 1e-8 / K, 1.0 / K, xtol=1e-15, rtol=1e-13, halvings=80,
-        failure=PreconditionViolated("crossover equation has no root"))
+    s0 = models._bracket_root(g, 1.0 / K, failure=PreconditionViolated(
+        "crossover equation has no root"))
     return _two_regime(K, denom, 3.0 * s0 * denom, 6.0,
                        3.0 * alpha4 / (K * K), variant, s0)
 

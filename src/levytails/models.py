@@ -29,9 +29,9 @@ of its measure nu; the module functions below check arguments and call:
                                int_{|y|<=R} |y|^k (e^{t|y|} - 1) nu(dy),
                                k in {1, 3}; side="pos" keeps y > 0
   exp_abscissa(side)           sup{t : int |y| e^{t|y|} nu(dy) < inf}
-  tail_first_abs_moment()      int_{|y|>1} |y| nu(dy), inf if divergent
   compensation(eps, R)         -int_{eps<|y|<=R} y nu(dy), R = 1 or inf
-                               (default 0: symmetric, if convergent)
+                               (default 0: symmetric; Divergent at R = inf
+                               where int_{|y|>1} |y| nu(dy) diverges)
   amplitude_sampler(eps, lam)  draw(g, n): n jumps of nu on |y| > eps, of
                                mass lam (default: symmetric, tabulated)
 
@@ -46,6 +46,7 @@ quadrature blow up.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -76,8 +77,6 @@ class _LevyMeasure:
         return -math.expm1(-self.tail_mass(R))
 
     def compensation(self, eps: float, R: float) -> float:
-        if math.isinf(R) and not math.isfinite(self.tail_first_abs_moment()):
-            raise Divergent("int_{|y|>1} |y| nu(dy) diverges")
         return 0.0
 
     def amplitude_sampler(self, eps: float, lam: float):
@@ -113,8 +112,10 @@ class _Radial(_LevyMeasure):
     def exp_abscissa(self, side: str = "abs") -> float:
         return 0.0      # power/log tails defeat every exponential
 
-    def tail_first_abs_moment(self) -> float:
-        return math.inf
+    def compensation(self, eps: float, R: float) -> float:
+        if math.isinf(R):
+            raise Divergent("int_{|y|>1} |y| nu(dy) diverges")
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,9 @@ class Stable(_Radial):
             raise Divergent(f"k={k} > alpha: divergence at infinity")
         return self.sigma_total * R ** (k - self.alpha) / (k - self.alpha)
 
-    def tail_first_abs_moment(self) -> float:
-        if self.alpha <= 1.0:
-            return math.inf
-        return self.sigma_total / (self.alpha - 1.0)
+    def compensation(self, eps: float, R: float) -> float:
+        # int_{|y|>1} |y| nu(dy) = sigma/(alpha - 1) converges for alpha > 1
+        return 0.0 if self.alpha > 1.0 else super().compensation(eps, R)
 
     def amplitude_sampler(self, eps: float, lam: float):
         return _symmetric_sampler(lambda u: eps * u ** (-1.0 / self.alpha))
@@ -291,10 +291,6 @@ class QuadraticSpectral(_LevyMeasure):
         amax = float(np.max(np.abs(eigs))) if eigs.size else 0.0
         return math.inf if amax == 0.0 else 1.0 / amax
 
-    def tail_first_abs_moment(self) -> float:
-        a = self.abs_eigs()
-        return float(0.5 * np.sum(a * np.exp(-1.0 / a)))
-
     def compensation(self, eps: float, R: float) -> float:
         if eps >= R:
             return 0.0
@@ -381,11 +377,6 @@ class LevyArea(_LevyMeasure):
     def exp_abscissa(self, side: str = "abs") -> float:
         return math.pi / self.T
 
-    def tail_first_abs_moment(self) -> float:
-        # int_1^inf dy / (2 sinh(pi y / T)) = (T / 2 pi) log coth(pi/(2T))
-        z = math.pi / (2.0 * self.T)
-        return self.T / (2.0 * math.pi) * math.log(1.0 / math.tanh(z))
-
 
 LevyModel = Union[Stable, LogKernel, GaussKernel, QuadraticSpectral,
                   LevyArea]
@@ -425,36 +416,54 @@ def _quad(f, a, b, **kw) -> float:
     return val
 
 
-def _bracket_root(g, lo: float, hi: float, *, xtol: float, rtol: float,
-                  failure: Exception, halvings: int = 0,
-                  doublings: int = 200) -> float:
-    """Smallest root of a nondecreasing g, the one bracketing solver.
+_ROOT_RTOL = 1e-13
+_TINY = math.ulp(0.0)
+_HUGE = sys.float_info.max
 
-    lo is halved (at most `halvings` times) while the level is passed
-    there, g(lo) >= 0; if it still is, lo is returned (the generalized
-    inverse, cut at the search range). Else hi is doubled (at most
-    `doublings` times, the low end following) until g(hi) >= 0 and
-    engine._brent solves g = 0 at the caller's xtol and rtol, from the
-    bracket values already in hand. Raises `failure` if no
-    bracket is found or g raises an ArithmeticError (e.g. overflow).
+
+def _bracket_root(g, start: float, *, failure: Exception) -> float:
+    """Smallest positive root of a nondecreasing g, searched from start,
+    the problem's natural scale: the one bracketing solver.
+
+    Steps by factors 2, 4, 16, ... (each the square of the last) until g
+    changes sign, so a root 1e300 away takes ten steps; a step where g
+    raises an ArithmeticError (e.g. overflow) is retried with the square
+    root of its factor. The bracket is cut geometrically to a ratio of 2
+    and engine._brent solves g = 0 to _ROOT_RTOL relative. Returns 0.0,
+    the generalized inverse, if g >= 0 down to the smallest positive
+    float; raises `failure` if g < 0 up to the largest float or to where
+    g raises.
     """
     try:
-        below = g(lo)
-        for _ in range(halvings):
-            if not below >= 0.0:
+        x = start
+        g_x = g(x)
+        up = not g_x >= 0.0
+        step = 2.0
+        while True:
+            nxt = min(x * step, _HUGE) if up else max(x / step, _TINY)
+            if nxt == x:
+                if up or x > _TINY:
+                    raise failure
+                return 0.0
+            try:
+                g_nxt = g(nxt)
+            except ArithmeticError:
+                step = math.sqrt(step)
+                continue
+            if (g_nxt >= 0.0) == up:
                 break
-            lo *= 0.5
-            below = g(lo)
-        if below >= 0.0:
-            return lo
-        for _ in range(doublings):
-            above = g(hi)
-            if above >= 0.0 and below < 0.0:
-                return _brent(g, lo, below, hi, above, xtol, rtol)[0]
-            lo, below, hi = hi, above, 2.0 * hi
+            x, g_x, step = nxt, g_nxt, min(step * step, _HUGE)
+        (lo, g_lo), (hi, g_hi) = sorted(((x, g_x), (nxt, g_nxt)))
+        while hi > 2.0 * lo:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            g_mid = g(mid)
+            if g_mid >= 0.0:
+                hi, g_hi = mid, g_mid
+            else:
+                lo, g_lo = mid, g_mid
+        return _brent(g, lo, g_lo, hi, g_hi, 0.0, _ROOT_RTOL)[0]
     except ArithmeticError as exc:
         raise failure from exc
-    raise failure
 
 
 # Jump tables of amplitude_sampler.
@@ -554,18 +563,14 @@ def gamma_envelope(model: LevyModel, R: float) -> float:
 
 
 def inverse_gamma(model: LevyModel, p: float) -> float:
-    """Smallest R with gamma_envelope(model, R) <= p (rel 1e-10).
-
-    Returns 1e-12 if the envelope is already below p there; raises
-    OutOfRange if it stays above p all the way to R=1e12.
-    """
+    """Smallest R with gamma_envelope(model, R) <= p, to _ROOT_RTOL
+    relative at any scale: 0.0 if the envelope is at most p at every
+    R > 0, OutOfRange if it stays above p at every float."""
     if not (0.0 < p < 1.0):
         raise OutOfRange(f"p must be in (0,1), got {p!r}")
-    # xtol is 1e-10 of the smallest answer, so the tolerance is relative.
     return _bracket_root(
-        lambda R: p - model.gamma_envelope(R), 1e-12, 1.0,
-        xtol=1e-22, rtol=1e-10, doublings=40,
-        failure=OutOfRange(f"gamma never falls below p={p!r} up to R=1e12"))
+        lambda R: p - model.gamma_envelope(R), 1.0,
+        failure=OutOfRange(f"gamma never falls below p={p!r}"))
 
 
 def truncated_abs_moment(model: LevyModel, k: int, R: float = math.inf) -> float:

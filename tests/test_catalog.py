@@ -863,6 +863,17 @@ def test_median_general_raises_below_range():
         mg(0.9 * mg.valid_lo)
 
 
+def test_median_general_vacuous_where_beta_inverse_is_zero():
+    # beta(R) = R + 1 has beta(0+) = 1, so beta^{-1}(x/4) is the generalized
+    # inverse 0.0 for x <= 4: the bound there is vacuous, not an error.
+    mg = c.median_bound_general(m.Stable(alpha=1.2, sigma_total=1e-3),
+                                lambda R: R + 1.0, C=2.5)
+    assert mg.valid_lo < 3.0
+    assert mg(3.0) == 1.0
+    assert mg.regime(3.0) == "vacuous"
+    assert mg(8.0) < 1.0
+
+
 def test_median_linear_stable_closed_form():
     alpha, sigma = 1.2, 1.0
     C, C_prime = 2.0 / 0.8, 1.0
@@ -906,6 +917,19 @@ def test_two_regime_crossover_root_frozen():
     assert s0 == pytest.approx(oracle, rel=1e-12)
     assert s0 == pytest.approx(1.9038136944403835, abs=1e-10)
     assert tb.meta["x0"] == pytest.approx(6.0 * s0, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha2", [1e60, 1e221])
+def test_two_regime_crossover_near_overflow(alpha2):
+    # rhs = 2 alpha2 - 1 puts s0 K at 144 and 516, short of where e^{sK}
+    # overflows (710): the search closes in on the overflow and brackets
+    # s0 there. Oracle: bisection of log((e^s - 1)/s) = log(rhs).
+    tb = c.two_regime_bound(1.0, alpha2, alpha3=0.5)
+    rhs = 2.0 * alpha2 - 1.0
+    oracle = _bisect_root(
+        lambda s: s + math.log1p(-math.exp(-s)) - math.log(s * rhs), 1.0,
+        700.0)
+    assert tb.meta["s0"] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_two_regime_overflow_is_a_precondition_error():
@@ -1117,6 +1141,66 @@ def test_stable_near2_log_point():
     with pytest.raises(PreconditionViolated):
         c.stable_median_bound(c.StableSpec(alpha, sigma, 1.0), "near2_log",
                               epsilon=eps, b=2.5)
+
+
+# ----------------------------------------------------------------------
+# Scale-free thresholds
+# ----------------------------------------------------------------------
+
+_LAMS = (1e-150, 1e-20, 1e20, 1e150)
+# The two-regime laws scale as K -> lam K, alpha_k -> lam^k alpha_k, and
+# lam^4 alpha_4 leaves the float range beyond lam = 1e+-77.
+_BENNETT_LAMS = (1e-75, 1e-20, 1e20, 1e75)
+
+
+def _two_regime_roots(variant):
+    def roots(lam):
+        tb = c.two_regime_bound(lam, 4.0 * lam ** 2, alpha3=lam ** 3,
+                                alpha4=lam ** 4, variant=variant)
+        return tb.meta["s0"], tb.meta["x0"]
+    return roots
+
+
+def _quad_lower_threshold(target):
+    def threshold(lam):
+        if target == "area":
+            tb = c.quad_wiener_lower(b=0.5, target="area", T=lam * pi, n=3)
+        else:
+            spec = c.QuadraticSpec(((lam, 0.3 * lam), (-0.9 * lam,)))
+            tb = c.quad_wiener_lower(spec, b=0.5, target=target)
+        return (tb.valid_lo,)
+    return threshold
+
+
+# name: (scales lam, powers of lam by which the values move, values at lam)
+_SCALED_THRESHOLDS = {
+    "stable_general": (_LAMS, (1 / 1.2,), lambda lam: (c.stable_median_bound(
+        c.StableSpec(1.2, lam, 1.0), "general").valid_lo,)),
+    "median_linear": (_LAMS, (1 / 1.2,), lambda lam: (c.median_bound_linear(
+        m.Stable(1.2, lam), C=1.0, C_prime=1.0).valid_lo,)),
+    "quad_lower_inf_norm": (_LAMS, (1,), _quad_lower_threshold("inf_norm")),
+    "quad_lower_sup": (_LAMS, (1,), _quad_lower_threshold("sup")),
+    "quad_lower_area": (_LAMS, (1,), _quad_lower_threshold("area")),
+    "inverse_gamma_stable": (_LAMS, (1 / 1.2,), lambda lam: (
+        m.inverse_gamma(m.Stable(1.2, lam), 0.1),)),
+    "inverse_gamma_quadratic": (_LAMS, (1,), lambda lam: (
+        m.inverse_gamma(m.QuadraticSpectral((lam, -0.5 * lam)), 0.1),)),
+    "two_regime_third": (_BENNETT_LAMS, (-1, 1),
+                         _two_regime_roots("third_moment")),
+    "two_regime_fourth": (_BENNETT_LAMS, (-1, 1),
+                          _two_regime_roots("fourth_moment")),
+}
+
+
+@pytest.mark.parametrize("name, lam", [
+    (name, lam) for name, (lams, _, _) in _SCALED_THRESHOLDS.items()
+    for lam in lams])
+def test_thresholds_are_scale_equivariant(name, lam):
+    """A threshold of the law at scale lam is the one at scale 1, moved
+    by its power of lam, within 1e-12 relative."""
+    _, powers, values = _SCALED_THRESHOLDS[name]
+    for got, base, power in zip(values(lam), values(1.0), powers):
+        assert got == pytest.approx(base * lam ** power, rel=1e-12, abs=0.0)
 
 
 # ----------------------------------------------------------------------

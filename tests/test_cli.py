@@ -334,7 +334,7 @@ def test_log_form_finite_at_float_limit_eigenvalues(tmp_path):
 
 def test_median_linear_on_finite_mass_model(tmp_path):
     # Total mass 0.5 stays below the target level -log(1 - q) = 0.667, so
-    # the overshoot radius is the generalized inverse: the search's low end.
+    # the overshoot radius is the generalized inverse 0.0.
     cfg = {
         "task": "bound",
         "model": {"variant": "gauss_kernel", "sigma_total": 1},
@@ -346,6 +346,27 @@ def test_median_linear_on_finite_mass_model(tmp_path):
     _, rows = _read_csv(tmp_path / "run" / "bound_curve.csv")
     assert [r[3] for r in rows] == ["1"] * 6
     assert all(0.0 < float(r[1]) < 1.0 for r in rows)
+
+
+def test_stable_median_at_large_scale(tmp_path):
+    # sigma_total = 1e6 at alpha = 0.5 moves x by 1e12: the curve is the
+    # sigma_total = 1 curve, valid at the same points.
+    curves = []
+    for sigma, x_unit in ((1.0, 1.0), (1e6, 1e12)):
+        cfg = {
+            "task": "bound",
+            "model": {"variant": "stable", "alpha": 0.5,
+                      "sigma_total": sigma},
+            "bound": {"name": "stable_median"},
+            "grid": {"x_lo": 1e3 * x_unit, "x_hi": 1e4 * x_unit,
+                     "points": 4},
+            "out": {"dir": str(tmp_path / f"run{sigma}")},
+        }
+        assert _run(tmp_path, cfg) == 0
+        _, rows = _read_csv(tmp_path / f"run{sigma}" / "bound_curve.csv")
+        assert [r[3] for r in rows] == ["1"] * 4
+        curves.append([float(r[1]) for r in rows])
+    assert curves[1] == pytest.approx(curves[0], rel=1e-12)
 
 
 def test_exact_h_bound_rows_have_four_fields(tmp_path):

@@ -146,21 +146,34 @@ def test_inverse_gamma_out_of_range():
 
 
 def test_bracket_root_rules():
-    def solve(g, **kw):
-        return m._bracket_root(g, 1e-9, 1.0, xtol=1e-15, rtol=1e-12,
-                               failure=OutOfRange("no bracket"), **kw)
+    for start in (1e-300, 1.0, 1e300):
+        for root in (1e-300, 3.0, 1e300):
+            def solve(g):
+                return m._bracket_root(g, start,
+                                       failure=OutOfRange("no bracket"))
 
-    # Doubling brackets a root above 1, halving one below the start.
-    assert solve(lambda x: x - 3.0) == pytest.approx(3.0, rel=1e-12)
-    assert solve(lambda x: x - 1e-10, halvings=10) == pytest.approx(
-        1e-10, rel=1e-12)
-    # A level already passed at the lowest end returns that end.
-    assert solve(lambda x: 1.0, halvings=3) == 1e-9 / 8
-    # No bracket, or an overflowing evaluation: the caller's error.
-    with pytest.raises(OutOfRange, match="no bracket"):
-        solve(lambda x: -1.0, doublings=5)
-    with pytest.raises(OutOfRange, match="no bracket"):
-        solve(lambda x: math.expm1(1e3 * x) - 1e300)
+            # A root up to 1e600 away on either side is bracketed and solved
+            # to 1e-13 relative, on a linear g and on one that saturates
+            # away from the root.
+            for g in (lambda x: x / root - 1.0,
+                      lambda x: math.tanh(math.log(x) - math.log(root))):
+                assert abs(solve(g) / root - 1.0) <= 1e-13
+            # A level passed down to the smallest positive float: the
+            # generalized inverse 0.0.
+            assert solve(lambda x: 1.0) == 0.0
+            assert solve(lambda x: x) == 0.0
+            # No root up to the largest float: the caller's error.
+            with pytest.raises(OutOfRange, match="no bracket"):
+                solve(lambda x: -1.0)
+            if start > root:
+                continue
+            # From below, a root just short of where g overflows is still
+            # bracketed: a step that overflows is retried with the square
+            # root of its factor. No root up to there: the caller's error.
+            assert solve(lambda x: math.expm1(x / root) - 1e300) == (
+                pytest.approx(math.log1p(1e300) * root, rel=1e-13))
+            with pytest.raises(OutOfRange, match="no bracket"):
+                solve(lambda x: math.exp(x / root) - math.inf)
 
 
 # ----------------------------------------------------------------------

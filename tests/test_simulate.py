@@ -833,10 +833,11 @@ def test_compound_mean_center_divergent_models():
     with pytest.raises(Divergent):
         sim.sample_id_compound(m.Stable(alpha=0.8, sigma_total=1.0), 0.5, 10,
                                RC, center="mean")
-    # Symmetric stable with alpha > 1 has a finite mean: allowed, drift 0.
-    batch = sim.sample_id_compound(m.Stable(alpha=1.5, sigma_total=1.0), 0.5,
-                                   10, RC, center="mean")
-    assert batch.meta["drift"] == 0.0
+    # Symmetric stable with alpha > 1 and the stochastic area have a finite
+    # mean: allowed, drift 0.
+    for model in (m.Stable(alpha=1.5, sigma_total=1.0), m.LevyArea(T=1.0)):
+        batch = sim.sample_id_compound(model, 0.5, 10, RC, center="mean")
+        assert batch.meta["drift"] == 0.0
 
 
 def test_compound_radial_inverse_table_round_trip():
