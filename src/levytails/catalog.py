@@ -8,10 +8,8 @@ regime labels.  Conventions shared across the catalog:
     center="median"        deviation from a median m(F);
     center="shifted_mean"  deviation beyond a mean-based shift recorded in
                            meta (e.g. 2 E|F|_2 for Euclidean-norm bounds).
-  * meta["transform"] tells the verifier what scalar to threshold:
-    "value" (v - center), "abs" (|v - center|), "abs_inf" (sup-norm of the
-    centered vector), "norm" (Euclidean norm, shifted by
-    meta["shift_mult"] times its own mean).
+  * meta["transform"] (with "shift_mult" and "audit_lo") tells the
+    verifier how to read the bound; the table is in levytails.verify.
   * Vacuous values (closed form > 1) are clamped to 1 and labelled
     "vacuous" by regime(); they are never hidden.
   * Lower bounds are asymptotic: valid_lo is a soft threshold (smallest x

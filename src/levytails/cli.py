@@ -511,7 +511,6 @@ def _run_verify(cfg: dict, out_dir: Path, phase: dict) -> int:
     phase["op"] = "verify/sample"
     batch = _run_sampler(model_cfg, model, mc)
     phase["op"] = "verify/center"
-    values = batch.values
     center_se = None
     if bound.center == "median":
         med = empirical_median(batch)
@@ -519,9 +518,9 @@ def _run_verify(cfg: dict, out_dir: Path, phase: dict) -> int:
         estimates = {"median": med["median"], "median_ci_lo": med["ci_lo"],
                      "median_ci_hi": med["ci_hi"]}
     else:
-        # At center 0 the "norm" deviation is the norm itself.
+        # A shifted mean is a multiple of the mean deviation at center 0.
         base = deviation_values(batch, bound, 0.0)[0] \
-            if bound.meta.get("transform") == "norm" else values
+            if bound.center == "shifted_mean" else batch.values
         center = float(base.mean())
         center_se = float(base.std() / np.sqrt(base.shape[0]))
         estimates = {"mean": center, "mean_se": center_se}

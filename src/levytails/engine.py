@@ -97,7 +97,7 @@ class TailBound:
     flags such points instead. regime_fn labels which expression/regime
     produced the value at x (constant label for single-regime bounds).
     meta carries auxiliary information for verification (e.g. the shift
-    added to the center, or transform="abs" for norm-type bounds).
+    added to the center, or transform="norm" for norm-type bounds).
     grid_fn, when set, evaluates an array of in-range points at once
     (NaN where a point fails); engine-backed bounds use it to walk the
     sorted grid on the Legendre route, each root solve bracketed from the

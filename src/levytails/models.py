@@ -135,7 +135,12 @@ class Stable(_Radial):
         return r ** (-1.0 - self.alpha)
 
     def tail_mass(self, R: float) -> float:
-        return self.sigma_total * R ** (-self.alpha) / self.alpha
+        try:
+            return self.sigma_total * R ** (-self.alpha) / self.alpha
+        except OverflowError:  # R^(-alpha) past the float range: in logs
+            log_mass = (math.log(self.sigma_total / self.alpha)
+                        - self.alpha * math.log(R))
+            return math.exp(log_mass) if log_mass < _LOG_HUGE else math.inf
 
     # The analytic envelope sigma/(alpha R^alpha) is the tail mass itself.
     gamma_envelope = tail_mass
@@ -419,6 +424,7 @@ def _quad(f, a, b, **kw) -> float:
 _ROOT_RTOL = 1e-13
 _TINY = math.ulp(0.0)
 _HUGE = sys.float_info.max
+_LOG_HUGE = math.log(_HUGE)
 
 
 def _bracket_root(g, start: float, *, failure: Exception) -> float:

@@ -8,8 +8,9 @@ strictly above it.  Multiplicity is controlled by capping audit grids at
 20 points rather than by widening the bands.
 
 Centering: every catalog bound states its center ("mean", "median" or
-"shifted_mean") and, in ``meta["transform"]``, how raw samples map to the
-deviation variable the bound constrains:
+"shifted_mean") and, in ``meta["transform"]`` ("value" if unset), how raw
+samples map to the deviation variable the bound constrains (an unknown
+transform, or a meta key the audit would not read, is refused):
 
 ``"value"``    d = v - center              (one-sided deviation)
 ``"abs"``      d = |v - center|            (two-sided deviation)
@@ -273,43 +274,47 @@ def empirical_tail(batch, x_grid, *, meta: dict | None = None) -> TailCurve:
     return TailCurve(x_grid, p_hat, ci_lo, ci_hi, n, curve_meta)
 
 
+def _reading(bound: TailBound) -> tuple:
+    """The one reader of ``bound``'s audit keys: its transform, the multiple
+    of the center a raw value loses (``shift_mult``, "norm" only) and a lower
+    bound's window start (``audit_lo``); a key never read is refused."""
+    meta = bound.meta
+    transform = meta.get("transform", "value")
+    if transform not in ("value", "abs", "abs_inf", "norm"):
+        fault = f"unknown transform {transform!r}"
+    elif "shift_mult" in meta and transform != "norm":
+        fault = f"shift_mult is read only by 'norm', not {transform!r}"
+    elif "audit_lo" in meta and bound.direction != "lower":
+        fault = "audit_lo is read only for a lower bound"
+    else:
+        return (transform, float(meta.get("shift_mult", 1.0)),
+                float(meta.get("audit_lo", 0.0)))
+    raise PreconditionViolated(f"bound {bound.name!r}: {fault}")
+
+
 def deviation_values(batch, bound: TailBound, center_estimate: float):
     """Map raw samples to the deviation variable of ``bound``.
 
     Returns ``(values, meta)`` where ``meta`` records the transform so a
     curve built from these values can be matched to the bound later.
     """
-    values = np.asarray(getattr(batch, "values", batch), dtype=np.float64)
-    if values.size == 0:
-        raise EmptyBatch("batch contains no samples")
-    transform = bound.meta.get("transform", "value")
+    values = _values_1d(batch)
+    transform, mult, _ = _reading(bound)
     center = float(center_estimate)
     shift = 0.0
-    if transform == "value":
-        out = values - center
-        if out.ndim != 1:
-            raise PreconditionViolated(
-                "transform 'value' needs scalar samples"
-            )
-    elif transform == "abs":
-        out = values - center
-        np.abs(out, out=out)
-        if out.ndim != 1:
-            raise PreconditionViolated("transform 'abs' needs scalar samples")
-    elif transform == "abs_inf":
-        out = values - center
-        np.abs(out, out=out)
-        if out.ndim == 2:
-            out = out.max(axis=1)
-        elif out.ndim != 1:
-            raise PreconditionViolated("values must be 1-D or 2-D")
-    elif transform == "norm":
-        norms = np.abs(values) if values.ndim == 1 else np.linalg.norm(
-            values, axis=1)
-        shift = bound.meta.get("shift_mult", 1.0) * center
-        out = norms - shift
+    if transform == "norm":
+        shift = mult * center
+        out = (np.abs(values) if values.ndim == 1
+               else np.linalg.norm(values, axis=1)) - shift
     else:
-        raise PreconditionViolated(f"unknown transform {transform!r}")
+        out = values - center
+        if transform != "value":
+            np.abs(out, out=out)
+        if transform == "abs_inf" and out.ndim == 2:
+            out = out.max(axis=1)
+        if out.ndim != 1:
+            raise PreconditionViolated(f"transform {transform!r} cannot "
+                                       f"read samples of shape {values.shape}")
     meta = {"transform": transform, "center": center, "shift": shift}
     return out, meta
 
@@ -402,9 +407,8 @@ def _audit_points(curve: TailCurve, bound: TailBound, deviations: np.ndarray,
     VIOLATION calls (family level 1% split over the audited points).
     """
     values, regimes, valid = bound.evaluate_grid(deviations)
-    audited = np.asarray(valid, dtype=bool).copy()
-    if bound.direction == "lower":
-        audited &= deviations >= audit_lo
+    in_window = (deviations >= audit_lo) | (bound.direction != "lower")
+    audited = np.asarray(valid, dtype=bool) & in_window
     m = int(np.count_nonzero(audited))
     informative = (values[audited] < 1.0 if bound.direction == "upper"
                    else values[audited] > 0.0)
@@ -417,7 +421,7 @@ def _audit_points(curve: TailCurve, bound: TailBound, deviations: np.ndarray,
         d = float(deviations[i])
         if not valid[i]:
             verdict = "out_of_range"
-        elif bound.direction == "lower" and d < audit_lo:
+        elif not in_window[i]:
             verdict = "informational"
         else:
             verdict = _point_verdict(bound.direction, curve.p_hat[i],
@@ -467,18 +471,12 @@ def audit_bound(curve: TailCurve, bound: TailBound, center_estimate,
             f"(got {len(curve.x_grid)}); thin the grid"
         )
     center = float(center_estimate)
-    transform = bound.meta.get("transform", "value")
+    transform, mult, audit_lo = _reading(bound)
     curve_transform = curve.meta.get("transform", "raw")
     if curve_transform == "raw":
         # Raw scalar curve: re-express the grid as deviations.  For "abs"
         # bounds this audits the (sound) one-sided reading of the claim.
-        if transform in ("value", "abs", "abs_inf"):
-            deviations = curve.x_grid - center
-        elif transform == "norm":
-            shift = bound.meta.get("shift_mult", 1.0) * center
-            deviations = curve.x_grid - shift
-        else:
-            raise PreconditionViolated(f"unknown transform {transform!r}")
+        deviations = curve.x_grid - mult * center
     elif curve_transform == transform:
         recorded = float(curve.meta.get("center", math.nan))
         scale = max(1.0, abs(center))
@@ -494,13 +492,11 @@ def audit_bound(curve: TailCurve, bound: TailBound, center_estimate,
             f"{transform!r}; rebuild the curve with deviation_values"
         )
 
-    audit_lo = float(bound.meta.get("audit_lo", 0.0))
     points, decision = _audit_points(curve, bound, deviations, audit_lo)
     verdict = _overall_verdict(bound.direction, [p.verdict for p in points])
 
     sensitivity = None
     if center_se is not None and bound.center in ("mean", "shifted_mean"):
-        mult = bound.meta.get("shift_mult", 1.0) if transform == "norm" else 1.0
         sensitivity = {"center_se": float(center_se)}
         for label, sgn in (("center_minus_2se", -1.0), ("center_plus_2se", 1.0)):
             shifted = deviations - sgn * 2.0 * float(center_se) * mult

@@ -113,6 +113,38 @@ def test_bennett_is_exact_chernoff_transform():
 
 
 # ----------------------------------------------------------------------
+# FunctionalProfile and StableSpec validation
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"alpha2": -1.0}, "alpha2 must be >= 0"),
+    ({"lip_c": 0.0}, "lip_c must be > 0"),
+    ({"beta": (1.0, -0.5)}, "beta entries must be >= 0"),
+    ({"n": 0}, "n must be >= 1"),
+], ids=["alpha2", "lip_c", "beta", "n"])
+def test_functional_profile_rejects_bad_fields(kwargs, fragment):
+    with pytest.raises(InvalidProfile, match=fragment):
+        c.FunctionalProfile(**{"K": 1.0, "alpha2": 1.0, **kwargs})
+
+
+def test_functional_profile_betas_length_mismatch():
+    prof = c.FunctionalProfile(K=1.0, alpha2=1.0, beta=(1.0, 2.0), n=3)
+    with pytest.raises(InvalidProfile, match="expected 1 or n=3"):
+        prof.betas()
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"alpha": 0.0}, "alpha must lie strictly in"),
+    ({"alpha": 2.0}, "alpha must lie strictly in"),
+    ({"sigma_total": 0.0}, "sigma_total must be > 0"),
+    ({"lip_c": -1.0}, "lip_c must be > 0"),
+], ids=["alpha_0", "alpha_2", "sigma_total", "lip_c"])
+def test_stable_spec_rejects_bad_fields(kwargs, fragment):
+    with pytest.raises(InvalidProfile, match=fragment):
+        c.StableSpec(**{"alpha": 1.2, "sigma_total": 1.0, **kwargs})
+
+
+# ----------------------------------------------------------------------
 # product_h
 # ----------------------------------------------------------------------
 
@@ -834,6 +866,22 @@ def test_id_lower_frozen_stable_point():
     assert curve.center == "median"
     assert curve.regime(5.0) == "one_jump"
     assert curve.meta["transform"] == "abs"
+
+
+def test_id_lower_where_the_stable_tail_mass_overflows():
+    # R^(-alpha) overflows at R = 2e-300: the tail mass is infinite, so
+    # one jump reaches 2x with probability 1 and the bound is 1/4.
+    mod = m.Stable(alpha=1.2, sigma_total=1.0)
+    assert m.tail_mass(mod, 1e-300) == math.inf
+    assert m.gamma_envelope(mod, 1e-300) == math.inf
+    # where R^(-alpha) overflows but the mass is a float, it is the mass
+    assert m.tail_mass(m.Stable(1.2, 1e-300), 1e-300) == pytest.approx(
+        1e60 / 1.2, rel=1e-12)
+    values, regimes, valid = c.id_lower_curve(mod).evaluate_grid(
+        np.linspace(1e-300, 1e-299, 4))
+    assert valid.all()
+    assert values.tolist() == [0.25] * 4
+    assert regimes == ["one_jump"] * 4
 
 
 def test_id_lower_monotone_and_vanishing():

@@ -177,6 +177,23 @@ def test_mc_count_cap_enforced(tmp_path, capsys, monkeypatch, task, flags):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("count, fragment", [
+    (1000.0, "must be an integer, got 1000.0"),
+    (True, "must be an integer, got True"),
+    (0, "must be >= 1, got 0"),
+    (cli._MAX_COUNT + 1, f"capped at {cli._MAX_COUNT}"),
+], ids=["float", "bool", "below_minimum", "above_cap"])
+def test_mc_count_must_be_an_integer_in_range(tmp_path, capsys, count,
+                                              fragment):
+    cfg = {"task": "simulate", "model": {"variant": "quadratic",
+                                         "eigs": [1.0]},
+           "mc": {"count": count}, "out": {"dir": str(tmp_path / "run")}}
+    assert _run(tmp_path, cfg) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: mc.count: {fragment}")
+    assert not (tmp_path / "run").exists()
+
+
 _QUADRATIC = {"variant": "quadratic", "eigs": [1.0, 0.5]}
 _AREA = {"variant": "levy_area", "T": 1.0}
 _STABLE = {"variant": "stable", "alpha": 1.2, "sigma_total": 1.0}

@@ -346,6 +346,66 @@ def test_audit_center_handling(exp_million):
         audit_bound(dev_curve, value_bound, 1.0)
 
 
+_UNREAD = [
+    ("nrom", {"transform": "nrom"}, "unknown transform 'nrom'"),
+    ("value-shift", {"transform": "value", "shift_mult": 2.0},
+     "shift_mult is read only by 'norm'"),
+    ("upper-lo", {"audit_lo": 1.0}, "audit_lo is read only for a lower bound"),
+]
+
+
+@pytest.mark.parametrize("name, meta, fragment", _UNREAD,
+                         ids=[u[0] for u in _UNREAD])
+def test_audit_refuses_a_reading_it_would_not_use(exp_million, name, meta,
+                                                  fragment):
+    # A misspelt transform, a shift on a bound that is not "norm" and an
+    # audit start on an upper bound would each be ignored; each is refused
+    # naming the bound, on a raw curve, on a deviation curve that carries
+    # the bound's own transform, and in deviation_values.
+    bound = TailBound(name=name, fn=lambda x: 1.0, meta=meta)
+    grid = np.linspace(0.5, 4.0, 8)
+    curves = [empirical_tail(exp_million[:10_000], grid),
+              empirical_tail(exp_million[:10_000], grid,
+                             meta={"transform": meta.get("transform",
+                                                         "value")})]
+    refusal = f"bound {name!r}: {fragment}"
+    for curve in curves:
+        with pytest.raises(PreconditionViolated, match=refusal):
+            audit_bound(curve, bound, 0.0)
+    with pytest.raises(PreconditionViolated, match=refusal):
+        deviation_values(_batch(exp_million[:100]), bound, 0.0)
+
+
+def test_audit_norm_reading_on_raw_curves(exp_million):
+    """A "norm" bound audited on a raw curve of norms reads each grid
+    point x as x - shift_mult * center: the same points as the curve whose
+    grid is already shifted; its +-2 SE rows move by shift_mult * SE."""
+    seen = []
+
+    def record(ds):
+        seen.append(ds.copy())
+        return np.exp(-ds)
+
+    bound = TailBound(name="norm", fn=lambda x: math.exp(-x),
+                      grid_fn=record, center="shifted_mean",
+                      valid_lo=-math.inf,
+                      meta={"transform": "norm", "shift_mult": 2.0})
+    center, se = 0.75, 0.01
+    raw = empirical_tail(exp_million, np.linspace(1.0, 6.0, 11))
+    shifted = TailCurve(raw.x_grid - 1.5, raw.p_hat, raw.ci_lo, raw.ci_hi,
+                        raw.count, {"transform": "norm", "center": center})
+    r_raw = audit_bound(raw, bound, center, center_se=se)
+    r_shifted = audit_bound(shifted, bound, center)
+    assert [p.deviation for p in r_raw.points] == (
+        raw.x_grid - 1.5).tolist()
+    for p_raw, p_shifted in zip(r_raw.points, r_shifted.points):
+        assert {**p_raw.__dict__, "x": 0.0} == {**p_shifted.__dict__,
+                                                "x": 0.0}
+    base, minus, plus = seen[:3]
+    assert minus == pytest.approx(base + 2.0 * 2.0 * se, rel=0, abs=1e-15)
+    assert plus == pytest.approx(base - 2.0 * 2.0 * se, rel=0, abs=1e-15)
+
+
 def test_audit_grid_cap(exp_million):
     curve = empirical_tail(exp_million[:1000], np.linspace(0.1, 4.0, 21))
     with pytest.raises(PreconditionViolated):
