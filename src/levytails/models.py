@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import exp1, gammainc, polygamma, psi, zeta
 
 from .engine import _brent
 from .errors import (
@@ -255,13 +254,13 @@ class QuadraticSpectral(_LevyMeasure):
     def tail_mass(self, R: float) -> float:
         a = self.abs_eigs()
         a = a[a > 0.0]
-        return float(0.5 * exp1(R / a).sum())
+        return float(0.5 * _special().exp1(R / a).sum())
 
     def truncated_abs_moment(self, k: int, R: float) -> float:
         # (1/2) int_0^R y^{k-1} e^{-y/a} dy = (1/2) a^k (k-1)! P(k, R/a)
         a = self.abs_eigs()
         a = a[a > 0.0]
-        reg = gammainc(k, R / a) if math.isfinite(R) else 1.0
+        reg = _special().gammainc(k, R / a) if math.isfinite(R) else 1.0
         return float(0.5 * math.factorial(k - 1) * np.sum(a ** k * reg))
 
     def exp_weighted_moment(self, k: int, t: float, R: float, side: str):
@@ -310,6 +309,7 @@ class QuadraticSpectral(_LevyMeasure):
         # tail; the jump carries the eigenvalue's sign.
         a = np.asarray(self.eigs, dtype=np.float64)
         a = a[a != 0.0]
+        exp1 = _special().exp1
         weights = 0.5 * exp1(eps / np.abs(a))
         a = a[weights > 0.0]            # eigenvalues with no mass beyond eps
         weights = weights[weights > 0.0]
@@ -405,6 +405,15 @@ def _expm1_over_sinh(t: float, b: float, y: float) -> float:
     if z > 350.0:
         return 2.0 * (math.exp(min((t - b) * y, 690.0)) - math.exp(-z))
     return math.expm1(min(t * y, 690.0)) / math.sinh(z)
+
+
+def _special():
+    # Imported on first use, as in _quad: scipy.special adds about 0.2 s to a
+    # cold start, and only the quadratic model's tail masses, truncated
+    # moments and jump tables, and the auditor's quantiles, need it.
+    from scipy import special
+
+    return special
 
 
 def _quad(f, a, b, **kw) -> float:
@@ -592,13 +601,51 @@ def truncated_abs_moment(model: LevyModel, k: int, R: float = math.inf) -> float
 # Exponentially weighted moments
 # ----------------------------------------------------------------------
 
-# Taylor coefficients C(m+k-1, k-1) zeta(m+k, 1/2), m = 1..24, of
-# sum_n [(n + 1/2 - d)^{-k} - (n + 1/2)^{-k}] in d, for k = 1 and 3. The
-# series is used for d <= 0.05, where its ratio is about 2d <= 0.1, so the
-# 24th term is ~1e-21 of the first.
+# Bernoulli numbers B_2, B_4, ..., B_20 of the Euler-Maclaurin tail below.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510, 43867 / 798, -174611 / 330)
+# The tail starts at x >= s + _EM_START, where its first omitted term is
+# below 1e-17 of the sum for every s <= 27.
+_EM_START = 8
+
+
+def _hurwitz_zeta(s: int, a: float) -> float:
+    """zeta(s, a) = sum_{n >= 0} (n + a)^{-s} for integer s >= 2, a > 0.
+
+    The terms below x = a + n >= s + 8 are summed directly, then the
+    Euler-Maclaurin tail x^{1-s}/(s-1) + x^{-s}/2
+    + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) x^{1-s-2j} (Johansson 2015, Numer.
+    Algorithms 69:253). a + i is rarely a float, and its rounding would
+    cost s times its relative error, so each shift carries its exact
+    rounding error to first order. Within 4e-16 relative for s <= 27.
+    """
+    n = max(0, math.ceil(s + _EM_START - a))
+    parts = []
+    for i in range(n + 1):
+        x = a + i
+        back = x - a
+        err = (a - (x - back)) + (i - back)     # a + i = x + err exactly
+        xs = x ** -s
+        parts.append(xs)
+        parts.append(-s * err * xs / x)         # (x + err)^{-s}, first order
+    parts[-2] *= 0.5                            # the tail takes half of f(x)
+    parts[-1] *= 0.5
+    parts.append((x / (s - 1) - err) * xs)
+    rise = 0.5 * s * xs / x     # s(s+1)...(s+2j-2)/(2j)! x^{1-s-2j} at j = 1
+    w = 1.0 / (x * x)
+    for j, b in enumerate(_BERNOULLI, 1):
+        parts.append(b * rise)
+        rise *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2)) * w
+    return math.fsum(parts)
+
+
+# Taylor coefficients C(m+k-1, k-1) zeta(m+k, 5/2), m = 1..24, of
+# sum_{n >= 2} [(n + 1/2 - d)^{-k} - (n + 1/2)^{-k}] in d, for k = 1 and 3.
+# Their ratio is about 2d/5 < 1/5 on 0 <= d < 1/2, so the omitted terms are
+# below 1e-17 of the moment.
 _AREA_SERIES = {
-    k: np.array([math.comb(m + k - 1, k - 1) * float(zeta(m + k, 0.5))
-                 for m in range(1, 25)])
+    k: tuple(math.comb(m + k - 1, k - 1) * _hurwitz_zeta(m + k, 2.5)
+             for m in range(1, 25))
     for k in (1, 3)
 }
 
@@ -607,22 +654,29 @@ def _levy_area_exp_moment(k: int, t: float, c: float) -> float:
     """int_0^inf y^{k-1} (e^{t y} - 1)/sinh(c y) dy, k in {1, 3}, 0 < t < c.
 
     With 1/sinh(c y) = 2 sum_n e^{-(2n+1) c y} the integral is
-    2 (k-1)!/(2c)^k sum_n [(n + a)^{-k} - (n + 1/2)^{-k}], a = 1/2 - t/(2c):
-    (psi(1/2) - psi(a))/c for k = 1 and (zeta(3, a) - zeta(3, 1/2))/(2c^3)
-    for k = 3. For t/c <= 0.1 the difference cancels (4e-11 relative error
-    at t/c = 1e-6), so the all-positive Taylor series in t/(2c) is summed
-    instead.
+    2 (k-1)!/(2c)^k sum_n [(n + a)^{-k} - (n + 1/2)^{-k}], a = 1/2 - d,
+    d = t/(2c): (psi(1/2) - psi(a))/c for k = 1 and
+    (zeta(3, a) - zeta(3, 1/2))/(2c^3) for k = 3. The terms n = 0 and 1
+    are formed as one difference each, x^{-k} - y^{-k} = (1/x - 1/y)
+    (x^{1-k} + ... + y^{1-k}) with 1/a - 2 = 2d/a and
+    1/(1 + a) - 2/3 = d/(1.5 (1 + a)); the rest is the Taylor series in d
+    about 5/2. Every part carries d and is positive, so nothing cancels,
+    as t -> 0 or near the abscissa.
     """
     scale = 1.0 / c if k == 1 else 0.5 / c ** 3
     d = 0.5 * t / c
-    if d <= 0.05:
-        return scale * d * float(np.polynomial.polynomial.polyval(
-            d, _AREA_SERIES[k]))
     # c - t is exact near the abscissa, which keeps a accurate as a -> 0.
     a = 0.5 * (c - t) / c
+    p, q = 1.0 / a, 1.0 / (1.0 + a)
     if k == 1:
-        return scale * float(psi(0.5) - psi(a))
-    return scale * float(zeta(3, a) - zeta(3, 0.5))
+        head = 2.0 * p + q / 1.5
+    else:
+        head = (2.0 * p * (p * p + 2.0 * p + 4.0)
+                + q / 1.5 * (q * q + q / 1.5 + 1.0 / 2.25))
+    acc = 0.0
+    for coef in reversed(_AREA_SERIES[k]):
+        acc = coef + acc * d
+    return scale * d * (head + acc)
 
 
 def exp_weighted_moment(model: LevyModel, k: int, t: float,
@@ -664,7 +718,7 @@ def chaos_eigenvalues(kind: str, T: float, N: int,
                      law to the path functional (matches the simulators).
 
     The dropped spectral tail sum_{k >= N} a_k^2 is computed in closed form
-    via polygamma and stored as remainder_sq.
+    from the Hurwitz zeta(4, .) and stored as remainder_sq.
     """
     if kind not in ("energy", "centered"):
         raise OutOfRange(f"kind must be 'energy' or 'centered', got {kind!r}")
@@ -678,14 +732,14 @@ def chaos_eigenvalues(kind: str, T: float, N: int,
     if kind == "energy":
         ks = np.arange(N)
         lam = 4.0 * T * T / (((2 * ks + 1) ** 2) * math.pi ** 2)
-        # sum_{k >= N} (2k+1)^{-4} = psi'''(N + 1/2)/96
+        # sum_{k >= N} (2k+1)^{-4} = zeta(4, N + 1/2)/16
         rem = (4.0 * T * T / math.pi ** 2) ** 2 \
-            * float(polygamma(3, N + 0.5)) / 96.0
+            * _hurwitz_zeta(4, N + 0.5) / 16.0
     else:
         ks = np.arange(1, N + 1)
         lam = T * T / ((ks ** 2) * math.pi ** 2)
-        # sum_{k >= N+1} k^{-4} = psi'''(N + 1)/6
-        rem = (T * T / math.pi ** 2) ** 2 * float(polygamma(3, N + 1)) / 6.0
+        # sum_{k >= N+1} k^{-4} = zeta(4, N + 1)
+        rem = (T * T / math.pi ** 2) ** 2 * _hurwitz_zeta(4, N + 1.0)
     if convention == "pathwise":
         lam = 2.0 * lam
         rem = 4.0 * rem

@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _special
 
 from .engine import TailBound
 from .errors import (
@@ -57,6 +56,7 @@ from .errors import (
     InsufficientTail,
     PreconditionViolated,
 )
+from .models import _special
 
 __all__ = [
     "TailCurve",
@@ -75,8 +75,9 @@ _LEVEL = 0.99
 # Audit grids are capped at this many points (multiplicity control).
 _MAX_AUDIT_POINTS = 20
 # z-score matching the one-sided 99% level, used to convert band widths
-# into log-space standard errors for the slope fit.
-_Z99 = float(_special.ndtri(_LEVEL))
+# into log-space standard errors for the slope fit: ndtri(0.99), a literal
+# so that importing the module loads no scipy.
+_Z99 = 2.3263478740408408
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +203,10 @@ def _clopper_pearson(k: np.ndarray, n: int, alpha: float = 1.0 - _LEVEL):
     lo = np.zeros(k.shape, dtype=np.float64)
     hi = np.ones(k.shape, dtype=np.float64)
     pos = k > 0
-    lo[pos] = _special.betaincinv(k[pos], n - k[pos] + 1, alpha)
+    betaincinv = _special().betaincinv
+    lo[pos] = betaincinv(k[pos], n - k[pos] + 1, alpha)
     below = k < n
-    hi[below] = _special.betaincinv(k[below] + 1, n - k[below], 1.0 - alpha)
+    hi[below] = betaincinv(k[below] + 1, n - k[below], 1.0 - alpha)
     return lo, hi
 
 
@@ -215,9 +217,10 @@ def _binom_ppf(q: float, n: int) -> int:
     already reaches q there. At the two levels empirical_median uses,
     this gives scipy's binom.ppf ranks.
     """
-    k = math.ceil(_special.bdtrik(q, n, 0.5))
+    special = _special()
+    k = math.ceil(special.bdtrik(q, n, 0.5))
     below = max(k - 1, 0)
-    return below if _special.bdtr(below, n, 0.5) >= q else k
+    return below if special.bdtr(below, n, 0.5) >= q else k
 
 
 def _values_1d(batch) -> np.ndarray:

@@ -956,53 +956,96 @@ def test_sweep_run_must_be_subtask_name(tmp_path, capsys):
 # cold start
 # ----------------------------------------------------------------------
 
-_COLD_START = """
-import json, runpy, sys
-heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+_SCIPY_MODULES = """
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+"""
+
+_COLD_START = _SCIPY_MODULES + """
+import json, runpy
 loaded = {}
 import levytails
-loaded["import levytails"] = [m for m in heavy if m in sys.modules]
+loaded["import levytails"] = scipy_modules()
 import levytails.cli
-loaded["import levytails.cli"] = [m for m in heavy if m in sys.modules]
+loaded["import levytails.cli"] = scipy_modules()
 sys.argv = ["levytails", sys.argv[1]]
 try:
     runpy.run_module("levytails", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     loaded["exit"] = exc.code
-loaded["python -m levytails"] = [m for m in heavy if m in sys.modules]
+loaded["python -m levytails"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
+# (artifact, config, whether the run may load scipy.special)
 _COLD_START_CONFIGS = (
     ("bound_curve.csv", {
         "task": "bound",
         "bound": {"name": "bennett", "K": 1.0, "alpha2": 1.0},
-        "grid": {"x_lo": 0.25, "x_hi": 5.0, "points": 20}}),
+        "grid": {"x_lo": 0.25, "x_hi": 5.0, "points": 20}}, False),
+    ("bound_curve.csv", {
+        "task": "bound",
+        "model": {"variant": "quadratic",
+                  "generator": {"kind": "energy", "T": 1.0, "N": 500}},
+        "bound": {"name": "quad_wiener", "form": "exact_h"},
+        "grid": {"x_lo": 0.2, "x_hi": 3.0, "points": 12}}, False),
     ("verify_report.json", {
         "task": "verify",
         "model": {"variant": "stable", "alpha": 1.2, "sigma_total": 1.0},
         "bound": {"name": "stable_median"},
         "grid": {"x_lo": 12.0, "x_hi": 60.0, "points": 10},
-        "mc": {"count": 20_000, "seed": 1}}),
+        "mc": {"count": 20_000, "seed": 1}}, True),
 )
 
 
-def test_cold_start_loads_no_heavy_scipy(tmp_path):
-    # A fresh process that imports the package and runs a Bennett bound, or
-    # builds a Stable model and audits its median bound, pays for
-    # scipy.special only: scipy.stats, scipy.integrate and scipy.optimize
-    # stay unloaded.
+def _fresh_scipy_modules(code, *args):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    for i, (artifact, cfg) in enumerate(_COLD_START_CONFIGS):
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cold_start_loads_no_heavy_scipy(tmp_path):
+    # A fresh process that imports the package and runs a Bennett bound or
+    # an exact_h bound on the N = 500 energy spectrum loads no scipy module.
+    # Building a Stable model and auditing its median bound loads what
+    # importing scipy.special loads, for the auditor's quantiles, and no
+    # more: scipy.stats, scipy.integrate and scipy.optimize stay unloaded.
+    special = _fresh_scipy_modules(
+        _SCIPY_MODULES + "import json, scipy.special\n"
+                         "print(json.dumps(scipy_modules()))")
+    assert "scipy.special" in special
+    for i, (artifact, cfg, may_load_special) in enumerate(_COLD_START_CONFIGS):
         run = tmp_path / f"run{i}"
         path = tmp_path / f"config{i}.json"
         path.write_text(json.dumps({**cfg, "out": {"dir": str(run)}}))
-        proc = subprocess.run([sys.executable, "-c", _COLD_START, str(path)],
-                              capture_output=True, text=True, env=env,
-                              timeout=120, check=True)
-        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        loaded = _fresh_scipy_modules(_COLD_START, str(path))
+        ran = loaded.pop("python -m levytails")
         assert loaded == {"import levytails": [], "import levytails.cli": [],
-                          "exit": 0, "python -m levytails": []}, artifact
+                          "exit": 0}, i
+        if may_load_special:
+            assert set(ran) <= set(special), sorted(set(ran) - set(special))
+        else:
+            assert ran == [], i
         assert (run / artifact).exists()
+
+
+def test_area_product_bound_loads_no_scipy():
+    # product_h on LevyArea sums the area's exponential moments from a
+    # series whose coefficients come from the package's own Hurwitz zeta.
+    loaded = _fresh_scipy_modules(_SCIPY_MODULES + """
+import json, math
+import levytails as lt
+from levytails.models import LevyArea
+h = lt.product_h(lt.FunctionalProfile(K=1.0, alpha2=1.0), LevyArea(math.pi),
+                 "shared_beta")
+values, _, valid = lt.tail_bound_from_h(h).evaluate_grid([0.5, 1.25, 3.0])
+assert valid.all() and 0.0 < values[-1] < values[0] < 1.0, values
+print(json.dumps(scipy_modules()))
+""")
+    assert loaded == []

@@ -291,6 +291,28 @@ def test_invert_never_probes_the_same_t_twice(f, t_end):
         assert len(set(h_fn.args)) == len(h_fn.args), (s, h_fn.args)
 
 
+def test_solve_inverse_on_a_finite_domain():
+    # From lo >= t_end/2 the first probe, 2 lo, is clamped to halfway
+    # between lo and t_end.
+    h_fn = _Counted(lambda t: t / (1.0 - t))
+    h = HFunction(h_fn, t_end=1.0)
+    t, v = engine._solve_inverse(h, 9.0, 0.6, 1.5)
+    assert t == pytest.approx(0.9, rel=1e-14) and v == h_fn.f(t)
+    assert h_fn.args[:2] == [0.8, 0.9]
+    # Below s up to t_end: the probes close in on t_end, then give up.
+    capped = HFunction(lambda t: t, t_end=1.0)
+    with pytest.raises(OutOfRange, match="stays below s=2.0 up to t_end"):
+        engine._solve_inverse(capped, 2.0)
+
+
+def test_solve_inverse_restarts_below_an_overshooting_start():
+    # A previous root may overshoot s by its tolerance, so h(lo) > s: the
+    # bracket then restarts from 0.
+    lo = 1.0 + 2.0 ** -52
+    assert engine._solve_inverse(HFunction(lambda t: t), 1.0, lo, lo) == \
+        (1.0, 1.0)
+
+
 def test_invert_nan_raises_at_first_nan_probe():
     h_fn = _Counted(lambda t: t if t < 5.0 else math.nan)
     h = HFunction(h_fn, name="nan above 5")
@@ -410,6 +432,16 @@ def test_brent_error_parity(f, a, b, error):
     (ref, _), (port, _) = _brent_vs_brentq(f, a, b, 1e-15, 1e-12)
     assert ref[0] == error
     assert port == ref
+
+
+def test_brent_rejects_an_underflowing_extrapolation_step():
+    # With values near 1e-300 the inverse quadratic step's denominator
+    # underflows to 0: the port's ZeroDivisionError, an infinite or NaN
+    # step in brentq.c, and both bisect.
+    (ref, ref_calls), (port, port_calls) = _brent_vs_brentq(
+        lambda x: 1e-300 * (x ** 3 - 0.2), 0.0, 1.0, 1e-15, 1e-12)
+    assert port == ref and port_calls == ref_calls - 2
+    assert float.fromhex(port) == pytest.approx(0.2 ** (1 / 3), rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ no code with the implementations they check.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -310,6 +311,83 @@ def test_levy_area_exp_moment_near_abscissa():
         pytest.approx(float(want), rel=1e-12)
 
 
+# The Euler-Maclaurin kernel: a geometric grid over [1e-12, 1e3], and points
+# just below a power of two, where a + n loses a bit of a.
+_KERNEL_A = sorted({float(a) for a in np.geomspace(1e-12, 1e3, 61)}
+                   | {7.999999999, 31.622776601683793, 511.891014872216})
+
+
+def _zeta_oracle(s, a):
+    # zeta(s, a) = (-1)^s psi^(s-1)(a)/(s-1)!: mpmath's own zeta(s, a) loses
+    # up to 1e-9 relative at 40 digits (s = 27, a = 316); its polygamma
+    # agrees with zeta at 150 digits.
+    return (-1) ** s * mpmath.psi(s - 1, a) / mpmath.factorial(s - 1)
+
+
+def _rel_err(got, want):
+    return abs(mpmath.mpf(got) / want - 1)
+
+
+@pytest.mark.parametrize("s", range(2, 28))
+def test_hurwitz_zeta_matches_mpmath(s):
+    with mpmath.workdps(40):
+        for a in _KERNEL_A:
+            want = _zeta_oracle(s, a)
+            if want > sys.float_info.max:       # a^(-s) beyond the floats
+                continue
+            assert _rel_err(m._hurwitz_zeta(s, a), want) <= 1e-15, a
+
+
+def test_levy_area_exp_moment_within_1e_15():
+    # Oracle in 40 digits at the moment's own doubles t and c, from t/c =
+    # 1e-12 up to 1e-12 below the abscissa: the head terms and the series
+    # about 5/2 leave nothing to cancel at either end.
+    rs = [float(r) for r in np.geomspace(1e-12, 0.999, 40)]
+    rs += [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+    for T in (math.pi, 1.0, 2.7):
+        c = math.pi / T
+        for r in rs:
+            t = r * c
+            with mpmath.workdps(40):
+                a = (mpmath.mpf(c) - t) / (2 * mpmath.mpf(c))
+                m1 = (mpmath.digamma(0.5) - mpmath.digamma(a)) / c
+                m3 = (mpmath.zeta(3, a) - mpmath.zeta(3, 0.5)) / (2 * c ** 3)
+                for k, want in ((1, m1), (3, m3)):
+                    got = m._levy_area_exp_moment(k, t, c)
+                    assert _rel_err(got, want) <= 1e-15, (T, r, k)
+
+
+def test_area_series_matches_mpmath():
+    with mpmath.workdps(40):
+        for k in (1, 3):
+            series = m._AREA_SERIES[k]
+            assert len(series) == 24
+            for j, got in enumerate(series, 1):
+                want = math.comb(j + k - 1, k - 1) * _zeta_oracle(j + k, 2.5)
+                assert _rel_err(got, want) <= 1e-15, (k, j)
+
+
+@pytest.mark.parametrize("mod, k, t", [
+    (m.QuadraticSpectral((1.0, 0.5, -0.3)), 1, 0.5),
+    (m.QuadraticSpectral((1.0, 0.5, -0.3)), 3, 0.5),
+    (m.LevyArea(math.pi), 1, 0.05),
+    (m.LevyArea(math.pi), 3, 0.05),
+    (m.LevyArea(math.pi), 1, 0.9),
+    (m.LevyArea(math.pi), 3, 0.9),
+], ids=lambda v: type(v).__name__ if isinstance(v, m._LevyMeasure) else v)
+def test_finite_r_exp_moment_grows_to_the_closed_form(mod, k, t):
+    # Quadrature at finite R shares no code with the closed forms at
+    # R = inf, whose area series comes from _hurwitz_zeta. At R = 400 the
+    # area's integrand takes _expm1_over_sinh's branch for sinh(c y) beyond
+    # e^350.
+    for side in ("abs", "pos"):
+        vals = [m.exp_weighted_moment(mod, k, t, R, side=side)
+                for R in (0.5, 2.0, 10.0, 400.0)]
+        assert all(a < b for a, b in zip(vals, vals[1:])), side
+        full = m.exp_weighted_moment(mod, k, t, side=side)
+        assert vals[-1] == pytest.approx(full, rel=1e-8), side
+
+
 def test_exp_moment_divergence_guards():
     with pytest.raises(Divergent):
         m.exp_weighted_moment(m.QuadraticSpectral((2.0,)), 1, 0.5)
@@ -360,6 +438,25 @@ def test_remainder_matches_brute_force():
     brute = sum((4.0 / ((2 * k + 1) ** 2 * math.pi ** 2)) ** 2
                 for k in range(10, 200000))
     assert mod.remainder_sq == pytest.approx(brute, rel=1e-6)
+
+
+@pytest.mark.parametrize("convention", ["spectral", "pathwise"])
+@pytest.mark.parametrize("kind", ["energy", "centered"])
+def test_remainder_matches_mpmath_polygamma(kind, convention):
+    # sum_{k >= N} (2k+1)^{-4} = psi'''(N + 1/2)/96 and
+    # sum_{k > N} k^{-4} = psi'''(N + 1)/6, in 40 digits.
+    T = 1.3
+    for N in (1, 10, 500, 10 ** 6):
+        rem = m.chaos_eigenvalues(kind, T, N, convention).remainder_sq
+        with mpmath.workdps(40):
+            scale = mpmath.mpf(T) ** 2 / mpmath.pi ** 2
+            if kind == "energy":
+                want = (4 * scale) ** 2 * mpmath.psi(3, N + 0.5) / 96
+            else:
+                want = scale ** 2 * mpmath.psi(3, N + 1) / 6
+            if convention == "pathwise":
+                want *= 4
+            assert _rel_err(rem, want) <= 1e-15, N
 
 
 def test_pathwise_convention_doubles():
