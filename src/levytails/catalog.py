@@ -1116,8 +1116,9 @@ def two_regime_bound(K: float, alpha2: float, alpha3: float | None = None,
             f" ratio={K * K * alpha2 / alpha4!r}")
     denom = alpha2 - alpha4 / (K * K)
 
+    # Divided by s, so that g increases from g(0+) = alpha4/K^2 - denom < 0.
     def g(s: float) -> float:
-        return (alpha4 / K ** 3) * math.expm1(s * K) - s * denom
+        return (alpha4 / K ** 3) * math.expm1(s * K) / s - denom
 
     s0 = models._bracket_root(g, 1.0 / K, failure=PreconditionViolated(
         "crossover equation has no root"))

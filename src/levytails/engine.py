@@ -36,6 +36,7 @@ All functions are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -45,8 +46,8 @@ import numpy as np
 
 from .errors import NonMonotone, OutOfRange, QuadratureFailure
 
-# Tolerances fixed by contract.
-_INVERT_XTOL = 1e-15
+# Tolerances fixed by contract: roots of h to 1e-12 relative, and a
+# decrease of h by more than 1e-9 of the values compared is NonMonotone.
 _INVERT_RTOL = 1e-12
 _MONOTONE_SLACK = 1e-9
 # Internal quadrature target. Tighter than the contractual 1e-9 so that
@@ -62,8 +63,13 @@ _QUAD_REL_TOL = 1e-11
 # converge.
 _QUAD_ABS_FLOOR = 1e-14
 _MAX_EVALS = 2 ** 20
-_BRACKET_FLOOR = 1e-12
 _BRENT_MAXITER = 100
+# The bracket search hands Brent brackets within this ratio, rescaled
+# where their upper end or rise leaves [_SCALE_LO, _SCALE_HI].
+_NARROW_RATIO = 16.0
+_SCALE_LO, _SCALE_HI = 1e-100, 1e100
+_TINY = math.ulp(0.0)
+_HUGE = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,7 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
     """(x, f(x)) at a root x of f(x) = level between a and b, by Brent's
     method, given fa = f(a) and fb = f(b).
 
-    The package's one bracketing root finder. It takes the same iterates
+    The last stage of _bracket_root. It takes the same iterates
     as scipy's brentq.c (Brent 1973, "Algorithms for Minimization Without
     Derivatives", ch. 4) on the residual f - level, formed as v - level
     from each value v that f returns, so the root is brentq's with the
@@ -367,119 +373,141 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
         f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
+def _between(lo: float | None, hi: float, down: float) -> float | None:
+    """The next probe inside (lo, hi), None once there is none: hi / down
+    while nothing positive lies below, the geometric mean while hi > 16 lo,
+    then the midpoint until the gap is within 1e-15 of hi."""
+    if not lo:
+        t = max(hi / down, _TINY)
+        return t if t < hi else None
+    if hi > _NARROW_RATIO * lo:
+        return math.sqrt(lo) * math.sqrt(hi)
+    return lo + 0.5 * (hi - lo) if hi - lo > 1e-15 * hi else None
+
+
+def _check_rise(t: float, v: float, u: float, w: float) -> None:
+    """NonMonotone if f(t) = v, for t > u, is below f(u) = w by more than
+    _MONOTONE_SLACK of the two values."""
+    if v < w - _MONOTONE_SLACK * max(abs(v), abs(w)):
+        raise NonMonotone(f"h({t!r}) = {v!r} < h({u!r}) = {w!r}")
+
+
+def _bracket_root(f: Callable[[float], float], level: float,
+                  start: float | None, rtol: float, *, below=None,
+                  above=None, top: float = math.inf,
+                  failure: Exception | None = None) -> tuple[float, float]:
+    """(t, f(t)) at the smallest t > 0 with f(t) >= level, for a
+    nondecreasing f: the package's one bracket search, free of any scale.
+
+    below = (a, f(a)) with f(a) < level and above = (b, f(b)) with
+    f(b) >= level are points the caller holds (h(0) = 0, a previous root).
+    Without above, f is probed at start, then up by factors 2, 4, 16, ...
+    (each the square of the last); top, the end of f's domain or the
+    lowest point where f was NaN or raised an ArithmeticError, bounds the
+    probes, which close in on it by _between. A bracket so found is
+    narrowed to a ratio of 16: by the secant through below, if given, then
+    by _between; one the caller gave goes on as it is. Brent solves the
+    rest to rtol relative, rescaled far from unit scale (_brent_scaled).
+    Returns (0.0, NaN), the generalized inverse, where f >= level down to
+    the smallest float and nothing is known below; else f(t) is the value
+    f returned at t. Successive probes on either side are spot-checked:
+    f falling by more than 1e-9 of the values compared raises NonMonotone.
+    Where f stays below level up to top or the largest float, or fails
+    inside the bracket, raises failure (OutOfRange when it is None).
+    """
+    a, fa = below if below is not None else (None, None)
+    b, fb = above if above is not None else (None, None)
+    secant, bad, t, up, down = below is not None, None, start, 2.0, 2.0
+    while b is None or (above is None and fb != level
+                        and (not a or b > _NARROW_RATIO * a)):
+        if b is not None:  # narrow [a, b]
+            t = a + (b - a) * (level - fa) / (fb - fa) if secant else None
+            if not (secant and a < t < b):
+                t, down = _between(a, b, down), min(down * down, _HUGE)
+                if t is None:
+                    break
+            secant = False
+        elif t >= top:
+            t, down = _between(a, top, down), min(down * down, _HUGE)
+            if t is None:
+                raise failure or OutOfRange(
+                    f"h(t) stays below s={level!r} up to t_end={top!r}"
+                    if bad is None else f"{bad}, and h stays below "
+                    f"s={level!r} up to where it fails, near t={top!r}")
+        how = "is NaN"
+        try:
+            v = float(f(t))
+        except ArithmeticError as exc:
+            v, how = math.nan, f"raises {type(exc).__name__}"
+        if v != v:
+            if b is not None:
+                raise failure or OutOfRange(f"h({t!r}) {how}")
+            if bad is None:
+                bad = f"h({t!r}) {how}"
+            top = t
+            continue
+        if a is not None and v < fa:
+            _check_rise(t, v, a, fa)
+        if b is not None:
+            _check_rise(b, fb, t, v)
+        if v >= level:
+            b, fb = t, v
+            continue
+        a, fa = t, v
+        if b is None:  # step up
+            t, up = min(t * up, _HUGE), min(up * up, _HUGE)
+            if t == a:
+                raise failure or OutOfRange(
+                    f"h(t) stays below s={level!r} up to the largest float")
+    if fb == level:
+        return b, fb
+    if a is None:  # f >= level down to the smallest float
+        return 0.0, math.nan
+    try:
+        if _SCALE_LO <= b <= _SCALE_HI and _SCALE_LO <= fb - fa <= _SCALE_HI:
+            return _brent(f, a, fa, b, fb, 0.0, rtol, level)
+        return _brent_scaled(f, a, fa, b, fb, level, rtol)
+    except (ValueError, ArithmeticError) as exc:  # f fails inside [a, b]
+        raise failure or OutOfRange(str(exc)) from exc
+
+
+def _brent_scaled(f: Callable[[float], float], a: float, fa: float,
+                  b: float, fb: float, level: float,
+                  rtol: float) -> tuple[float, float]:
+    """_brent at xtol 0 on t and f(t) - level scaled by powers of two, for
+    b or fb - fa outside [1e-100, 1e100]: Brent's products of differences
+    of t and f would underflow or overflow there, and the exact scaling
+    changes no iterate where they would not."""
+    rise = fb - fa
+    k = 0 if _SCALE_LO <= b <= _SCALE_HI else math.frexp(b)[1]
+    e = (math.frexp(rise)[1] if 0.0 < rise < math.inf
+         and not _SCALE_LO <= rise <= _SCALE_HI else 0)
+    ua, ub = math.ldexp(a, -k), math.ldexp(b, -k)
+    values = {ua: fa, ub: fb}
+
+    def scaled(u: float) -> float:
+        v = values[u] = float(f(math.ldexp(u, k)))
+        return math.ldexp(v - level, -e)
+
+    u = _brent(scaled, ua, math.ldexp(fa - level, -e), ub,
+               math.ldexp(fb - level, -e), 0.0, rtol)[0]
+    return math.ldexp(u, k), values[u]
+
+
 def _solve_inverse(h: HFunction, s: float, lo: float = 0.0,
                    lo_v: float = 0.0) -> tuple[float, float]:
-    """(t, h(t)) at the root of h(t) = s above lo: probes of h, then Brent.
+    """(t, h(t)) at the root of h(t) = s above lo, by _bracket_root.
 
-    lo_v = h(lo) <= s is the caller's value (lo = lo_v = 0 always works
-    since h(0) = 0), and h(t) is the value h returned at t, so a caller
-    that goes on from t never evaluates h there again. From lo > 0 the
-    bracket grows upward: 2 lo, then doublings (halfway to t_end when
-    t_end is finite). From lo = 0 the first probe is t0 = 1 (t_end/2 when
-    t_end <= 2); below the level there, the bracket grows upward from t0
-    the same way, else it shrinks toward 0: first the secant guess
-    t0 s / h(t0) through the origin, then halvings, with [0, t] the
-    bracket once t is below 1e-12. An upward probe where h is NaN is
-    bisected against the last finite one (see _bisect_nan). Monotonicity
-    is spot-checked between successive probes on either side: h
-    decreasing by more than 1e-9 raises NonMonotone. Any other NaN value
-    of h raises OutOfRange.
+    lo_v = h(lo) is the caller's value (lo = lo_v = 0 always works since
+    h(0) = 0), and the search starts at 2 lo, or cold at min(1, t_end/2).
     """
-    ev = h.eval_fn
-    prev_t, prev_v = lo, lo_v
-    if lo > 0.0:
-        t = 2.0 * lo
-    else:
-        t = 1.0 if h.t_end > 2.0 else 0.5 * h.t_end
-    while True:
-        if h.t_end < math.inf and t >= h.t_end:
-            t = 0.5 * (prev_t + h.t_end)
-        v = float(ev(t))
-        if v != v:
-            prev_t, prev_v, t, v = _bisect_nan(ev, s, prev_t, prev_v, t)
-            break
-        if v < prev_v - _MONOTONE_SLACK:
-            raise NonMonotone(
-                f"h({t!r}) = {v!r} < h({prev_t!r}) = {prev_v!r} - 1e-9")
-        if v >= s:
-            break
-        prev_t, prev_v = t, v
-        if h.t_end < math.inf:
-            t = 0.5 * (t + h.t_end)
-            if h.t_end - t <= 1e-15 * h.t_end:
-                raise OutOfRange(
-                    f"h(t) stays below s={s!r} up to t_end={h.t_end!r}")
-        else:
-            t *= 2.0
-            if t > 1e300:
-                raise OutOfRange(
-                    f"h(t) stays below s={s!r} for t up to 1e300")
-    if prev_t == 0.0 and v > s:
-        prev_t, prev_v, t, v = _shrink_bracket(ev, s, t, v)
-    if v == s:
-        return t, v
-    if prev_v > s:
-        # A previous root can overshoot by its root tolerance when two
-        # ordinates are extremely close; restart from the safe left end.
-        prev_t, prev_v = 0.0, 0.0
-    try:
-        return _brent(ev, prev_t, prev_v, t, v, _INVERT_XTOL, _INVERT_RTOL,
-                      level=s)
-    except ValueError as exc:  # a NaN value of h inside the bracket
-        raise OutOfRange(str(exc)) from exc
-
-
-def _bisect_nan(ev: Callable[[float], float], s: float, lo: float,
-                lo_v: float, nan_t: float) -> tuple[float, float, float, float]:
-    """(a, h(a), b, h(b)) with h(a) < s <= h(b), from h(lo) = lo_v < s and
-    h(nan_t) NaN, by bisecting [lo, nan_t]; ev is h's eval_fn.
-
-    A NaN midpoint becomes the NaN end, a finite one below s the low end.
-    Raises OutOfRange, naming nan_t, once the NaN end is within 1e-15
-    relative (or 1e-12 absolute) of a low end where h is still below s.
-    """
-    first = nan_t
-    while nan_t - lo > 1e-15 * nan_t and nan_t > _BRACKET_FLOOR:
-        t = 0.5 * (lo + nan_t)
-        v = float(ev(t))
-        if v != v:
-            nan_t = t
-            continue
-        if v < lo_v - _MONOTONE_SLACK:
-            raise NonMonotone(
-                f"h({t!r}) = {v!r} < h({lo!r}) = {lo_v!r} - 1e-9")
-        if v >= s:
-            return lo, lo_v, t, v
-        lo, lo_v = t, v
-    raise OutOfRange(
-        f"h({first!r}) is NaN, and h stays below s={s!r} up to its NaN "
-        f"boundary near t={nan_t!r}")
-
-
-def _shrink_bracket(ev: Callable[[float], float], s: float, t: float,
-                    v: float) -> tuple[float, float, float, float]:
-    """(a, h(a), b, h(b)) with h(a) < s <= h(b), from h(t) = v > s; ev is
-    h's eval_fn.
-
-    Probes the secant guess t s / v, then halvings, each probe the new
-    upper end while h stays at or above s there; once the upper end is
-    below 1e-12, the lower end is 0. A NaN probe raises OutOfRange.
-    """
-    guess = t * s / v
-    lower = guess if 0.0 < guess < t else 0.5 * t
-    while True:
-        w = float(ev(lower))
-        if w != w:
-            raise OutOfRange(f"h({lower!r}) is NaN")
-        if w > v + _MONOTONE_SLACK:
-            raise NonMonotone(
-                f"h({lower!r}) = {w!r} > h({t!r}) = {v!r} + 1e-9")
-        if w < s:
-            return lower, w, t, v
-        t, v = lower, w
-        if v == s or t < _BRACKET_FLOOR:
-            return 0.0, 0.0, t, v
-        lower = 0.5 * t
+    start = 2.0 * lo if lo > 0.0 else min(1.0, 0.5 * h.t_end)
+    if lo_v > s:
+        # A previous root can overshoot s by its tolerance when two
+        # ordinates are extremely close; the bracket then starts at 0.
+        lo = lo_v = 0.0
+    return _bracket_root(h.eval_fn, s, start, _INVERT_RTOL,
+                         below=(lo, lo_v), top=h.t_end)
 
 
 def _level(h: HFunction, v: float, name: str) -> float:
@@ -496,7 +524,8 @@ def invert_h(h: HFunction, s: float) -> float:
     """Left-continuous inverse h^{-1}(s) = inf{t > 0 : h(t) >= s}.
 
     Requires 0 < s < h.h_sup; raises OutOfRange otherwise, and NonMonotone
-    if bracketing observes h decreasing by more than 1e-9.
+    if the bracket search observes h decreasing by more than 1e-9 of the
+    values it compares.
     """
     return _solve_inverse(h, _level(h, s, "s"))[0]
 
@@ -526,9 +555,9 @@ class _InverseNodes:
     """h^{-1} at the nodes of one left-to-right quadrature sweep below top.
 
     h^{-1}(top) is solved cold. Every node s below it is then solved by
-    _brent on [t_lo, t_hi], the roots of the nearest solved nodes below
-    and above s, whose h values are held, so it needs no bracketing probe.
-    Where those values do not bracket s (rounding, a NaN value of h
+    _bracket_root from [t_lo, t_hi], the roots of the nearest solved nodes
+    below and above s, whose h values are held, so it needs no upward
+    probe. Where those values do not bracket s (rounding, a NaN value of h
     between them, an h that is not monotone), the node takes the cold
     _solve_inverse, which raises OutOfRange or NonMonotone as invert_h
     does. The sweep never returns left of an accepted panel, so
@@ -552,9 +581,9 @@ class _InverseNodes:
         root = None
         if i < len(roots) and v_lo <= s <= roots[i][1]:
             try:
-                root = _brent(self.ev, t_lo, v_lo, *roots[i], _INVERT_XTOL,
-                              _INVERT_RTOL, level=s)
-            except ValueError:  # h is NaN between the neighbours
+                root = _bracket_root(self.ev, s, None, _INVERT_RTOL,
+                                     below=roots[i - 1], above=roots[i])
+            except OutOfRange:  # h is NaN between the neighbours
                 pass
         if root is None:
             root = _solve_inverse(self.h, s)
@@ -579,14 +608,16 @@ def _legendre_step(h: HFunction, x: float, x_prev: float, t_prev: float,
 
     whose terms are nonnegative for any nondecreasing h, convex or not,
     so nothing cancels. Raises OutOfRange when h stays below x or is NaN
-    (as the inverse route does) or infinite at a quadrature node.
+    (as the inverse route does), or is infinite or raises an
+    ArithmeticError at a quadrature node.
     """
     t, v = _solve_inverse(h, x, t_prev, v_prev)
     ev = h.eval_fn
     try:
         area = _gauss_kronrod(lambda u: x - float(ev(u)), t_prev, t)
-    except ValueError as exc:  # a NaN or infinite value of h below the root
-        raise OutOfRange(str(exc)) from exc
+    except (ValueError, ArithmeticError) as exc:
+        # h is NaN or infinite, or raises, at a node below the root
+        raise OutOfRange(f"{type(exc).__name__}: {exc}") from exc
     return t, v, (x - x_prev) * t_prev + area
 
 

@@ -52,7 +52,7 @@ from typing import Union
 
 import numpy as np
 
-from .engine import _brent
+from . import engine
 from .errors import (
     Divergent,
     EmptySpectrum,
@@ -431,54 +431,17 @@ def _quad(f, a, b, **kw) -> float:
 
 
 _ROOT_RTOL = 1e-13
-_TINY = math.ulp(0.0)
-_HUGE = sys.float_info.max
-_LOG_HUGE = math.log(_HUGE)
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 def _bracket_root(g, start: float, *, failure: Exception) -> float:
     """Smallest positive root of a nondecreasing g, searched from start,
-    the problem's natural scale: the one bracketing solver.
-
-    Steps by factors 2, 4, 16, ... (each the square of the last) until g
-    changes sign, so a root 1e300 away takes ten steps; a step where g
-    raises an ArithmeticError (e.g. overflow) is retried with the square
-    root of its factor. The bracket is cut geometrically to a ratio of 2
-    and engine._brent solves g = 0 to _ROOT_RTOL relative. Returns 0.0,
-    the generalized inverse, if g >= 0 down to the smallest positive
-    float; raises `failure` if g < 0 up to the largest float or to where
-    g raises.
-    """
-    try:
-        x = start
-        g_x = g(x)
-        up = not g_x >= 0.0
-        step = 2.0
-        while True:
-            nxt = min(x * step, _HUGE) if up else max(x / step, _TINY)
-            if nxt == x:
-                if up or x > _TINY:
-                    raise failure
-                return 0.0
-            try:
-                g_nxt = g(nxt)
-            except ArithmeticError:
-                step = math.sqrt(step)
-                continue
-            if (g_nxt >= 0.0) == up:
-                break
-            x, g_x, step = nxt, g_nxt, min(step * step, _HUGE)
-        (lo, g_lo), (hi, g_hi) = sorted(((x, g_x), (nxt, g_nxt)))
-        while hi > 2.0 * lo:
-            mid = math.sqrt(lo) * math.sqrt(hi)
-            g_mid = g(mid)
-            if g_mid >= 0.0:
-                hi, g_hi = mid, g_mid
-            else:
-                lo, g_lo = mid, g_mid
-        return _brent(g, lo, g_lo, hi, g_hi, 0.0, _ROOT_RTOL)[0]
-    except ArithmeticError as exc:
-        raise failure from exc
+    the problem's natural scale, by engine._bracket_root to _ROOT_RTOL
+    relative: 0.0, the generalized inverse, if g >= 0 down to the smallest
+    positive float; `failure` if g < 0 up to the largest float or to where
+    g is NaN or raises an ArithmeticError."""
+    return engine._bracket_root(g, 0.0, start, _ROOT_RTOL,
+                                failure=failure)[0]
 
 
 # Jump tables of amplitude_sampler.

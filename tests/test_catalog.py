@@ -1071,6 +1071,21 @@ def test_two_regime_fourth_moment_variant():
     assert abs(exp(-x0 * x0 / 18.0) - pois) <= 1e-9 * pois
 
 
+def test_two_regime_fourth_moment_crossover_to_1e13():
+    # s0 solves s (alpha2 - alpha4/K^2) = (alpha4/K^3)(e^{sK} - 1), which
+    # the search takes divided by s, so that it increases.
+    for K, alpha2, alpha3, alpha4 in ((1.0, 10.0, 1.0, 1.0),
+                                      (1.0, 4.0, 1.5, 1.0),
+                                      (2.0, 3.0, 0.5, 0.7)):
+        s0 = c.two_regime_bound(K, alpha2, alpha3=alpha3, alpha4=alpha4,
+                                variant="fourth_moment").meta["s0"]
+        with mpmath.workdps(40):
+            want = mpmath.findroot(
+                lambda s: (alpha4 / K ** 3) * mpmath.expm1(s * K)
+                - s * (alpha2 - alpha4 / K ** 2), s0)
+        assert s0 == pytest.approx(float(want), rel=1e-13)
+
+
 def test_two_regime_fourth_moment_preconditions():
     with pytest.raises(PreconditionViolated) as exc:
         c.two_regime_bound(1.0, 4.0, alpha3=2.5, alpha4=1.0,

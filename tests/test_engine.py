@@ -22,16 +22,19 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from levytails import (
+    FunctionalProfile,
     HFunction,
     QuadraticSpec,
     chernoff_min,
     entropy_integral,
     evaluate_entropy_grid,
     invert_h,
+    product_h,
     quad_wiener_bound,
     tail_bound_from_h,
 )
 from levytails import engine
+from levytails.models import LevyArea
 from levytails.engine import TailBound, _brent, _gauss_kronrod, _gk15
 from levytails.errors import NonMonotone, OutOfRange, QuadratureFailure
 
@@ -867,3 +870,87 @@ def test_engine_hands_h_python_floats_only():
     values, _, valid = tail_bound_from_h(h).evaluate_grid(xs)
     assert np.all(valid)
     assert -np.log(values) == pytest.approx(want, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# One bracket search at every scale
+# ----------------------------------------------------------------------
+
+_LAMS = (1e-150, 1e-20, 1e20, 1e150)
+
+
+@pytest.mark.parametrize("lam", _LAMS)
+def test_poisson_exponent_is_scale_free(lam):
+    # h_lam(t) = lam^2 (e^{lam t} - 1)/lam = lam h_1(lam t) has h_1's
+    # exponent at lam x. math.expm1 raises OverflowError past t ~ 710/lam,
+    # so for lam >= 1e20 the cold probe at t = 1 fails and bounds the
+    # search from above.
+    h = HFunction(lambda t: lam * math.expm1(lam * t), name=f"poisson[{lam}]")
+    xs = np.array([0.3, 1.0, 2.5, 6.0])
+    want = [exp_entropy(1.0, 1.0, x) for x in xs.tolist()]
+    tb = tail_bound_from_h(h)
+    values, _, valid = tb.evaluate_grid(lam * xs)
+    assert np.all(valid)
+    assert -np.log(values) == pytest.approx(want, rel=1e-12, abs=0.0)
+    for x, w in zip((lam * xs).tolist(), want):
+        assert -math.log(tb(x)) == pytest.approx(w, rel=1e-12, abs=0.0)
+    assert evaluate_entropy_grid(h, lam * xs) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", _LAMS)
+def test_area_product_exponent_is_scale_free(lam):
+    # product_h on LevyArea(pi lam) is lam h_1(lam t) for h_1 that of
+    # LevyArea(pi), with t_end = 1/lam.
+    xs = np.array([0.5, 1.0, 2.0])
+
+    def exponent(scale):
+        h = product_h(FunctionalProfile(K=1.0, alpha2=1.0),
+                      LevyArea(T=math.pi * scale), "shared_beta")
+        values, _, valid = tail_bound_from_h(h).evaluate_grid(scale * xs)
+        assert np.all(valid)
+        return -np.log(values)
+
+    assert exponent(lam) == pytest.approx(exponent(1.0), rel=1e-12, abs=0.0)
+
+
+def test_steep_h_that_overflows_at_the_cold_probe():
+    # h(t) = e^{800 t} - 1 raises OverflowError at t = 1: the search closes
+    # in below it. h^{-1}(s) = log1p(s)/800, so the exponent is
+    # ((1 + x) log1p(x) - x)/800.
+    h = HFunction(lambda t: math.expm1(800.0 * t), name="expm1(800 t)")
+    xs = [1.0, 5.0]
+    want = [exp_entropy(1.0, 1.0, x) / 800.0 for x in xs]
+    values, _, valid = tail_bound_from_h(h).evaluate_grid(xs)
+    assert valid.tolist() == [True, True]
+    assert values.tolist() == pytest.approx([0.99951725, 0.99283758],
+                                            abs=5e-9)
+    assert values == pytest.approx(np.exp(-np.array(want)), rel=1e-14)
+    assert [-chernoff_min(h, x) for x in xs] == pytest.approx(want, rel=1e-12)
+    assert evaluate_entropy_grid(h, xs) == pytest.approx(want, rel=1e-12)
+    assert invert_h(h, 1.0) == pytest.approx(math.log(2.0) / 800.0,
+                                             rel=1e-12)
+
+
+def test_legendre_route_reports_an_overflow_of_h_as_out_of_range():
+    # h = t raises OverflowError on (0.25, 0.27), where the quadrature of
+    # 0.5 - h on [0.2, 0.5] has a node: the grid marks 0.5 and every point
+    # above it invalid instead of raising.
+    def h_fn(t):
+        if 0.25 < t < 0.27:
+            raise OverflowError("math range error")
+        return t
+
+    tb = tail_bound_from_h(HFunction(h_fn, name="overflow on (0.25, 0.27)"))
+    values, regimes, valid = tb.evaluate_grid([0.2, 0.5, 0.7])
+    assert valid.tolist() == [True, False, False]
+    assert values[0] == pytest.approx(math.exp(-0.02), rel=1e-12)
+    assert regimes[1:] == ["out_of_range"] * 2
+
+
+def test_monotone_spot_check_is_relative():
+    # test_invert_detects_decrease at scale 1e-20: h falls by ~4e-21
+    # between the probes t = 1 and 2, far below any absolute slack.
+    bad = HFunction(lambda t: 1e-20 * math.sin(3.0 * t), name="tiny sin")
+    with pytest.raises(NonMonotone):
+        invert_h(bad, 1.5e-20)

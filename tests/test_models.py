@@ -154,10 +154,12 @@ def test_bracket_root_rules():
                                        failure=OutOfRange("no bracket"))
 
             # A root up to 1e600 away on either side is bracketed and solved
-            # to 1e-13 relative, on a linear g and on one that saturates
-            # away from the root.
+            # to 1e-13 relative, on a linear g, on one that saturates away
+            # from the root, and on x - root, whose Brent products
+            # underflow at root = 1e-300 unless rescaled.
             for g in (lambda x: x / root - 1.0,
-                      lambda x: math.tanh(math.log(x) - math.log(root))):
+                      lambda x: math.tanh(math.log(x) - math.log(root)),
+                      lambda x: x - root):
                 assert abs(solve(g) / root - 1.0) <= 1e-13
             # A level passed down to the smallest positive float: the
             # generalized inverse 0.0.
