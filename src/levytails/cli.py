@@ -531,10 +531,8 @@ def _run_verify(cfg: dict, out_dir: Path, phase: dict) -> int:
                          estimates=estimates)
     phase["op"] = "verify/emit"
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = json.loads(report.to_json())
-    doc["task"] = "verify"
-    doc["config"] = cfg
-    doc["seed"] = batch.seed
+    doc = report._doc()
+    doc.update(task="verify", config=cfg, seed=batch.seed)
     _dump_json(doc, out_dir / "verify_report.json")
     (out_dir / "verify_curve.csv").write_text(
         "\n".join(report.csv_rows()) + "\n")

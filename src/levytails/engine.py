@@ -23,7 +23,9 @@ and the engine computes it along two numerically independent routes:
   never calls h.legendre. It is slower and serves as the reference the
   Legendre route is checked against.
 
-Both routes integrate by one adaptive Gauss-Kronrod 7-15 sweep
+Both routes solve every root by one bracket search (_bracket_root) that
+ends in Chandrupatla's method (_chandrupatla), on one path at every scale,
+and integrate by one adaptive Gauss-Kronrod 7-15 sweep
 (_gauss_kronrod). A panel whose K15 and G7 sums disagree is confirmed by
 its halves before it is bisected: first the halves' Gauss nodes, then
 their Kronrod nodes, each halves' sum compared with the panel's K15. A NaN
@@ -63,11 +65,9 @@ _QUAD_REL_TOL = 1e-11
 # converge.
 _QUAD_ABS_FLOOR = 1e-14
 _MAX_EVALS = 2 ** 20
-_BRENT_MAXITER = 100
-# The bracket search hands Brent brackets within this ratio, rescaled
-# where their upper end or rise leaves [_SCALE_LO, _SCALE_HI].
+_SOLVE_MAXITER = 100
+# The bracket search hands the solver brackets within this ratio.
 _NARROW_RATIO = 16.0
-_SCALE_LO, _SCALE_HI = 1e-100, 1e100
 _TINY = math.ulp(0.0)
 _HUGE = sys.float_info.max
 
@@ -275,102 +275,86 @@ def _not_finite_at(x: float, v: float) -> ValueError:
                       f"{'NaN' if v != v else v}; solver cannot continue.")
 
 
-def _brent(f: Callable[[float], float], a: float, fa: float, b: float,
-           fb: float, xtol: float, rtol: float,
-           level: float = 0.0) -> tuple[float, float]:
-    """(x, f(x)) at a root x of f(x) = level between a and b, by Brent's
-    method, given fa = f(a) and fb = f(b).
+def _chandrupatla(f: Callable[[float], float], a: float, fa: float,
+                  b: float, fb: float, xtol: float, rtol: float,
+                  level: float = 0.0) -> tuple[float, float]:
+    """(x, f(x)) at a root x of f(x) = level between a and b, by
+    Chandrupatla's method, given fa = f(a) and fb = f(b).
 
-    The last stage of _bracket_root. It takes the same iterates
-    as scipy's brentq.c (Brent 1973, "Algorithms for Minimization Without
-    Derivatives", ch. 4) on the residual f - level, formed as v - level
-    from each value v that f returns, so the root is brentq's with the
-    same xtol and rtol. The caller passes the values of f at both bracket
-    ends, which it already holds, so each solve makes two fewer calls of f
-    than brentq; f(x) is the value f returned at the root, so a caller
-    that goes on from there never evaluates f at it again. Raises
-    ValueError if a value of f is NaN or fa and fb lie on the same side
-    of level, and RuntimeError after 100 iterations without convergence.
+    The last stage of _bracket_root (Chandrupatla 1997, Adv. Eng. Softw.
+    28, 145-149). It works on the residuals v - level of the values v that
+    f returns. Each step goes from the bracket end with the smaller
+    residual towards the other: first along the secant through the ends,
+    then along the inverse quadratic through the last three points where
+    that is monotone on the bracket, else halfway; and at least half the
+    tolerance from both ends. The steps take only ratios of like
+    differences, so one path serves every scale. Once the bracket is
+    within xtol + rtol |x|, or no float lies inside it, it returns the end
+    x with the smaller residual and the value f returned there, so a
+    caller never evaluates f at it again. Raises ValueError if a value of
+    f is NaN or fa and fb lie on the same side of level, and RuntimeError
+    after 100 steps.
     """
-    xpre, xcur = a, b
-    vpre, vcur = float(fa), float(fb)
-    if vpre != vpre:
-        raise _not_finite_at(xpre, vpre)
-    if vcur != vcur:
-        raise _not_finite_at(xcur, vcur)
-    fpre, fcur = vpre - level, vcur - level
-    if fpre == 0.0:
-        return xpre, vpre
-    if fcur == 0.0:
-        return xcur, vcur
-    # Zeros are handled above and at the top of each iteration, so a sign
-    # bit is the test f < 0.
-    if (fpre < 0.0) == (fcur < 0.0):
+    x1, v1 = a, float(fa)
+    x2, v2 = b, float(fb)
+    if v1 != v1:
+        raise _not_finite_at(x1, v1)
+    if v2 != v2:
+        raise _not_finite_at(x2, v2)
+    r1, r2 = v1 - level, v2 - level
+    if r1 == 0.0:
+        return x1, v1
+    if r2 == 0.0:
+        return x2, v2
+    if (r1 < 0.0) == (r2 < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    # |f| and |s| ride along with f and s, each taken once per iterate,
-    # and the v are the raw values of f.
-    afpre = -fpre if fpre < 0.0 else fpre
-    afcur = -fcur if fcur < 0.0 else fcur
-    xblk = fblk = afblk = vblk = spre = scur = aspre = ascur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fcur == 0.0:
-            return xcur, vcur
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            afblk, vblk = afpre, vpre
-            spre = scur = xcur - xpre
-            aspre = ascur = -scur if scur < 0.0 else scur
-        if afblk < afcur:
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-            afpre, afcur, afblk = afcur, afblk, afcur
-            vpre, vcur, vblk = vcur, vblk, vcur
-        delta = (xtol + rtol * (-xcur if xcur < 0.0 else xcur)) * 0.5
-        sbis = (xblk - xcur) * 0.5
-        asbis = -sbis if sbis < 0.0 else sbis
-        if asbis < delta:
-            return xcur, vcur
-        step_ok = False
-        if aspre > delta and afcur < afpre:
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # C gives an infinite or NaN step there, which the test
-                # below rejects.
-                pass
+    # (x1, r1) is the newest point, (x2, r2) the other end of the bracket
+    # and (x3, r3) the point dropped last; (xb, rb) is the better end and
+    # (xo, ro) the other. Zero denominators in the inverse quadratic come
+    # only from a plateau r3 = r1, which its test (xi, phi) excludes. The
+    # loop's assignments pack at most three names, which CPython does
+    # without building a tuple.
+    x3 = r3 = None
+    for _ in range(_SOLVE_MAXITER):
+        if (r1 if r1 > 0.0 else -r1) < (r2 if r2 > 0.0 else -r2):
+            xb, vb, rb = x1, v1, r1
+            xo, ro = x2, r2
+        else:
+            xb, vb, rb = x2, v2, r2
+            xo, ro = x1, r1
+        tol, d = xtol + rtol * (xb if xb > 0.0 else -xb), xo - xb
+        width = d if d > 0.0 else -d
+        if width <= tol:
+            return xb, vb
+        if x3 is None:
+            t = rb / (rb - ro)
+        else:
+            xi, phi = (x1 - x2) / (x3 - x2), (r1 - r2) / (r3 - r2)
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = rb / (ro - r3) * (r3 / (ro - rb)
+                                      - (x3 - xb) / d * (ro / (r3 - rb)))
             else:
-                astry = -stry if stry < 0.0 else stry
-                limit = 3.0 * asbis - delta
-                step_ok = 2.0 * astry < (aspre if aspre < limit else limit)
-        if step_ok:
-            # good short step
-            spre, scur = scur, stry
-            aspre, ascur = ascur, astry
+                t = 0.5
+        tl = 0.5 * tol / width
+        if not tl < t < 1.0 - tl:  # NaN too
+            t = 1.0 - tl if t > 0.5 else tl
+        x = xb + t * d
+        if x == xb or x == xo:  # no float lies inside the bracket
+            return xb, vb
+        v = float(f(x))
+        if v != v:
+            raise _not_finite_at(x, v)
+        r = v - level
+        if r == 0.0:
+            return x, v
+        if (r < 0.0) == (r1 < 0.0):
+            x3, r3 = x1, r1
         else:
-            # bisect
-            spre = scur = sbis
-            aspre = ascur = asbis
-        xpre, fpre = xcur, fcur
-        afpre, vpre = afcur, vcur
-        if ascur > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        vcur = float(f(xcur))
-        if vcur != vcur:
-            raise _not_finite_at(xcur, vcur)
-        fcur = vcur - level
-        afcur = -fcur if fcur < 0.0 else fcur
+            x3, r3 = x2, r2
+            x2, v2, r2 = x1, v1, r1
+        x1, v1, r1 = x, v, r
     raise RuntimeError(
-        f"Failed to converge after {_BRENT_MAXITER} iterations.")
+        f"Failed to converge after {_SOLVE_MAXITER} iterations.")
 
 
 def _between(lo: float | None, hi: float, down: float) -> float | None:
@@ -406,8 +390,8 @@ def _bracket_root(f: Callable[[float], float], level: float,
     lowest point where f was NaN or raised an ArithmeticError, bounds the
     probes, which close in on it by _between. A bracket so found is
     narrowed to a ratio of 16: by the secant through below, if given, then
-    by _between; one the caller gave goes on as it is. Brent solves the
-    rest to rtol relative, rescaled far from unit scale (_brent_scaled).
+    by _between; one the caller gave goes on as it is. _chandrupatla
+    solves the rest to rtol relative, on the same path at every scale.
     Returns (0.0, NaN), the generalized inverse, where f >= level down to
     the smallest float and nothing is known below; else f(t) is the value
     f returned at t. Successive probes on either side are spot-checked:
@@ -464,34 +448,9 @@ def _bracket_root(f: Callable[[float], float], level: float,
     if a is None:  # f >= level down to the smallest float
         return 0.0, math.nan
     try:
-        if _SCALE_LO <= b <= _SCALE_HI and _SCALE_LO <= fb - fa <= _SCALE_HI:
-            return _brent(f, a, fa, b, fb, 0.0, rtol, level)
-        return _brent_scaled(f, a, fa, b, fb, level, rtol)
+        return _chandrupatla(f, a, fa, b, fb, 0.0, rtol, level)
     except (ValueError, ArithmeticError) as exc:  # f fails inside [a, b]
         raise failure or OutOfRange(str(exc)) from exc
-
-
-def _brent_scaled(f: Callable[[float], float], a: float, fa: float,
-                  b: float, fb: float, level: float,
-                  rtol: float) -> tuple[float, float]:
-    """_brent at xtol 0 on t and f(t) - level scaled by powers of two, for
-    b or fb - fa outside [1e-100, 1e100]: Brent's products of differences
-    of t and f would underflow or overflow there, and the exact scaling
-    changes no iterate where they would not."""
-    rise = fb - fa
-    k = 0 if _SCALE_LO <= b <= _SCALE_HI else math.frexp(b)[1]
-    e = (math.frexp(rise)[1] if 0.0 < rise < math.inf
-         and not _SCALE_LO <= rise <= _SCALE_HI else 0)
-    ua, ub = math.ldexp(a, -k), math.ldexp(b, -k)
-    values = {ua: fa, ub: fb}
-
-    def scaled(u: float) -> float:
-        v = values[u] = float(f(math.ldexp(u, k)))
-        return math.ldexp(v - level, -e)
-
-    u = _brent(scaled, ua, math.ldexp(fa - level, -e), ub,
-               math.ldexp(fb - level, -e), 0.0, rtol)[0]
-    return math.ldexp(u, k), values[u]
 
 
 def _solve_inverse(h: HFunction, s: float, lo: float = 0.0,
@@ -539,7 +498,7 @@ def entropy_integral(h: HFunction, x: float) -> float:
 
     Requires 0 < x < h.h_sup. The inverse route, kept as the reference for
     the Legendre route of tail_bound_from_h and chernoff_min: h^{-1}(x) is
-    one cold solve, and every quadrature node below it one Brent solve
+    one cold solve, and every quadrature node below it one root solve
     inside the bracket of its solved neighbours (see _InverseNodes); the
     quadrature itself is the hand-rolled adaptive Gauss-Kronrod 7-15 with
     a budget of 2^20 evaluations, in which a panel's halves may confirm it
@@ -704,7 +663,7 @@ def evaluate_entropy_grid(h: HFunction, xs: Sequence[float]) -> np.ndarray:
     if not xs.size:
         return np.empty(0)
     order = np.argsort(xs, kind="stable")
-    # Python floats, so that every node and Brent iterate below is one too.
+    # Python floats, so that every node and solver iterate below is one too.
     edges = [0.0] + xs[order].tolist()
     nodes = _InverseNodes(h, edges[-1])
     totals = np.empty(xs.size)

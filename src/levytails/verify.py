@@ -152,30 +152,33 @@ class VerificationReport:
     decision: dict = field(default_factory=dict)
     curve: TailCurve | None = None
 
-    def to_json(self) -> str:
-        def default(obj):
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, PointAudit):
-                return obj.__dict__
-            return str(obj)
-
-        doc = {
+    def _doc(self) -> dict:
+        """The report as one JSON document, each point a dict: to_json
+        encodes it, and the CLI adds its run keys before writing it."""
+        return {
             "bound": self.bound_name,
             "direction": self.direction,
             "center": self.center,
             "center_estimate": self.center_estimate,
             "verdict": self.verdict,
             "params": self.bound_params,
-            "points": self.points,
+            "points": [vars(p) for p in self.points],
             "estimates": self.estimates,
             "sensitivity": self.sensitivity,
             "decision": self.decision,
             "count": None if self.curve is None else self.curve.count,
         }
-        return json.dumps(doc, default=default, sort_keys=True, indent=2)
+
+    def to_json(self) -> str:
+        def default(obj):
+            if isinstance(obj, (np.floating, np.integer)):
+                return obj.item()
+            if isinstance(obj, np.ndarray):
+                return obj.tolist()
+            return str(obj)
+
+        return json.dumps(self._doc(), default=default, sort_keys=True,
+                          indent=2)
 
     def csv_rows(self) -> list:
         """Per-point rows in the `x,p_hat,ci_lo,ci_hi,bound,verdict` schema."""

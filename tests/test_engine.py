@@ -35,7 +35,7 @@ from levytails import (
 )
 from levytails import engine
 from levytails.models import LevyArea
-from levytails.engine import TailBound, _brent, _gauss_kronrod, _gk15
+from levytails.engine import TailBound, _chandrupatla, _gauss_kronrod, _gk15
 from levytails.errors import NonMonotone, OutOfRange, QuadratureFailure
 
 
@@ -345,14 +345,15 @@ def test_invert_nan_raises_at_first_nan_probe():
 
 
 # ----------------------------------------------------------------------
-# Brent solver (a port of scipy's brentq that reuses the bracket values)
+# Root solver (Chandrupatla's method on a bracket, reusing its values)
 # ----------------------------------------------------------------------
 
-def _brent_vs_brentq(f, a, b, xtol, rtol):
-    """(outcome, calls) of brentq and of _brent on the same problem."""
+def _solver_vs_brentq(f, a, b, xtol, rtol):
+    """(outcome, calls) of brentq and of _chandrupatla on the same problem."""
     results = []
     for solve in (lambda g: brentq(g, a, b, xtol=xtol, rtol=rtol),
-                  lambda g: _brent(g, a, f(a), b, f(b), xtol, rtol)[0]):
+                  lambda g: _chandrupatla(g, a, f(a), b, f(b), xtol,
+                                          rtol)[0]):
         g = _Counted(f)
         try:
             out = solve(g).hex()
@@ -360,6 +361,15 @@ def _brent_vs_brentq(f, a, b, xtol, rtol):
             out = (type(exc).__name__, str(exc))
         results.append((out, len(g.args)))
     return results
+
+
+def _assert_verified_root(f, x, xtol, rtol, level=0.0):
+    """f(x - 2 tol) < level <= f(x + 2 tol), tol = xtol + rtol |x|, for a
+    nondecreasing f; where f(x) = level, rounding may hold f at the level
+    beyond x - 2 tol."""
+    tol = xtol + rtol * abs(x)
+    assert f(x - 2.0 * tol) < level or f(x) == level, (x, tol)
+    assert level <= f(x + 2.0 * tol), (x, tol)
 
 
 @settings(max_examples=300, deadline=None)
@@ -370,9 +380,9 @@ def _brent_vs_brentq(f, a, b, xtol, rtol):
        swap=st.booleans(),
        tol=st.sampled_from([(1e-15, 1e-12), (2e-12, 8.881784197001252e-16),
                             (1e-22, 1e-10), (1e-15, 1e-13)]))
-def test_brent_returns_brentqs_float_with_two_fewer_calls(w, k, root, ends,
-                                                         swap, tol):
-    # A nondecreasing function with a zero at `root`, on a bracket around it.
+def test_solver_returns_a_verified_root(w, k, root, ends, swap, tol):
+    # A nondecreasing function with a zero at `root`, on a bracket around
+    # it, with jumps: the bracket closes on a root or on the jump.
     def g(x):
         return (w[0] * math.expm1(k * x) + w[1] * x + w[2] * math.atan(k * x)
                 + w[3] * math.floor(4.0 * x) + x * 1e-3)
@@ -381,11 +391,13 @@ def test_brent_returns_brentqs_float_with_two_fewer_calls(w, k, root, ends,
     a, b = root - ends[0], root + ends[1]
     if swap:
         a, b = b, a
-    (ref, ref_calls), (port, port_calls) = _brent_vs_brentq(
-        lambda x: g(x) - g_root, a, b, *tol)
-    assert port == ref
-    if isinstance(ref, str):
-        assert port_calls == ref_calls - 2
+
+    def f(x):
+        return g(x) - g_root
+
+    x, fx = _chandrupatla(f, a, f(a), b, f(b), *tol)
+    assert fx == f(x)
+    _assert_verified_root(f, x, *tol)
 
 
 @settings(max_examples=300, deadline=None)
@@ -397,8 +409,9 @@ def test_brent_returns_brentqs_float_with_two_fewer_calls(w, k, root, ends,
        swap=st.booleans())
 def test_brent_at_a_level_takes_the_residuals_iterates(w, k, offset, root,
                                                        ends, swap):
-    # _brent(f, level=s) solves f = s with the iterates of _brent on f - s
-    # at level 0, and hands back the value f itself took at the root.
+    # _chandrupatla(f, level=s) solves f = s with the iterates of
+    # _chandrupatla on f - s at level 0, and hands back the value f itself
+    # took at the root.
     def f(x):
         return (offset + w[0] * math.expm1(k * x) + w[1] * math.atan(k * x)
                 + w[2] * math.floor(4.0 * x) + x * 1e-3)
@@ -408,9 +421,10 @@ def test_brent_at_a_level_takes_the_residuals_iterates(w, k, offset, root,
     if swap:
         a, b = b, a
     outcomes = []
-    for solve in (lambda: _brent(f, a, f(a), b, f(b), 1e-15, 1e-12, level=s),
-                  lambda: _brent(lambda x: f(x) - s, a, f(a) - s, b,
-                                 f(b) - s, 1e-15, 1e-12)):
+    for solve in (lambda: _chandrupatla(f, a, f(a), b, f(b), 1e-15, 1e-12,
+                                        level=s),
+                  lambda: _chandrupatla(lambda x: f(x) - s, a, f(a) - s, b,
+                                        f(b) - s, 1e-15, 1e-12)):
         try:
             outcomes.append(solve())
         except (ValueError, RuntimeError) as exc:
@@ -429,22 +443,90 @@ def test_brent_at_a_level_takes_the_residuals_iterates(w, k, offset, root,
     (lambda x: math.nan if 0.2 < x < 0.4 else x - 0.3, 0.0, 1.0,
      "ValueError"),
     (lambda x: x * x + 1.0, -1.0, 2.0, "ValueError"),
-    (lambda x: (x - 1.0) ** 5, 0.0, 5.0, "RuntimeError"),
 ])
 def test_brent_error_parity(f, a, b, error):
-    (ref, _), (port, _) = _brent_vs_brentq(f, a, b, 1e-15, 1e-12)
+    (ref, _), (port, _) = _solver_vs_brentq(f, a, b, 1e-15, 1e-12)
     assert ref[0] == error
     assert port == ref
 
 
-def test_brent_rejects_an_underflowing_extrapolation_step():
-    # With values near 1e-300 the inverse quadratic step's denominator
-    # underflows to 0: the port's ZeroDivisionError, an infinite or NaN
-    # step in brentq.c, and both bisect.
-    (ref, ref_calls), (port, port_calls) = _brent_vs_brentq(
-        lambda x: 1e-300 * (x ** 3 - 0.2), 0.0, 1.0, 1e-15, 1e-12)
-    assert port == ref and port_calls == ref_calls - 2
-    assert float.fromhex(port) == pytest.approx(0.2 ** (1 / 3), rel=1e-12)
+def test_solver_solves_the_quintic_that_brentq_does_not():
+    # brentq raises RuntimeError after 100 iterations on (x - 1)^5 at
+    # xtol 1e-15, rtol 1e-12; the inverse quadratic steps land on 1.
+    (ref, _), (got, calls) = _solver_vs_brentq(
+        lambda x: (x - 1.0) ** 5, 0.0, 5.0, 1e-15, 1e-12)
+    assert ref[0] == "RuntimeError"
+    _assert_verified_root(lambda x: (x - 1.0) ** 5, float.fromhex(got),
+                          1e-15, 1e-12)
+    assert calls <= 100
+
+
+def test_solver_is_scale_free_on_values_near_1e_300():
+    # Brent's extrapolation step underflowed here; the solver takes only
+    # ratios of like differences.
+    f = _Counted(lambda x: 1e-300 * (x ** 3 - 0.2))
+    x, fx = _chandrupatla(f, 0.0, f.f(0.0), 1.0, f.f(1.0), 1e-15, 1e-12)
+    assert x == pytest.approx(0.2 ** (1 / 3), rel=1e-12) and fx == f.f(x)
+    assert len(f.args) <= 12
+
+
+@pytest.mark.parametrize("fa, fb, end", [(math.nan, 1.0, 0.0),
+                                         (-1.0, math.nan, 1.0)])
+def test_solver_raises_on_a_nan_end(fa, fb, end):
+    f = _Counted(lambda x: x - 0.5)
+    with pytest.raises(ValueError, match=f"x={end} is NaN"):
+        _chandrupatla(f, 0.0, fa, 1.0, fb, 1e-15, 1e-12)
+    assert not f.args
+
+
+@pytest.mark.parametrize("fa, fb, want", [(2.0, 3.0, (0.0, 2.0)),
+                                          (1.0, 2.0, (1.0, 2.0))])
+def test_solver_returns_an_end_at_the_level(fa, fb, want):
+    # A zero residual at either end is the root, with the value given.
+    f = _Counted(lambda x: x + 2.0)
+    assert _chandrupatla(f, 0.0, fa, 1.0, fb, 1e-15, 1e-12,
+                         level=2.0) == want
+    assert not f.args
+
+
+def test_solver_stops_at_the_tolerance_or_the_last_float():
+    f = _Counted(lambda x: 1.0 if x > 0.0 else -1.0)
+    # A bracket already within xtol + rtol |x| returns its better end.
+    assert _chandrupatla(f, 1.0, -1.0, 1.0 + 1e-13, 2.0, 1e-15,
+                         1e-12) == (1.0, -1.0)
+    # No float lies inside [0, 5e-324], and tol = 1e-12 * 5e-324 is 0.
+    assert _chandrupatla(f, 0.0, -1.0, 5e-324, 1.0, 0.0, 1e-12) == (
+        5e-324, 1.0)
+    assert not f.args
+
+
+def test_solver_steps_from_the_better_end():
+    # The secant step goes from 0, whose residual is the smaller, a
+    # fraction 1e-300 of the way to 1: from 1, the fraction 1 - 1e-300
+    # would round to 1.
+    f = _Counted(lambda x: x - 1e-300)
+    assert _chandrupatla(f, 1.0, f.f(1.0), 0.0, f.f(0.0), 0.0, 1e-12) == (
+        1e-300, 0.0)
+    assert f.args == [1e-300]
+
+
+def test_solver_bisects_a_plateau():
+    # f(0.5) = f(0) = -1: the inverse quadratic's denominator r3 - r1 is
+    # zero, so the next step bisects [0.5, 1].
+    f = _Counted(lambda x: -1.0 if x < 0.9 else 10.0 * (x - 0.9))
+    x, fx = _chandrupatla(f, 0.0, -1.0, 1.0, 1.0, 1e-15, 1e-12)
+    assert f.args[:2] == [0.5, 0.75]
+    _assert_verified_root(f, x, 1e-15, 1e-12)
+
+
+def test_solver_gives_up_after_100_steps():
+    # A jump at 1e-300: the steps stay on the plateaus and bisect, and
+    # halving [0, 1] down to a bracket within 1e-312 of 1e-300 takes far
+    # more than 100 steps.
+    f = _Counted(lambda x: 1.0 if x >= 1e-300 else -1.0)
+    with pytest.raises(RuntimeError, match="after 100 iterations"):
+        _chandrupatla(f, 0.0, -1.0, 1.0, 1.0, 0.0, 1e-12)
+    assert len(f.args) == 100
 
 
 # ----------------------------------------------------------------------
@@ -801,6 +883,21 @@ def test_inverse_route_raises_on_nan_and_decreasing_h():
         entropy_integral(sin3, 0.5)
     with pytest.raises(NonMonotone):
         evaluate_entropy_grid(sin3, [0.5, 0.2])
+
+
+def test_inverse_route_refuses_points_outside_the_range():
+    h = exp_h(-1.0, 1.0)   # sup h = 1
+    for xs in ([0.0, 0.5], [0.5, 1.0], [-0.5]):
+        with pytest.raises(OutOfRange, match=r"must lie in \(0, sup h\)"):
+            evaluate_entropy_grid(h, xs)
+    assert evaluate_entropy_grid(h, []).shape == (0,)
+
+
+def test_invert_below_level_up_to_the_largest_float():
+    # 1 - e^-t stays below 2 for every t, though the h claims no sup.
+    h = HFunction(lambda t: -math.expm1(-t), name="1 - e^-t")
+    with pytest.raises(OutOfRange, match="up to the largest float"):
+        invert_h(h, 2.0)
 
 
 def test_inverse_route_budget_failure_is_linear(monkeypatch):

@@ -325,6 +325,24 @@ def test_audit_lower_bound_window_semantics(exp_million):
     assert audit_bound(curve, low_mixed, 0.0).verdict == "PASS"
 
 
+def test_audit_lower_bound_inconclusive(exp_million):
+    # At 1.5 the bound lies between p_hat and the band's upper limit: the
+    # point neither clears nor contradicts it. Beyond, the bound is twice
+    # the upper limit. A window of violations and one inconclusive point
+    # is not unanimous, and no point clears the bound.
+    grid = np.array([0.5, 1.5, 2.5, 4.0])
+    curve = empirical_tail(exp_million, grid)
+    between = 0.5 * (curve.p_hat + curve.ci_hi)
+    table = dict(zip(grid.tolist(), [0.0, between[1], 2.0 * curve.ci_hi[2],
+                                     2.0 * curve.ci_hi[3]]))
+    low = TailBound(name="low-inconclusive", fn=lambda x: table[x],
+                    direction="lower", meta={"audit_lo": 1.0})
+    report = audit_bound(curve, low, 0.0)
+    assert [p.verdict for p in report.points] == [
+        "informational", "INCONCLUSIVE", "VIOLATION", "VIOLATION"]
+    assert report.verdict == "INCONCLUSIVE"
+
+
 def test_audit_center_handling(exp_million):
     curve = empirical_tail(exp_million[:10_000], np.linspace(0.5, 4.0, 8))
     bound = TailBound(name="b", fn=lambda x: 1.0)
