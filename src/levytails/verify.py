@@ -170,15 +170,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        def default(obj):
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            return str(obj)
-
-        return json.dumps(self._doc(), default=default, sort_keys=True,
-                          indent=2)
+        return json.dumps(self._doc(), sort_keys=True, indent=2)
 
     def csv_rows(self) -> list:
         """Per-point rows in the `x,p_hat,ci_lo,ci_hi,bound,verdict` schema."""

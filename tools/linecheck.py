@@ -2,7 +2,7 @@
 """Line gate: run the Tier-1 suite under a line tracer and fail on every
 executable line of the checked modules that no test runs.
 
-    python3 tools/linecheck.py [extra pytest arguments]
+    python3 tools/linecheck.py
 
 Run from the repository root; the library is imported from src/. The
 executable lines of a module are the lines its code objects (the module's
@@ -37,7 +37,7 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def main(args: list[str]) -> int:
+def main() -> int:
     import pytest
 
     files = {str(path): set() for path in CHECKED}
@@ -59,7 +59,7 @@ def main(args: list[str]) -> int:
     sys.settrace(tracer)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider",
-                              str(ROOT / "tests"), *args])
+                              str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -79,4 +79,4 @@ def main(args: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
