@@ -16,7 +16,6 @@ from .engine import (
     chernoff_min,
     entropy_integral,
     evaluate_entropy_grid,
-    invert_h,
     tail_bound_from_h,
 )
 from .catalog import (
@@ -25,7 +24,6 @@ from .catalog import (
     StableSpec,
     asymptotic_slope,
     bennett_bound,
-    bounded_support_norm_bound,
     dimension_free_bound,
     id_lower_bound,
     id_lower_curve,
@@ -43,7 +41,6 @@ from .simulate import (
     RngContract,
     SampleBatch,
     load_batch,
-    merge_batches,
     sample_brownian_quadratic,
     sample_chaos2,
     sample_id_compound,
@@ -68,14 +65,12 @@ __all__ = [
     "chernoff_min",
     "entropy_integral",
     "evaluate_entropy_grid",
-    "invert_h",
     "tail_bound_from_h",
     "FunctionalProfile",
     "QuadraticSpec",
     "StableSpec",
     "asymptotic_slope",
     "bennett_bound",
-    "bounded_support_norm_bound",
     "dimension_free_bound",
     "id_lower_bound",
     "id_lower_curve",
@@ -91,7 +86,6 @@ __all__ = [
     "RngContract",
     "SampleBatch",
     "load_batch",
-    "merge_batches",
     "sample_brownian_quadratic",
     "sample_chaos2",
     "sample_id_compound",

@@ -44,7 +44,6 @@ __all__ = [
     "bennett_bound",
     "product_h",
     "dimension_free_bound",
-    "bounded_support_norm_bound",
     "quad_wiener_bound",
     "quad_wiener_lower",
     "quad_euclid_iid_bound",
@@ -165,10 +164,6 @@ class QuadraticSpec:
         object.__setattr__(self, "_a_plus", max(0.0, float(flat.max())))
         object.__setattr__(self, "_f2_norms", tuple(
             0.25 * sum(a * a for a in comp) for comp in comps))
-
-    @property
-    def n(self) -> int:
-        return len(self.eigs_per_component)
 
     @property
     def a_max(self) -> float:
@@ -486,36 +481,6 @@ def dimension_free_bound(profile: FunctionalProfile, model,
                      meta={"h": h, "transform": "value", "x_scale": c,
                            "shift": "mean + c sqrt(2 sum Var)",
                            "mean_norm": mean_norm})
-
-
-def bounded_support_norm_bound(beta: float, R: float, second_moment: float,
-                               mean_abs_f1: float) -> TailBound:
-    """Euclidean-norm bound for i.i.d. components with jumps in B(0, R).
-
-    With alpha_R^2 = (8 beta^2 + 2 beta^5 R^2 / (E|F_1|)^2) int |y|^2 nu(dy),
-
-    P(|F|_2 >= 2 E|F|_2 + x)
-      <= exp( x/(beta R)
-              - (x/(beta R) + alpha_R^2/(beta R)^2)
-                log(1 + x beta R / alpha_R^2) ),   x > 0,
-
-    i.e. the Bennett form with K = beta R.  alpha_R^2 does not depend on
-    the dimension n.
-    """
-    if not (beta > 0.0 and R > 0.0 and second_moment > 0.0
-            and mean_abs_f1 > 0.0):
-        raise InvalidProfile("all parameters must be > 0")
-    alpha_r2 = (8.0 * beta ** 2
-                + 2.0 * beta ** 5 * R * R / (mean_abs_f1 * mean_abs_f1)
-                ) * second_moment
-    K = beta * R
-    fn = _guard(0.0, math.inf, "bounded_support_norm",
-                lambda x: math.exp(_bennett_exponent(K, alpha_r2, x)))
-    return TailBound(name="bounded_support_norm", fn=fn,
-                     center="shifted_mean",
-                     regime_fn=lambda x: "bennett",
-                     meta={"alpha_R2": alpha_r2, "K": K,
-                           "transform": "norm", "shift_mult": 2.0})
 
 
 # ----------------------------------------------------------------------

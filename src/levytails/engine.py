@@ -479,16 +479,6 @@ def _level(h: HFunction, v: float, name: str) -> float:
     return v
 
 
-def invert_h(h: HFunction, s: float) -> float:
-    """Left-continuous inverse h^{-1}(s) = inf{t > 0 : h(t) >= s}.
-
-    Requires 0 < s < h.h_sup; raises OutOfRange otherwise, and NonMonotone
-    if the bracket search observes h decreasing by more than 1e-9 of the
-    values it compares.
-    """
-    return _solve_inverse(h, _level(h, s, "s"))[0]
-
-
 # ----------------------------------------------------------------------
 # Entropy integral and Chernoff minimum
 # ----------------------------------------------------------------------
@@ -518,11 +508,10 @@ class _InverseNodes:
     below and above s, whose h values are held, so it needs no upward
     probe. Where those values do not bracket s (rounding, a NaN value of h
     between them, an h that is not monotone), the node takes the cold
-    _solve_inverse, which raises OutOfRange or NonMonotone as invert_h
-    does. The sweep never returns left of an accepted panel, so
-    drop_below(b) keeps only the last node at or below b: the table holds
-    the nodes of the panels still on the quadrature stack, and each lookup
-    is a bisection.
+    _solve_inverse, which raises OutOfRange or NonMonotone. The sweep
+    never returns left of an accepted panel, so drop_below(b) keeps only
+    the last node at or below b: the table holds the nodes of the panels
+    still on the quadrature stack, and each lookup is a bisection.
     """
 
     def __init__(self, h: HFunction, top: float):

@@ -4,7 +4,8 @@ Everything here is built on numpy ``Generator`` streams derived from a single
 64-bit root seed through ``SeedSequence``: a batch is reproducible
 bit-for-bit from ``(root_seed, stream_id, parameters)``, and distinct
 ``stream_id`` values give statistically independent, collision-free streams,
-so batches produced concurrently can be merged in any order.
+so batches drawn on distinct stream ids are independent, whatever order
+they are drawn in.
 
 Samplers
 --------
@@ -85,7 +86,6 @@ from .models import _interior_uniform
 __all__ = [
     "RngContract",
     "SampleBatch",
-    "merge_batches",
     "save_batch",
     "load_batch",
     "sample_chaos2",
@@ -109,8 +109,8 @@ class RngContract:
     ``stream(stream_id)`` returns a fresh ``numpy.random.Generator`` on an
     SFC64 bit generator seeded from the key ``(root_seed, stream_id, 0)``
     through ``SeedSequence``, which hashes distinct keys into independent,
-    collision-free states.  So concurrent batches can be drawn on disjoint
-    ``stream_id`` values and merged later without any ordering constraint.
+    collision-free states.  So batches drawn on distinct ``stream_id``
+    values are independent, whatever order they are drawn in.
     The generator is fixed (batch files do not record one); SFC64 fills
     normals about twice as fast as PCG64.
     """
@@ -174,68 +174,6 @@ class SampleBatch:
             )
         if self.count == 0:
             raise EmptyBatch("batch contains no samples")
-
-
-# Meta entries that identify one batch's draws rather than the law they were
-# drawn from; every other entry must agree across a merge. Batch files
-# written before streams lost their replicate index still carry
-# "replicate": 0.
-_PER_BATCH_META = ("replicate", "merged_stream_ids")
-
-
-def _law_params(batch: SampleBatch) -> str:
-    # Normalized as in the saved header, so a loaded batch (lists where the
-    # sampler wrote tuples) compares equal to a fresh one.
-    return json.dumps({k: v for k, v in batch.meta.items()
-                       if k not in _PER_BATCH_META},
-                      sort_keys=True, default=str)
-
-
-def merge_batches(batches) -> SampleBatch:
-    """Merge batches drawn on disjoint streams of one root seed.
-
-    All inputs must come from one sampler with one parameter set and have
-    the same value shape per draw, and no stream may be held by two inputs
-    (a merged input holds every stream in its ``merged_stream_ids``);
-    ``InvalidProfile`` otherwise.  The result is independent of the order in
-    which the inputs are passed: segments are concatenated sorted by their
-    lowest stream id, and ``merged_stream_ids`` lists every stream in the
-    order of the values.
-    """
-    batches = list(batches)
-    if not batches:
-        raise EmptyBatch("nothing to merge")
-    seeds = {b.seed for b in batches}
-    if len(seeds) != 1:
-        raise InvalidProfile(f"cannot merge batches with mixed seeds {seeds}")
-    first, params = batches[0], _law_params(batches[0])
-    for b in batches[1:]:
-        if b.meta.get("sampler") != first.meta.get("sampler"):
-            raise InvalidProfile(
-                f"cannot merge batches of samplers {first.meta.get('sampler')!r}"
-                f" and {b.meta.get('sampler')!r}")
-        if b.values.shape[1:] != first.values.shape[1:]:
-            raise InvalidProfile(
-                f"cannot merge batches with per-draw shapes "
-                f"{first.values.shape[1:]} and {b.values.shape[1:]}")
-        if _law_params(b) != params:
-            raise InvalidProfile(
-                "cannot merge batches drawn with different parameters")
-    held = [b.meta.get("merged_stream_ids", [b.stream_id]) for b in batches]
-    streams = [s for ids in held for s in ids]
-    if len(set(streams)) != len(streams):
-        raise InvalidProfile("cannot merge: a stream is held by two inputs")
-    order = sorted(range(len(batches)), key=lambda i: min(held[i]))
-    values = np.concatenate([batches[i].values for i in order], axis=0)
-    meta = dict(batches[order[0]].meta)
-    meta["merged_stream_ids"] = [s for i in order for s in held[i]]
-    return SampleBatch(
-        values=values,
-        count=values.shape[0],
-        seed=batches[0].seed,
-        stream_id=min(b.stream_id for b in batches),
-        meta=meta,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +301,13 @@ def _fill_blocks(gen, count: int, block: int, fill) -> None:
 
     Block b covers ``rows = slice(b * block, min((b + 1) * block, count))``
     and draws from ``child = gen.spawn(n_blocks)[b]``; ``fill`` writes into
-    those rows of its preallocated output.  Blocks run on the worker pool,
-    or inline for a single block or a single worker.  Exceptions propagate
+    those rows of its preallocated output.  Every batch runs on the worker
+    pool, whatever its number of blocks or workers.  Exceptions propagate
     to the caller.
     """
     n_blocks = -(-count // block)
     jobs = [(child, slice(b * block, min((b + 1) * block, count)))
             for b, child in enumerate(gen.spawn(n_blocks))]
-    if n_blocks == 1 or _WORKERS == 1:
-        for child, rows in jobs:
-            fill(child, rows)
-        return
     for _ in _executor(_WORKERS).map(lambda job: fill(*job), jobs):
         pass
 
@@ -430,7 +364,7 @@ def sample_chaos2(eigs, count, rng, *, stream_id: int = 0) -> SampleBatch:
     each block draws first; the others are drawn exactly, one normal each,
     in index order.  ``meta`` records ``n_exact``, the carried sum a^2
     as ``gauss_sq``, and ``eigs_sha256``, the SHA-256 of the float64 bytes
-    of the eigenvalues, which tells laws apart in a merge.
+    of the eigenvalues, which identifies the law in the batch header.
     """
     count = _check_count(count)
     # A QuadraticSpectral guards its stored tail energy; a sequence has none.
@@ -886,8 +820,8 @@ def sample_id_compound(model, eps: float, count, rng, *, stream_id: int = 0,
     int_{|y|<=eps} y^2 nu(dy) stands in for the removed small jumps.
     A rate nu(|y| > eps) of ``_JUMP_BUDGET`` = 1e7 jumps per draw or more
     raises :class:`BudgetExceeded`.  ``meta`` names the model's class and,
-    as ``model_params``, its fields, so a merge refuses batches of
-    different laws.
+    as ``model_params``, its fields, which identify the law in the batch
+    header.
     Radial models are symmetric (sign by fair coin), QuadraticSpectral jumps
     carry their eigenvalue's sign; amplitudes come from closed-form inverses
     where available (Stable) and a tabulated monotone inverse of the exact

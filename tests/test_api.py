@@ -125,10 +125,7 @@ CONSUMERS = {
 # Public names with no consumer yet, each with the ROADMAP item that is to
 # give it one (or remove it).
 AWAITING_CONSUMER = {
-    "invert_h": "item 13",
-    "bounded_support_norm_bound": "item 13",
     "median_bound_general": "item 12",
-    "merge_batches": "item 13",
 }
 
 

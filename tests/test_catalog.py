@@ -306,31 +306,6 @@ def test_dimension_free_tends_to_one_at_origin():
 
 
 # ----------------------------------------------------------------------
-# bounded_support_norm_bound
-# ----------------------------------------------------------------------
-
-def test_bounded_support_reduces_to_bennett_point():
-    # beta = R = mean = 1, int y^2 nu = 0.1:
-    # alpha_R^2 = (8 + 2) * 0.1 = 1, K = 1, so the e/4 point reappears.
-    tb = c.bounded_support_norm_bound(1.0, 1.0, 0.1, 1.0)
-    assert tb.meta["alpha_R2"] == pytest.approx(1.0, rel=1e-15)
-    assert tb(1.0) == pytest.approx(math.e / 4.0, rel=1e-14)
-    assert tb.center == "shifted_mean"
-    assert tb.meta["shift_mult"] == 2.0
-
-
-def test_bounded_support_constant_arithmetic():
-    beta, R, sm, mean1 = 0.5, 2.0, 0.3, 0.7
-    tb = c.bounded_support_norm_bound(beta, R, sm, mean1)
-    expect = (8.0 * beta ** 2 + 2.0 * beta ** 5 * R * R / mean1 ** 2) * sm
-    assert tb.meta["alpha_R2"] == pytest.approx(expect, rel=1e-15)
-    assert tb.meta["K"] == pytest.approx(beta * R, rel=1e-15)
-    x, a2, K = 1.7, expect, beta * R
-    raw = exp(x / K - (x / K + a2 / K ** 2) * log(1.0 + x * K / a2))
-    assert tb(x) == pytest.approx(raw, rel=1e-14)
-
-
-# ----------------------------------------------------------------------
 # quad_wiener_bound
 # ----------------------------------------------------------------------
 

@@ -6,9 +6,11 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +124,9 @@ def test_invalid_json_and_missing_file(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
     assert main([str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
+    assert _run(tmp_path, [{"task": "bound"}]) == 1
+    assert "config: top level must be a JSON object" in \
+        capsys.readouterr().err
 
 
 def test_audit_grid_cap_enforced(tmp_path, capsys):
@@ -950,6 +955,89 @@ def test_sweep_run_must_be_subtask_name(tmp_path, capsys):
     # Top-level keys are reported bare, with no leading dot.
     assert "run: must be a string" in err
     assert ".run" not in err
+
+
+_SWEEP = {"task": "sweep", "run": "bound"}
+
+
+# Each edit of a valid bennett bound config, and the message that names it.
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda cfg: cfg.pop("grid"), "grid: required for this task"),
+    (lambda cfg: cfg.update(grid=[0.5, 5.0, 4]), "grid: must be an object"),
+    (lambda cfg: cfg["bound"].update(K="1.0"),
+     "bound.K: must be a finite number"),
+    (lambda cfg: cfg["bound"].update(alpha2=True),
+     "bound.alpha2: must be a finite number"),
+    (lambda cfg: cfg["grid"].pop("points"), "grid.points: required"),
+    (lambda cfg: cfg["bound"].pop("name"), "bound.name: required"),
+    (lambda cfg: cfg["bound"].update(name="chernoff"),
+     "bound.name: unknown bound"),
+    (lambda cfg: cfg.update(model={
+        "variant": "quadratic", "eigs": [1.0],
+        "generator": {"kind": "energy", "T": 1.0, "N": 4}}),
+     "exactly one of eigs / generator"),
+    (lambda cfg: cfg.update(model={"variant": "quadratic"}),
+     "exactly one of eigs / generator"),
+    (lambda cfg: cfg.update(model={"variant": "quadratic",
+                                   "generator": "energy"}),
+     "model.generator: must be an object"),
+    (lambda cfg: cfg.update(_SWEEP, over={}),
+     "over: sweep needs a nonempty"),
+    (lambda cfg: cfg.update(_SWEEP, over={"bound.K": []}),
+     "over.bound.K: must be a nonempty list"),
+], ids=["no_section", "section_not_object", "number_as_string",
+        "number_as_bool", "no_required_int", "no_required_str",
+        "unknown_bound", "eigs_and_generator", "neither_eigs_nor_generator",
+        "generator_not_object", "empty_over", "empty_axis"])
+def test_config_refusal_names_its_field(tmp_path, capsys, edit, fragment):
+    cfg = {
+        "task": "bound",
+        "bound": {"name": "bennett", "K": 1.0, "alpha2": 1.0},
+        "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4},
+        "out": {"dir": str(tmp_path / "run")},
+    }
+    edit(cfg)
+    assert _run(tmp_path, cfg) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and fragment in err[0], err
+    assert not (tmp_path / "run").exists()
+
+
+def test_output_dir_that_is_a_file_exits_one(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = {
+        "task": "bound",
+        "bound": {"name": "bennett", "K": 1.0, "alpha2": 1.0},
+        "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4},
+        "out": {"dir": str(taken)},
+    }
+    assert _run(tmp_path, cfg) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error [bound/emit] "), err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("module", ["levytails", "levytails.cli"])
+def test_module_runs_as_main(tmp_path, capsys, monkeypatch, module):
+    # python -m levytails and python -m levytails.cli, in this process.
+    cfg = {
+        "task": "bound",
+        "bound": {"name": "bennett", "K": 1.0, "alpha2": 1.0},
+        "grid": {"x_lo": 0.5, "x_hi": 5.0, "points": 4},
+        "out": {"dir": str(tmp_path / "run")},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(sys, "argv", [module, str(path)])
+    with warnings.catch_warnings():
+        # runpy warns that levytails.cli is already imported.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module(module, run_name="__main__", alter_sys=True)
+    assert exit_.value.code == 0
+    assert "task=bound" in capsys.readouterr().out
+    assert (tmp_path / "run" / "bound_curve.csv").exists()
 
 
 # ----------------------------------------------------------------------

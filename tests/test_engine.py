@@ -28,7 +28,6 @@ from levytails import (
     chernoff_min,
     entropy_integral,
     evaluate_entropy_grid,
-    invert_h,
     product_h,
     quad_wiener_bound,
     tail_bound_from_h,
@@ -208,21 +207,24 @@ def test_gauss_kronrod_never_evaluates_more_than_the_bisection_sweep(data,
 
 
 # ----------------------------------------------------------------------
-# invert_h
+# h^{-1} by _solve_inverse
 # ----------------------------------------------------------------------
 
 def test_invert_linear():
-    assert invert_h(linear_h(2.0), 3.0) == pytest.approx(1.5, rel=1e-12)
+    assert engine._solve_inverse(linear_h(2.0), 3.0)[0] == \
+        pytest.approx(1.5, rel=1e-12)
 
 
 def test_invert_exponential_closed_form():
     h = exp_h(1.0, 1.0)
-    assert invert_h(h, math.e - 1.0) == pytest.approx(1.0, rel=1e-11)
+    assert engine._solve_inverse(h, math.e - 1.0)[0] == \
+        pytest.approx(1.0, rel=1e-11)
 
 
 def test_invert_square():
     h = HFunction(lambda t: t * t, name="square")
-    assert invert_h(h, 4.0) == pytest.approx(2.0, rel=1e-11)
+    assert engine._solve_inverse(h, 4.0)[0] == \
+        pytest.approx(2.0, rel=1e-11)
 
 
 def test_invert_roundtrip_random():
@@ -231,15 +233,19 @@ def test_invert_roundtrip_random():
     for _ in range(100):
         t = float(rng.uniform(1e-6, 20.0))
         s = h(t)
-        assert invert_h(h, s) == pytest.approx(t, rel=1e-9, abs=1e-12)
+        assert engine._solve_inverse(h, s)[0] == \
+            pytest.approx(t, rel=1e-9, abs=1e-12)
 
 
 def test_invert_out_of_range():
+    # The level check (_level) that entropy_integral and chernoff_min share
+    # refuses x at or above sup h, and x <= 0.
     h = exp_h(-1.0, 1.0)   # sup h = 1
-    with pytest.raises(OutOfRange):
-        invert_h(h, 1.0)
-    with pytest.raises(OutOfRange):
-        invert_h(h, -0.5)
+    for x in (1.0, -0.5, 0.0):
+        with pytest.raises(OutOfRange):
+            entropy_integral(h, x)
+        with pytest.raises(OutOfRange):
+            chernoff_min(h, x)
 
 
 def test_invert_detects_decrease():
@@ -247,7 +253,7 @@ def test_invert_detects_decrease():
     # across the decrease and report it rather than silently continue.
     bad = HFunction(lambda t: math.sin(3.0 * t), name="sin")
     with pytest.raises(NonMonotone):
-        invert_h(bad, 1.5)
+        engine._solve_inverse(bad, 1.5)
 
 
 class _Counted:
@@ -269,7 +275,8 @@ def test_invert_cold_bracket_call_counts():
     h = HFunction(h_fn, name="expm1")
     for s in (0.01, 1.0, 100.0):
         h_fn.args.clear()
-        assert invert_h(h, s) == pytest.approx(math.log1p(s), rel=1e-12)
+        assert engine._solve_inverse(h, s)[0] == \
+            pytest.approx(math.log1p(s), rel=1e-12)
         assert len(h_fn.args) <= 14, s
     h_fn.args.clear()
     want = 2.0 * math.log(2.0) - 1.0
@@ -290,7 +297,7 @@ def test_invert_never_probes_the_same_t_twice(f, t_end):
     h = HFunction(h_fn, t_end=t_end)
     for s in (1e-9, 1e-3, 0.3, 0.999, 1.0, 1.5, 40.0):
         h_fn.args.clear()
-        invert_h(h, s)
+        engine._solve_inverse(h, s)
         assert len(set(h_fn.args)) == len(h_fn.args), (s, h_fn.args)
 
 
@@ -320,7 +327,7 @@ def test_invert_nan_raises_at_first_nan_probe():
     h_fn = _Counted(lambda t: t if t < 5.0 else math.nan)
     h = HFunction(h_fn, name="nan above 5")
     with pytest.raises(OutOfRange, match=r"h\(8\.0\) is NaN"):
-        invert_h(h, 6.0)
+        engine._solve_inverse(h, 6.0)
     # t = 1, 2, 4, 8, then 50 bisections of [4, 8] pin the NaN boundary.
     assert len(h_fn.args) == 54
     xs = [0.5, 1.0, 1.5, 6.0, 9.0]
@@ -333,7 +340,7 @@ def test_invert_nan_raises_at_first_nan_probe():
         tb(6.0)
     # The root lies below the NaN region: bisecting [4, 8] finds it.
     h_fn.args.clear()
-    assert invert_h(h, 4.9) == pytest.approx(4.9, rel=1e-12)
+    assert engine._solve_inverse(h, 4.9)[0] == pytest.approx(4.9, rel=1e-12)
     assert len(h_fn.args) <= 14
     vals, _, valid = tb.evaluate_grid([1.0, 4.9, 6.0])
     assert valid.tolist() == [True, True, False]
@@ -341,7 +348,7 @@ def test_invert_nan_raises_at_first_nan_probe():
     # A NaN between the bracket ends, met by the Brent iterates.
     hole = HFunction(lambda t: math.nan if 1.9 < t < 1.99 else t)
     with pytest.raises(OutOfRange, match="NaN"):
-        invert_h(hole, 1.95)
+        engine._solve_inverse(hole, 1.95)
 
 
 # ----------------------------------------------------------------------
@@ -897,7 +904,7 @@ def test_invert_below_level_up_to_the_largest_float():
     # 1 - e^-t stays below 2 for every t, though the h claims no sup.
     h = HFunction(lambda t: -math.expm1(-t), name="1 - e^-t")
     with pytest.raises(OutOfRange, match="up to the largest float"):
-        invert_h(h, 2.0)
+        engine._solve_inverse(h, 2.0)
 
 
 def test_inverse_route_budget_failure_is_linear(monkeypatch):
@@ -1025,8 +1032,8 @@ def test_steep_h_that_overflows_at_the_cold_probe():
     assert values == pytest.approx(np.exp(-np.array(want)), rel=1e-14)
     assert [-chernoff_min(h, x) for x in xs] == pytest.approx(want, rel=1e-12)
     assert evaluate_entropy_grid(h, xs) == pytest.approx(want, rel=1e-12)
-    assert invert_h(h, 1.0) == pytest.approx(math.log(2.0) / 800.0,
-                                             rel=1e-12)
+    assert engine._solve_inverse(h, 1.0)[0] == pytest.approx(
+        math.log(2.0) / 800.0, rel=1e-12)
 
 
 def test_legendre_route_reports_an_overflow_of_h_as_out_of_range():
@@ -1050,4 +1057,4 @@ def test_monotone_spot_check_is_relative():
     # between the probes t = 1 and 2, far below any absolute slack.
     bad = HFunction(lambda t: 1e-20 * math.sin(3.0 * t), name="tiny sin")
     with pytest.raises(NonMonotone):
-        invert_h(bad, 1.5e-20)
+        engine._solve_inverse(bad, 1.5e-20)

@@ -88,6 +88,9 @@ def test_tail_validation():
         empirical_tail(np.ones(10), np.array([2.0, 1.0]))
     with pytest.raises(PreconditionViolated):
         empirical_tail(np.ones((10, 2)), np.array([1.0]))
+    for grid in ([], [[1.0, 2.0]]):
+        with pytest.raises(PreconditionViolated, match="nonempty 1-D"):
+            empirical_tail(np.ones(10), np.array(grid))
 
 
 # Samples with ties and +-inf, drawn from a small pool of values.
@@ -147,6 +150,12 @@ def test_tail_curve_invariants_enforced():
     with pytest.raises(PreconditionViolated):
         TailCurve(x, np.array([0.4, 0.2]), np.array([0.5, 0.1]),
                   np.array([0.6, 0.3]), 10)  # band below p_hat
+    with pytest.raises(PreconditionViolated, match="one shape"):
+        TailCurve(x, np.array([0.4, 0.2, 0.1]), np.array([0.3, 0.1, 0.0]),
+                  np.array([0.5, 0.3, 0.2]), 10)
+    with pytest.raises(PreconditionViolated, match="strictly increasing"):
+        TailCurve(x[::-1], np.array([0.4, 0.2]), np.array([0.3, 0.1]),
+                  np.array([0.5, 0.3]), 10)
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +189,11 @@ def test_median_normal_width():
 def test_median_needs_count():
     with pytest.raises(PreconditionViolated):
         empirical_median(_batch(np.arange(50, dtype=np.float64)))
+
+
+def test_median_refuses_vector_samples():
+    with pytest.raises(PreconditionViolated, match="scalar samples"):
+        empirical_median(_batch(np.ones((200, 2))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,6 +282,10 @@ def test_deviation_transforms():
     out, meta = deviation_values(vec, norm_bound, 1.5)
     assert out == pytest.approx(np.hypot([1.0, 0.5], [3.0, 0.25]) - 3.0)
     assert meta["shift"] == 3.0
+    # value and abs read one number per draw: a vector batch is refused.
+    for t in ("value", "abs"):
+        with pytest.raises(PreconditionViolated, match=f"transform '{t}'"):
+            deviation_values(vec, bounds[t], 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,12 @@ executable lines of a module are the lines its code objects (the module's
 and every function's, class body's, lambda's and comprehension's in it)
 name in co_lines(). sys.settrace and threading.settrace record the lines
 that run, in the main thread and in every thread the suite starts; lines
-run only in a subprocess are not seen. There is no allowlist: a line that
-no test can reach is deleted or given a test. Exits 1 if the suite fails
-or a checked line is missed, listing each missed line.
+run only in a subprocess are not seen. Tracing is dropped where it can
+find nothing new: the global tracer returns None for a code object whose
+executable lines have all been seen, and the local tracer stops once the
+last of them is. There is no allowlist: a line that no test can reach is
+deleted or given a test. Exits 1 if the suite fails or a checked line is
+missed, listing each missed line.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = [ROOT / "src" / "levytails" / "engine.py"]
+CHECKED = [ROOT / "src" / "levytails" / name
+           for name in ("engine.py", "verify.py", "cli.py", "__main__.py")]
+
+
+def code_lines(code: types.CodeType) -> set[int]:
+    """The lines that one code object names, without its nested ones."""
+    return {line for _, _, line in code.co_lines() if line}
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -31,7 +40,7 @@ def executable_lines(path: Path) -> set[int]:
     lines = set()
     while todo:
         code = todo.pop()
-        lines.update(line for _, _, line in code.co_lines() if line)
+        lines |= code_lines(code)
         todo.extend(c for c in code.co_consts
                     if isinstance(c, types.CodeType))
     return lines
@@ -41,18 +50,35 @@ def main() -> int:
     import pytest
 
     files = {str(path): set() for path in CHECKED}
+    # id(code) -> (code, its lines not seen yet, its local tracer). Holding
+    # the code keeps its id from passing to another; hashing a code object
+    # would hash all of its constants on every call.
+    watched = {}
 
-    def tracer(frame, event, arg):
-        seen = files.get(frame.f_code.co_filename)
-        if seen is None:
-            return None
-        seen.add(frame.f_lineno)
+    def watch(code, seen):
+        left = code_lines(code) - seen
 
         def local(frame, event, arg):
-            seen.add(frame.f_lineno)
-            return local
+            line = frame.f_lineno
+            seen.add(line)
+            left.discard(line)
+            if left:
+                return local
+            frame.f_trace = None    # every line of the code is seen
+            return None
 
-        return local
+        return code, left, local
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        seen = files.get(code.co_filename)
+        if seen is None:
+            return None
+        entry = watched.get(id(code))
+        if entry is None:
+            entry = watched[id(code)] = watch(code, seen)
+        _, left, local = entry
+        return local(frame, event, arg) if left else None
 
     sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(tracer)
